@@ -193,10 +193,30 @@ class DistributionOracle:
     ``sampler(x, count, rng)`` must return an array of shape ``(count, d)``.
     Draws with an identical generator state are bit-identical; callers never
     share one generator across threads.
+
+    A ``batched`` sampler also accepts ``x`` of shape ``(count, n)`` and then
+    returns a new array holding one draw per row, equal bit for bit to the
+    single-row draws ``sampler(x[i], 1, rng)`` taken in row order.
     """
 
     d: int
     sampler: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
+    batched: bool = False
+
+    def sample_at(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One draw at each row of ``points`` (shape ``(count, n)``), shape ``(count, d)``.
+
+        Equal to stacking ``sample(points[i], 1, rng)`` in row order; a
+        batched sampler serves all rows in one call.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ContractViolationError(f"points must have shape (count, n), got {points.shape}")
+        if self.batched:
+            return self.sample(points, points.shape[0], rng)
+        if points.shape[0] < 1:
+            raise ConfigurationError("sample count must be >= 1")
+        return np.vstack([self.sample(point, 1, rng) for point in points])
 
     def sample(self, x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
         if count < 1:

@@ -98,9 +98,7 @@ def generate_poised_set(
 
     offsets = uniform_ball_sample(np.zeros(n), 1.0, count, rng)
     points = center + radius * offsets
-    responses = np.empty((count, oracle.d))
-    for i in range(count):
-        responses[i] = oracle.sample(points[i], 1, rng)[0]
+    responses = oracle.sample_at(points, rng)
 
     best = np.inf
     for _ in range(max_rounds + 1):

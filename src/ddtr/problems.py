@@ -125,9 +125,12 @@ def synthetic_instance(params: SyntheticProblem = SyntheticProblem()) -> Instanc
     )
 
     def sampler(x, count, rng):
-        return x[0] ** 3 + sigma * rng.standard_normal((count, 1))
+        # float_power rounds each row like the scalar x[0] ** 3; ``**`` on an
+        # array can differ from it in the last bit.
+        cubes = np.float_power(np.atleast_2d(x)[:, :1], 3)
+        return cubes + sigma * rng.standard_normal((count, 1))
 
-    oracle = DistributionOracle(d=1, sampler=sampler)
+    oracle = DistributionOracle(d=1, sampler=sampler, batched=True)
     diagnostics = OracleDiagnostics(
         value=lambda x, rng: synthetic_primal(float(x[0]), h),
         grad_norm=lambda x, rng: abs(synthetic_primal_grad(float(x[0]), h)),
@@ -242,13 +245,13 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     base = dro.features
 
     def sampler(x, count, rng):
-        shifted = base + dro.shift_scale * np.sin(x)[None, :]
+        shifted = base[None] + dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :]
         draws = np.broadcast_to(shifted, (count, N, n)).copy()
         if dro.noise_sigma > 0:
             draws += dro.noise_sigma * rng.standard_normal((count, N, n))
         return draws.reshape(count, d)
 
-    oracle = DistributionOracle(d=d, sampler=sampler)
+    oracle = DistributionOracle(d=d, sampler=sampler, batched=True)
 
     simplex = Simplex(N)
 

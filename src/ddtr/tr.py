@@ -56,7 +56,10 @@ class SampleSchedule:
     def count(self, delta: float) -> int:
         if self.fixed is not None:
             return self.fixed
-        raw = math.ceil(self.coeff * max(delta**-self.power, 1.0))
+        try:
+            raw = math.ceil(self.coeff * max(float(delta) ** -self.power, 1.0))
+        except OverflowError:  # past the float range, so far past ``maximum``
+            return self.maximum
         return int(min(max(raw, self.minimum), self.maximum))
 
 

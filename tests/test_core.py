@@ -11,6 +11,14 @@ from ddtr.core import (
     project,
     uniform_ball_sample,
 )
+from ddtr.problems import (
+    SyntheticProblem,
+    dro_instance,
+    generate_synthetic_credit,
+    synthetic_instance,
+)
+
+from util import scalar_oracle
 
 
 class TestBoxProjection:
@@ -149,3 +157,67 @@ class TestDistributionOracle:
         assert np.array_equal(
             oracle.sample(x, 5, make_rng(9)), oracle.sample(x, 5, make_rng(9))
         )
+
+
+def per_row(oracle, points, seed):
+    rng = make_rng(seed)
+    return np.vstack([oracle.sample(point, 1, rng) for point in points])
+
+
+class TestSampleAt:
+    def test_synthetic_matches_per_row_draws(self):
+        # Points on both sides of the knee |x| = 125 ** (1/3) = 5.
+        oracle = synthetic_instance(SyntheticProblem(noise_sigma=1.0)).oracle
+        assert oracle.batched
+        points = make_rng(0).uniform(-12.0, 12.0, size=(4000, 1))
+        assert np.any(points < -5.0) and np.any(np.abs(points) < 5.0) and np.any(points > 5.0)
+        got = oracle.sample_at(points, make_rng(1))
+        assert got.shape == (4000, 1)
+        assert np.array_equal(got, per_row(oracle, points, 1))
+        # Each row rounds like the scalar formula x ** 3 + noise.
+        cubes = np.array([[x**3] for x in points[:, 0].tolist()])
+        assert np.array_equal(got, cubes + make_rng(1).standard_normal((4000, 1)))
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
+    def test_dro_matches_per_row_draws(self, noise_sigma):
+        dro = generate_synthetic_credit(12, 3, seed=5, noise_sigma=noise_sigma)
+        oracle = dro_instance(dro, diag_samples=10).oracle
+        assert oracle.batched
+        points = make_rng(2).uniform(-4.0, 4.0, size=(300, 3))
+        got = oracle.sample_at(points, make_rng(3))
+        assert got.shape == (300, 36)
+        assert np.array_equal(got, per_row(oracle, points, 3))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_sampler_calls(self, batched):
+        # An oracle that does not declare batching is sampled row by row; a
+        # batched sampler sees all rows in one call.
+        base = synthetic_instance().oracle if batched else scalar_oracle(np.sin, sigma=0.5)
+        calls = []
+
+        def sampler(x, count, rng):
+            calls.append((x.shape, count))
+            return base.sampler(x, count, rng)
+
+        wrapped = DistributionOracle(d=1, sampler=sampler, batched=batched)
+        points = make_rng(4).uniform(-2.0, 2.0, size=(7, 1))
+        got = wrapped.sample_at(points, make_rng(5))
+        assert calls == ([((7, 1), 7)] if batched else [((1,), 1)] * 7)
+        assert np.array_equal(got, per_row(base, points, 5))
+
+    def test_batched_shape_contract_enforced(self):
+        bad = DistributionOracle(
+            d=1, sampler=lambda x, count, rng: np.zeros((1, 1)), batched=True
+        )
+        with pytest.raises(ContractViolationError):
+            bad.sample_at(np.zeros((4, 1)), make_rng(0))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_points_validated(self, batched):
+        oracle = DistributionOracle(
+            d=1, sampler=lambda x, count, rng: np.zeros((count, 1)), batched=batched
+        )
+        with pytest.raises(ContractViolationError):
+            oracle.sample_at(np.zeros(3), make_rng(0))
+        with pytest.raises(ConfigurationError):
+            oracle.sample_at(np.zeros((0, 1)), make_rng(0))

@@ -315,6 +315,11 @@ class TestSampleSchedule:
         assert sched.count(0.3) == math.ceil(0.3**-4)
         assert sched.count(0.01) == 5000
 
+    @pytest.mark.parametrize("delta", [2.0**-256, 2.0**-1074, np.float64(2.0**-256)])
+    def test_adaptive_count_at_tiny_radius_is_maximum(self, delta):
+        # delta ** -4 is past the float range here.
+        assert SampleSchedule(fixed=None).count(delta) == 5000
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TRConfig(delta0=3.0, delta_max=2.0)
