@@ -13,7 +13,6 @@ from .core import (
     Simplex,
     SingularFitError,
     make_rng,
-    project,
     uniform_ball_sample,
 )
 from .inner import InnerSolveReport, maximize_over_scenarios
@@ -50,7 +49,6 @@ __all__ = [
     "generate_poised_set",
     "make_rng",
     "maximize_over_scenarios",
-    "project",
     "solve",
     "uniform_ball_sample",
 ]

@@ -199,9 +199,7 @@ def run_baseline(
         oracle_grad = math.nan
         oracle_samples = 0
         if diagnostics is not None and not state.diverged:
-            phi_rng, grad_rng = diag_rng.spawn(2)
-            oracle_phi = float(diagnostics.value(prev_x, phi_rng))
-            oracle_grad = float(diagnostics.grad_norm(prev_x, grad_rng))
+            oracle_phi, oracle_grad = diagnostics.evaluate(prev_x, diag_rng)
             oracle_samples = diagnostics.sample_count
         state.history.append(
             BaselineRecord(

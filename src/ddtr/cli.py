@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -147,24 +147,9 @@ def build_instance(config: RunConfig) -> problems.Instance:
             )
         instance = problems.dro_instance(dro, diag_samples=diag_samples)
     if x0_center is not None:
-        center = np.atleast_1d(np.asarray(x0_center, dtype=float))
-        instance = problems.Instance(
-            problem=instance.problem,
-            oracle=instance.oracle,
-            diagnostics=instance.diagnostics,
-            x0_center=center,
-            x0_radius=float(x0_radius if x0_radius is not None else instance.x0_radius),
-            y0_center=instance.y0_center,
-        )
-    elif x0_radius is not None:
-        instance = problems.Instance(
-            problem=instance.problem,
-            oracle=instance.oracle,
-            diagnostics=instance.diagnostics,
-            x0_center=instance.x0_center,
-            x0_radius=float(x0_radius),
-            y0_center=instance.y0_center,
-        )
+        instance = replace(instance, x0_center=np.atleast_1d(np.asarray(x0_center, dtype=float)))
+    if x0_radius is not None:
+        instance = replace(instance, x0_radius=float(x0_radius))
     return instance
 
 
@@ -260,16 +245,7 @@ def run(config: RunConfig, workers: int = 1) -> int:
     """Execute one run per seed; returns a process exit status."""
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_doc = {
-        "problem": config.problem,
-        "solver": config.solver,
-        "seeds": config.seeds,
-        "output_dir": config.output_dir,
-        "max_iters": config.max_iters,
-        "log_oracle_diagnostics": config.log_oracle_diagnostics,
-        "problem_params": config.problem_params,
-        "solver_params": config.solver_params,
-    }
+    config_doc = asdict(config)
     entries = []
     jobs = [(config_doc, seed, str(out_dir)) for seed in config.seeds]
     if workers > 1:

@@ -58,11 +58,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split off ``count`` independent child generators, deterministically."""
-    return rng.spawn(count)
-
-
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
@@ -144,11 +139,6 @@ class Simplex:
 
 
 InnerDomain = Union[Box, Simplex]
-
-
-def project(domain: InnerDomain, y: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``y`` onto the inner domain."""
-    return domain.project(y)
 
 
 @dataclass(frozen=True)

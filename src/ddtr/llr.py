@@ -137,11 +137,3 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
     b1 = coef[:n] / samples.radius
     b0 = coef[n] - b1.T @ samples.center
     return LLRModel(b1=b1, b0=b0, residuals=residuals, center=samples.center, radius=samples.radius)
-
-
-def predict(model: LLRModel, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
-
-
-def surrogate_scenarios(model: LLRModel, x: np.ndarray) -> np.ndarray:
-    return model.surrogate_scenarios(x)

@@ -255,8 +255,8 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
 
     simplex = Simplex(N)
 
-    def _mc_state(x, rng):
-        # Monte-Carlo estimate of the primal value and gradient, with the
+    def mc_evaluate(x, rng):
+        # Monte-Carlo estimate of the primal value and gradient norm, with the
         # inner maximum solved in closed form: the y-part of the objective is
         # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, an isotropic
         # quadratic whose constrained maximizer is one simplex projection.
@@ -264,30 +264,33 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         margins = -b[None, :] * (a @ x)
         mean_losses = np.mean(np.logaddexp(0.0, margins), axis=0)  # (N,)
         y_star = simplex.project(1.0 / N + mean_losses / (lam2 * N**3))
-        return a, margins, mean_losses, y_star
-
-    def mc_value(x, rng):
-        _, _, mean_losses, y_star = _mc_state(x, rng)
         reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
-        return float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
-
-    def _grad_norm_from_state(x, state):
-        a, margins, _, y_star = state
+        value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
         coef = (-b * y_star)[None, :] * expit(margins) / N  # (S, N)
         g1 = np.mean(np.einsum("sN,sNn->sn", coef, a), axis=0) + _f_grad(x, lam1, alpha)
         g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
         chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
-        return float(np.linalg.norm(g1 + chain))
+        return value, float(np.linalg.norm(g1 + chain))
 
-    def mc_grad_norm(x, rng):
-        return _grad_norm_from_state(x, _mc_state(x, rng))
+    # Without noise the draws, and so both estimates, depend on x alone. A
+    # rejected trust-region step keeps x bitwise, so the last result (two
+    # floats, never the draws) is served again at a repeated x.
+    last_key, last_result = None, None
 
     def mc_value_and_grad_norm(x, rng):
-        state = _mc_state(x, rng)
-        _, _, mean_losses, y_star = state
-        reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
-        value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
-        return value, _grad_norm_from_state(x, state)
+        nonlocal last_key, last_result
+        if dro.noise_sigma > 0:
+            return mc_evaluate(x, rng)
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != last_key:
+            last_key, last_result = key, mc_evaluate(x, rng)
+        return last_result
+
+    def mc_value(x, rng):
+        return mc_value_and_grad_norm(x, rng)[0]
+
+    def mc_grad_norm(x, rng):
+        return mc_value_and_grad_norm(x, rng)[1]
 
     diagnostics = OracleDiagnostics(
         value=mc_value,

@@ -81,6 +81,16 @@ class TestRun:
             header = fh.readline().strip().split(",")
         assert header == TR_COLUMNS
 
+    def test_summary_config_is_parsed_document(self, tmp_path):
+        doc = tiny_tr_doc(tmp_path / "cfg", seeds=(1,), max_iters=2)
+        assert run(parse_run_config(doc)) == 0
+        summary = json.loads((tmp_path / "cfg" / "summary.json").read_text())
+        assert summary["config"] == dict(doc, problem_params={})
+        assert list(summary["config"]) == [
+            "problem", "solver", "seeds", "output_dir", "max_iters",
+            "log_oracle_diagnostics", "problem_params", "solver_params",
+        ]
+
     def test_spd_divergence_flagged(self, tmp_path):
         doc = {
             "problem": "synthetic",

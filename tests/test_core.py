@@ -8,7 +8,6 @@ from ddtr.core import (
     DistributionOracle,
     Simplex,
     make_rng,
-    project,
     uniform_ball_sample,
 )
 from ddtr.problems import (
@@ -24,16 +23,16 @@ from util import scalar_oracle
 class TestBoxProjection:
     def test_interior_point_is_fixed(self):
         box = Box(np.array([-125.0]), np.array([125.0]))
-        assert project(box, np.array([3.0])) == pytest.approx(3.0)
+        assert box.project(np.array([3.0])) == pytest.approx(3.0)
 
     def test_clamps_to_boundary(self):
         box = Box(np.array([-125.0]), np.array([125.0]))
-        assert project(box, np.array([300.0])) == pytest.approx(125.0)
+        assert box.project(np.array([300.0])) == pytest.approx(125.0)
 
     def test_dimension_mismatch(self):
         box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ContractViolationError):
-            project(box, np.array([0.5]))
+            box.project(np.array([0.5]))
 
     def test_diameter(self):
         box = Box(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
@@ -60,7 +59,7 @@ class TestSimplexProjection:
     def test_vertex_case_matches_brute_force(self):
         y = np.array([2.0, 0.0, 0.0])
         expected = brute_force_simplex_projection(y)
-        got = project(Simplex(3), y)
+        got = Simplex(3).project(y)
         assert np.allclose(got, expected, atol=5e-3)
         assert np.allclose(got, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -69,13 +68,13 @@ class TestSimplexProjection:
         simplex = Simplex(3)
         for _ in range(5):
             y = rng.normal(size=3) * 2.0
-            got = project(simplex, y)
+            got = simplex.project(y)
             expected = brute_force_simplex_projection(y)
             assert np.linalg.norm(got - expected) < 5e-3
 
     def test_simplex_point_is_fixed(self):
         y = np.array([1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(project(Simplex(3), y), y, atol=1e-15)
+        assert np.allclose(Simplex(3).project(y), y, atol=1e-15)
 
     def test_feasibility_many_points(self):
         rng = make_rng(11)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddtr.core import ConfigurationError, DistributionOracle, PoisednessError, make_rng
-from ddtr.llr import LLRModel, fit, generate_poised_set, predict, surrogate_scenarios
+from ddtr.llr import LLRModel, fit, generate_poised_set
 
 from util import scalar_oracle
 
@@ -154,7 +154,7 @@ class TestPredictAndScenarios:
     def test_constant_model(self):
         model = self.constant_model(5.0)
         for x in ([0.0, 0.0], [3.0, -1.0]):
-            assert predict(model, np.array(x))[0] == pytest.approx(5.0)
+            assert model.predict(np.array(x))[0] == pytest.approx(5.0)
 
     def test_affine_arithmetic(self):
         model = LLRModel(
@@ -164,7 +164,7 @@ class TestPredictAndScenarios:
             center=np.zeros(1),
             radius=1.0,
         )
-        assert predict(model, np.array([4.0]))[0] == pytest.approx(14.0)
+        assert model.predict(np.array([4.0]))[0] == pytest.approx(14.0)
 
     def test_training_point_reconstruction(self):
         samples = make_set(
@@ -172,7 +172,7 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         i = 4
-        assert predict(model, samples.points[i])[0] + model.residuals[i, 0] == pytest.approx(
+        assert model.predict(samples.points[i])[0] + model.residuals[i, 0] == pytest.approx(
             samples.responses[i, 0], abs=1e-9
         )
 
@@ -182,12 +182,12 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         i = 7
-        scen = surrogate_scenarios(model, samples.points[i])
+        scen = model.surrogate_scenarios(samples.points[i])
         assert scen[i, 0] == pytest.approx(samples.responses[i, 0], abs=1e-9)
 
     def test_zero_residuals_collapse_scenarios(self):
         model = self.constant_model(1.5)
-        scen = surrogate_scenarios(model, np.array([0.3, 0.4]))
+        scen = model.surrogate_scenarios(np.array([0.3, 0.4]))
         assert np.allclose(scen, 1.5)
 
     def test_scenario_mean_equals_prediction(self):
@@ -196,8 +196,8 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         x = np.array([2.2])
-        scen = surrogate_scenarios(model, x)
-        assert scen.mean(axis=0) == pytest.approx(predict(model, x), abs=1e-10)
+        scen = model.surrogate_scenarios(x)
+        assert scen.mean(axis=0) == pytest.approx(model.predict(x), abs=1e-10)
 
 
 def test_local_accuracy_scales_quadratically():

@@ -1,10 +1,11 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ddtr.core import ConfigurationError, IngestionError, Simplex, make_rng
+from ddtr.core import ConfigurationError, DistributionOracle, IngestionError, Simplex, make_rng
 from ddtr.problems import (
     DROProblem,
     SyntheticProblem,
@@ -180,6 +181,66 @@ class TestDROProblem:
     def test_label_validation(self):
         with pytest.raises(ConfigurationError):
             DROProblem(features=np.zeros((3, 2)), labels=np.array([0.0, 1.0, 1.0]))
+
+
+def counted_sample():
+    return mock.patch.object(
+        DistributionOracle, "sample", autospec=True, side_effect=DistributionOracle.sample
+    )
+
+
+def mc_diagnostics(dro):
+    return dro_instance(dro, diag_samples=200).diagnostics
+
+
+class TestDRODiagnosticsMemo:
+    X = np.array([0.6, -0.2, 1.1])
+    OTHER = np.array([0.5, 0.3, -0.4])
+
+    def test_repeat_is_bitwise_equal_and_draws_nothing(self, small_dro):
+        diag = mc_diagnostics(small_dro)
+        with counted_sample() as sample:
+            first = diag.value_and_grad_norm(self.X, make_rng(1))
+            assert sample.call_count == 1
+            second = diag.value_and_grad_norm(self.X.copy(), make_rng(2))
+            assert sample.call_count == 1
+        assert first == second
+
+    def test_return_to_earlier_point_matches_fresh_instance(self, small_dro):
+        diag = mc_diagnostics(small_dro)
+        diag.value_and_grad_norm(self.X, make_rng(1))
+        diag.value_and_grad_norm(self.OTHER, make_rng(1))
+        again = diag.value_and_grad_norm(self.X, make_rng(1))
+        assert again == mc_diagnostics(small_dro).value_and_grad_norm(self.X, make_rng(1))
+
+    def test_value_and_grad_norm_are_projections(self, small_dro):
+        value, grad_norm = mc_diagnostics(small_dro).value_and_grad_norm(self.X, make_rng(1))
+        assert mc_diagnostics(small_dro).value(self.X, make_rng(1)) == value
+        assert mc_diagnostics(small_dro).grad_norm(self.X, make_rng(1)) == grad_norm
+        diag = mc_diagnostics(small_dro)
+        assert (diag.value(self.X, make_rng(1)), diag.grad_norm(self.X, make_rng(1))) == (
+            value,
+            grad_norm,
+        )
+
+    def test_mutated_input_is_not_served_stale(self, small_dro):
+        diag = mc_diagnostics(small_dro)
+        x = self.X.copy()
+        diag.value_and_grad_norm(x, make_rng(1))
+        x[:] = self.OTHER
+        got = diag.value_and_grad_norm(x, make_rng(1))
+        assert got == mc_diagnostics(small_dro).value_and_grad_norm(self.OTHER, make_rng(1))
+
+    def test_noisy_instance_samples_every_call(self, small_dro):
+        noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
+        diag = mc_diagnostics(noisy)
+        with counted_sample() as sample:
+            first = diag.value_and_grad_norm(self.X, make_rng(1))
+            second = diag.value_and_grad_norm(self.X, make_rng(2))
+            assert sample.call_count == 2
+            assert diag.value_and_grad_norm(self.X, make_rng(1)) == first
+            assert sample.call_count == 3
+        assert first[0] != second[0] and first[1] != second[1]
 
 
 class TestDROInnerExactCheck:
