@@ -44,6 +44,9 @@ class BaselineConfig:
             raise ConfigurationError("forget must lie in (0, 1]")
 
     def stepsize(self, k: int) -> float:
+        """The x-stepsize of step k."""
+        if self.method == "asgda":
+            return self.eta_x
         if self.method == "spd-dynamic":
             return 1.0 / (self.dyn_a + self.dyn_b * k)
         return self.eta
@@ -91,14 +94,16 @@ class BaselineState:
 
 @dataclass(frozen=True)
 class BaselineRecord:
+    """One step; the field order is the CSV column order."""
+
     k: int
-    x_after: np.ndarray
-    grad_norm_est: float
     stepsize: float
+    grad_norm_est: float
     diverged: bool
-    oracle_phi: float = math.nan
-    oracle_grad_norm: float = math.nan
-    oracle_samples: int = 0
+    oracle_phi: float
+    oracle_grad_norm: float
+    oracle_samples: int
+    x_after: np.ndarray
 
 
 def _diverged(x: np.ndarray, y: np.ndarray, threshold: float) -> bool:
@@ -146,7 +151,7 @@ def asgda_step(
         problem.grad3(state.x, state.y, draws), axis=0
     )
     gy = np.mean(problem.grad2(state.x, state.y, draws), axis=0)
-    x_new = state.x - config.eta_x * gx
+    x_new = state.x - config.stepsize(state.k) * gx
     y_new = _safe_project(problem, state.y + config.eta_y * gy)
     model = state.model.update(state.x, draws, config.forget)
     return replace(
@@ -192,7 +197,7 @@ def run_baseline(
     for _ in range(config.max_iters):
         step_rng, diag_rng = rng.spawn(2)
         prev_x = state.x
-        eta = config.eta_x if config.method == "asgda" else config.stepsize(state.k)
+        eta = config.stepsize(state.k)
         state = step(state, problem, oracle, config, step_rng)
         grad_norm = float(np.linalg.norm((state.x - prev_x) / eta))
         oracle_phi = math.nan
@@ -204,13 +209,13 @@ def run_baseline(
         state.history.append(
             BaselineRecord(
                 k=state.k - 1,
-                x_after=state.x,
-                grad_norm_est=grad_norm,
                 stepsize=eta,
+                grad_norm_est=grad_norm,
                 diverged=state.diverged,
                 oracle_phi=oracle_phi,
                 oracle_grad_norm=oracle_grad,
                 oracle_samples=oracle_samples,
+                x_after=state.x,
             )
         )
         if state.diverged:

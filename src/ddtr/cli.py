@@ -30,16 +30,8 @@ OUTPUT_ROOT_ENV = "DDTR_OUTPUT_ROOT"
 PROBLEMS = ("synthetic", "dro")
 SOLVERS = ("tr", "asgda", "spd-constant", "spd-dynamic")
 
-TR_COLUMNS = [
-    "k", "delta", "delta_next", "rho", "grad_norm_surrogate", "v_k", "v_k_half",
-    "accepted", "descent_lhs", "descent_rhs", "descent_ok", "n_llr", "n_value",
-    "n_value_half", "b1_frobenius", "oracle_phi", "oracle_grad_norm",
-    "oracle_samples", "x_before", "x_after",
-]
-BASELINE_COLUMNS = [
-    "k", "stepsize", "grad_norm_est", "diverged", "oracle_phi",
-    "oracle_grad_norm", "oracle_samples", "x_after",
-]
+TR_COLUMNS = [f.name for f in fields(tr.IterationRecord)]
+BASELINE_COLUMNS = [f.name for f in fields(baselines.BaselineRecord)]
 
 _SYNTHETIC_KEYS = {"noise_sigma", "half_width", "x0_center", "x0_radius"}
 _DRO_KEYS = {
@@ -236,9 +228,13 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     return entry
 
 
-def _run_one_tuple(args) -> dict:
-    config_doc, seed, out_dir = args
-    return run_one(parse_run_config(config_doc), seed, out_dir)
+def _run_seed(job) -> dict:
+    """One seed's summary entry; an error is recorded, so sibling seeds run on."""
+    config_doc, seed, out_dir = job
+    try:
+        return run_one(parse_run_config(config_doc), seed, out_dir)
+    except Exception as exc:
+        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def run(config: RunConfig, workers: int = 1) -> int:
@@ -246,23 +242,12 @@ def run(config: RunConfig, workers: int = 1) -> int:
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_doc = asdict(config)
-    entries = []
     jobs = [(config_doc, seed, str(out_dir)) for seed in config.seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one_tuple, job) for job in jobs]
-            for (_, seed, _), future in zip(jobs, futures):
-                try:
-                    entries.append(future.result())
-                except Exception as exc:  # record and keep sibling seeds running
-                    entries.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+            entries = list(pool.map(_run_seed, jobs))
     else:
-        for job in jobs:
-            _, seed, _ = job
-            try:
-                entries.append(_run_one_tuple(job))
-            except Exception as exc:  # record and keep sibling seeds running
-                entries.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+        entries = [_run_seed(job) for job in jobs]
     summary = {"config": config_doc, "runs": entries}
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

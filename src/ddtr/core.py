@@ -88,10 +88,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
     def project(self, y: np.ndarray) -> np.ndarray:
         y = as_vector(y, self.dim, "y")
         return np.clip(y, self.lower, self.upper)
@@ -113,10 +109,6 @@ class Simplex:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError("simplex dimension must be >= 1")
-
-    @property
-    def diameter(self) -> float:
-        return float(np.sqrt(2.0))
 
     def project(self, y: np.ndarray) -> np.ndarray:
         # Sort-based exact Euclidean projection, O(m log m)

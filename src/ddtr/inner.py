@@ -34,7 +34,6 @@ class InnerSolveReport:
     maximizer: np.ndarray
     iterations: int
     final_step_norm: float
-    tolerance_target: float
     values: Optional[np.ndarray] = None  # objective trajectory, only when tracked
 
 
@@ -83,14 +82,12 @@ def maximize_over_scenarios(
                 maximizer=y,
                 iterations=t,
                 final_step_norm=step_norm,
-                tolerance_target=epsilon,
                 values=None if values is None else np.asarray(values),
             )
     report = InnerSolveReport(
         maximizer=y,
         iterations=max_iters,
         final_step_norm=step_norm,
-        tolerance_target=epsilon,
         values=None if values is None else np.asarray(values),
     )
     raise InnerConvergenceError(

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,28 +204,28 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     b = dro.labels
     lam1, lam2, alpha = dro.lambda1, dro.lambda2, dro.alpha
 
-    def loss(x, y, w):
+    def margins_of(x, w):
         a = w.reshape(-1, N, n)
-        margins = -b[None, :] * (a @ x)  # (S, N)
+        return a, -b[None, :] * (a @ x)  # (S, N, n), (S, N)
+
+    def loss(x, y, w):
+        _, margins = margins_of(x, w)
         losses = np.logaddexp(0.0, margins)
         reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
         return losses @ y / N + _f_value(x, lam1, alpha) - reg
 
     def grad1(x, y, w):
-        a = w.reshape(-1, N, n)
-        margins = -b[None, :] * (a @ x)
+        a, margins = margins_of(x, w)
         coef = (-b * y)[None, :] * expit(margins) / N  # (S, N)
         return np.einsum("sN,sNn->sn", coef, a) + _f_grad(x, lam1, alpha)
 
     def grad2(x, y, w):
-        a = w.reshape(-1, N, n)
-        margins = -b[None, :] * (a @ x)
+        _, margins = margins_of(x, w)
         losses = np.logaddexp(0.0, margins)
         return losses / N - (lam2 * N * (N * y - 1.0))[None, :]
 
     def grad3(x, y, w):
-        a = w.reshape(-1, N, n)
-        margins = -b[None, :] * (a @ x)
+        _, margins = margins_of(x, w)
         coef = (-b * y)[None, :] * expit(margins) / N  # (S, N)
         return (coef[:, :, None] * x[None, None, :]).reshape(-1, d)
 
@@ -253,17 +253,14 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
 
     oracle = DistributionOracle(d=d, sampler=sampler, batched=True)
 
-    simplex = Simplex(N)
-
     def mc_evaluate(x, rng):
         # Monte-Carlo estimate of the primal value and gradient norm, with the
         # inner maximum solved in closed form: the y-part of the objective is
         # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, an isotropic
         # quadratic whose constrained maximizer is one simplex projection.
-        a = oracle.sample(x, diag_samples, rng).reshape(-1, N, n)
-        margins = -b[None, :] * (a @ x)
+        a, margins = margins_of(x, oracle.sample(x, diag_samples, rng))
         mean_losses = np.mean(np.logaddexp(0.0, margins), axis=0)  # (N,)
-        y_star = simplex.project(1.0 / N + mean_losses / (lam2 * N**3))
+        y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
         reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
         value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
         coef = (-b * y_star)[None, :] * expit(margins) / N  # (S, N)
@@ -451,12 +448,4 @@ def subsample(dro: DROProblem, n_rows: int, seed: int) -> DROProblem:
         raise ConfigurationError(f"cannot subsample {n_rows} of {dro.n_rows} rows")
     rng = np.random.Generator(np.random.Philox(seed))
     idx = np.sort(rng.choice(dro.n_rows, size=n_rows, replace=False))
-    return DROProblem(
-        features=dro.features[idx],
-        labels=dro.labels[idx],
-        shift_scale=dro.shift_scale,
-        lambda1=dro.lambda1,
-        lambda2=None,
-        alpha=dro.alpha,
-        noise_sigma=dro.noise_sigma,
-    )
+    return replace(dro, features=dro.features[idx], labels=dro.labels[idx], lambda2=None)

@@ -72,9 +72,7 @@ class TRConfig:
     eta2: float = 0.1
     kappa_dcp: float = 1e-3
     llr_schedule: SampleSchedule = field(default_factory=lambda: SampleSchedule(fixed=300))
-    value_schedule: SampleSchedule = field(
-        default_factory=lambda: SampleSchedule(fixed=100, coeff=50.0, power=2.0, minimum=50)
-    )
+    value_schedule: SampleSchedule = field(default_factory=lambda: SampleSchedule(fixed=100))
     inner_eps_coeff: float = 0.1
     inner_eps_floor: float = 1e-12
     lambda_max: float = 100.0
@@ -133,9 +131,9 @@ class OracleDiagnostics:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration; the field order is the CSV column order."""
+
     k: int
-    x_before: np.ndarray
-    x_after: np.ndarray
     delta: float
     delta_next: float
     rho: float
@@ -150,9 +148,11 @@ class IterationRecord:
     n_value: int
     n_value_half: int
     b1_frobenius: float
-    oracle_phi: float = math.nan
-    oracle_grad_norm: float = math.nan
-    oracle_samples: int = 0
+    oracle_phi: float
+    oracle_grad_norm: float
+    oracle_samples: int
+    x_before: np.ndarray
+    x_after: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,6 @@ def iterate(
         oracle, x, delta, n_llr, config.lambda_max, llr_rng, config.poisedness_rounds
     )
     model = llr.fit(samples)
-    b1_fro = float(np.linalg.norm(model.b1, "fro"))
 
     eps = config.inner_eps(delta)
     rep_old = maximize_over_scenarios(
@@ -269,15 +268,36 @@ def iterate(
         oracle_phi, oracle_grad = diagnostics.evaluate(x, diag_rng)
         oracle_samples = diagnostics.sample_count
 
-    def finish(x_after, rho, v_k, v_half, n_v, n_vh, lhs_new, descent_ok, y_warm):
-        accepted, delta_next = acceptance_update(rho, grad_norm, delta, config)
-        if not accepted:
-            x_after = x
-            y_warm = state.y_warm
-        record = IterationRecord(
+    # Defaults of an iteration that ends before the value estimates: it is
+    # unsuccessful, so x and the inner warm start stay where they are.
+    rho, v_k, v_half, descent_lhs = -math.inf, math.nan, math.nan, math.nan
+    n_value, descent_ok = 0, False
+    x_trial, y_trial = x, state.y_warm
+    # Below the floor there is no usable direction; the eta2 test would
+    # reject such a step anyway.
+    if grad_norm >= config.grad_floor:
+        x_trial = x + trial_step(g, delta)
+        scenarios = model.surrogate_scenarios(x_trial)
+        y_trial = maximize_over_scenarios(
+            problem, x_trial, scenarios, rep_old.maximizer, eps
+        ).maximizer
+        l_new = float(np.mean(problem.loss(x_trial, y_trial, scenarios)))
+        pred = l_old - l_new
+        descent_lhs = pred if math.isfinite(l_new) else math.nan
+        # A step failing the descent requirement is unsuccessful, so the
+        # shrinking radius improves the surrogate.
+        descent_ok = check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp)
+        if descent_ok:
+            n_value = config.value_schedule.count(delta)
+            v_k, _ = estimate_value(problem, oracle, x, n_value, eps, rep_old.maximizer, vk_rng)
+            v_half, _ = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
+            rho = -math.inf if abs(pred) < config.pred_floor else (v_k - v_half) / pred
+
+    accepted, delta_next = acceptance_update(rho, grad_norm, delta, config)
+    x_next, y_next = (x_trial, y_trial) if accepted else (x, state.y_warm)
+    state.history.append(
+        IterationRecord(
             k=k,
-            x_before=x,
-            x_after=x_after,
             delta=delta,
             delta_next=delta_next,
             rho=rho,
@@ -285,45 +305,21 @@ def iterate(
             v_k=v_k,
             v_k_half=v_half,
             accepted=accepted,
-            descent_lhs=l_old - lhs_new if math.isfinite(lhs_new) else math.nan,
+            descent_lhs=descent_lhs,
             descent_rhs=config.kappa_dcp * grad_norm * min(delta, 1.0),
             descent_ok=descent_ok,
             n_llr=n_llr,
-            n_value=n_v,
-            n_value_half=n_vh,
-            b1_frobenius=b1_fro,
+            n_value=n_value,
+            n_value_half=n_value,
+            b1_frobenius=float(np.linalg.norm(model.b1, "fro")),
             oracle_phi=oracle_phi,
             oracle_grad_norm=oracle_grad,
             oracle_samples=oracle_samples,
+            x_before=x,
+            x_after=x_next,
         )
-        state.history.append(record)
-        return replace(
-            state, x=x_after, delta=delta_next, k=k + 1, y_warm=y_warm, history=state.history
-        )
-
-    if grad_norm < config.grad_floor:
-        # No usable direction; the eta2 test would reject such a step anyway.
-        return finish(x, -math.inf, math.nan, math.nan, 0, 0, math.nan, False, state.y_warm)
-
-    s = trial_step(g, delta)
-    x_trial = x + s
-    rep_new = maximize_over_scenarios(
-        problem, x_trial, model.surrogate_scenarios(x_trial), rep_old.maximizer, eps
     )
-    l_new, _ = surrogate_value_and_xgrad(problem, model, x_trial, rep_new.maximizer)
-
-    if not check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp):
-        # The fixed normalized-gradient step failed the descent requirement:
-        # treat as unsuccessful so the shrinking radius improves the surrogate.
-        return finish(x, -math.inf, math.nan, math.nan, 0, 0, l_new, False, state.y_warm)
-
-    n_value = config.value_schedule.count(delta)
-    v_k, _ = estimate_value(problem, oracle, x, n_value, eps, rep_old.maximizer, vk_rng)
-    v_half, _ = estimate_value(problem, oracle, x_trial, n_value, eps, rep_new.maximizer, vh_rng)
-
-    pred = l_old - l_new
-    rho = -math.inf if abs(pred) < config.pred_floor else (v_k - v_half) / pred
-    return finish(x_trial, rho, v_k, v_half, n_value, n_value, l_new, True, rep_new.maximizer)
+    return replace(state, x=x_next, delta=delta_next, k=k + 1, y_warm=y_next)
 
 
 def solve(

@@ -34,10 +34,6 @@ class TestBoxProjection:
         with pytest.raises(ContractViolationError):
             box.project(np.array([0.5]))
 
-    def test_diameter(self):
-        box = Box(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
-        assert box.diameter == pytest.approx(5.0)
-
     def test_invalid_bounds(self):
         with pytest.raises(ConfigurationError):
             Box(np.array([1.0]), np.array([1.0]))
@@ -84,9 +80,6 @@ class TestSimplexProjection:
             p = simplex.project(y)
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p >= -1e-14)
-
-    def test_diameter(self):
-        assert Simplex(4).diameter == pytest.approx(np.sqrt(2.0))
 
 
 @pytest.mark.parametrize(

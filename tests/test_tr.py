@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ddtr.core import Box, ConfigurationError, make_rng
+from ddtr.core import Box, ConfigurationError, DistributionOracle, ProblemSpec, make_rng
 from ddtr.llr import LLRModel, fit, generate_poised_set
 from ddtr.problems import synthetic_instance, synthetic_primal_grad
 from ddtr.tr import (
     DegenerateGradientError,
     SampleSchedule,
     TRConfig,
+    TRState,
     acceptance_update,
     check_sufficient_descent,
     estimate_value,
@@ -231,6 +232,40 @@ class TestIterate:
             assert rec.rho == -math.inf
             assert math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
             assert not rec.accepted
+
+
+    def test_degenerate_gradient_exit(self):
+        # The loss ignores x and w, so grad1 = grad3 = 0 and the surrogate
+        # x-gradient vanishes: the iteration stops before any trial step.
+        problem = ProblemSpec(
+            n=1,
+            m=1,
+            d=1,
+            loss=lambda x, y, w: np.full(w.shape[0], -y[0] ** 2),
+            grad1=lambda x, y, w: np.zeros((w.shape[0], 1)),
+            grad2=lambda x, y, w: np.full((w.shape[0], 1), -2.0 * y[0]),
+            grad3=lambda x, y, w: np.zeros((w.shape[0], 1)),
+            inner_domain=Box(np.array([-1.0]), np.array([1.0])),
+            mu=2.0,
+            ell=2.0,
+        )
+        oracle = DistributionOracle(
+            d=1, sampler=lambda x, count, rng: rng.standard_normal((count, 1))
+        )
+        config = small_config()
+        x, y_warm = np.array([0.3]), np.array([0.7])
+        state = TRState(x=x, delta=0.5, k=0, y_warm=y_warm, history=[])
+        after = iterate(state, problem, oracle, config, make_rng(1))
+        rec = after.history[-1]
+        assert rec.grad_norm_surrogate < config.grad_floor
+        assert rec.rho == -math.inf
+        assert math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
+        assert math.isnan(rec.descent_lhs)
+        assert not rec.descent_ok and not rec.accepted
+        assert rec.n_value == 0 and rec.n_value_half == 0
+        assert rec.delta_next == 0.5 / config.gamma == after.delta
+        assert after.x.tobytes() == x.tobytes() == rec.x_after.tobytes()
+        assert after.y_warm.tobytes() == y_warm.tobytes()
 
 
 class TestSolve:
