@@ -8,6 +8,7 @@ from .core import (
     DistributionOracle,
     IngestionError,
     InnerConvergenceError,
+    OracleDiagnostics,
     PoisednessError,
     ProblemSpec,
     Simplex,
@@ -19,7 +20,6 @@ from .inner import InnerSolveReport, maximize_over_scenarios
 from .llr import LLRModel, PoisedSampleSet, fit, generate_poised_set
 from .tr import (
     IterationRecord,
-    OracleDiagnostics,
     SampleSchedule,
     TRConfig,
     TRState,

@@ -12,8 +12,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, DistributionOracle, ProblemSpec, as_vector, make_rng
-from .tr import OracleDiagnostics
+from .core import (
+    ConfigurationError,
+    DistributionOracle,
+    OracleDiagnostics,
+    ProblemSpec,
+    as_vector,
+    make_rng,
+)
 
 METHODS = ("asgda", "spd-constant", "spd-dynamic")
 
@@ -36,8 +42,10 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if min(self.eta_x, self.eta_y, self.eta) <= 0:
-            raise ConfigurationError("stepsizes must be positive")
+        if min(self.eta_x, self.eta_y, self.eta, self.dyn_a) <= 0:
+            raise ConfigurationError("stepsizes and dyn_a must be positive")
+        if self.dyn_b < 0:
+            raise ConfigurationError("dyn_b must be nonnegative")
         if self.batch < 1:
             raise ConfigurationError("batch must be >= 1")
         if not (0 < self.forget <= 1):

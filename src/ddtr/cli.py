@@ -28,21 +28,10 @@ from .core import ConfigurationError, make_rng
 
 OUTPUT_ROOT_ENV = "DDTR_OUTPUT_ROOT"
 PROBLEMS = ("synthetic", "dro")
-SOLVERS = ("tr", "asgda", "spd-constant", "spd-dynamic")
+SOLVERS = ("tr", *baselines.METHODS)
 
 TR_COLUMNS = [f.name for f in fields(tr.IterationRecord)]
 BASELINE_COLUMNS = [f.name for f in fields(baselines.BaselineRecord)]
-
-_SYNTHETIC_KEYS = {"noise_sigma", "half_width", "x0_center", "x0_radius"}
-_DRO_KEYS = {
-    "csv_path", "label_column", "feature_columns", "n_rows", "n_features",
-    "data_seed", "shift_scale", "lambda1", "lambda2", "alpha", "noise_sigma",
-    "diag_samples", "x0_center", "x0_radius",
-}
-_TOP_KEYS = {
-    "problem", "solver", "seeds", "output_dir", "max_iters",
-    "log_oracle_diagnostics", "problem_params", "solver_params",
-}
 
 
 @dataclass(frozen=True)
@@ -57,11 +46,32 @@ class RunConfig:
     solver_params: dict
 
 
+def _names(cls, *excluded) -> set[str]:
+    return {f.name for f in fields(cls)} - set(excluded)
+
+
+# The accepted keys are the fields of the dataclasses the values go to, plus
+# the keys that pick the start ball and, for dro, the data set.
+_START_KEYS = {"x0_center", "x0_radius"}
+_DRO_TERMS = _names(problems.DROProblem, "features", "labels")
+_DRO_SOURCE_KEYS = {
+    "csv_path", "label_column", "feature_columns", "n_rows", "n_features", "data_seed",
+    "diag_samples",
+}
+TOP_KEYS = _names(RunConfig)
+PROBLEM_KEYS = {
+    "synthetic": _names(problems.SyntheticProblem) | _START_KEYS,
+    "dro": _DRO_TERMS | _DRO_SOURCE_KEYS | _START_KEYS,
+}
+SOLVER_KEYS = dict.fromkeys(
+    baselines.METHODS, _names(baselines.BaselineConfig, "seed", "max_iters", "method")
+)
+SOLVER_KEYS["tr"] = _names(tr.TRConfig, "seed", "max_iters") | {"llr_count", "value_count"}
+
+
 def parse_run_config(doc: dict) -> RunConfig:
-    """Validate a config document, reporting every offending key at once."""
-    errors = []
-    for key in sorted(set(doc) - _TOP_KEYS):
-        errors.append(f"unknown key {key!r}")
+    """Validate a config document, reporting every offending key and value at once."""
+    errors = [f"unknown key {key!r}" for key in sorted(set(doc) - TOP_KEYS)]
     problem = doc.get("problem")
     if problem not in PROBLEMS:
         errors.append(f"'problem' must be one of {PROBLEMS}, got {problem!r}")
@@ -71,20 +81,20 @@ def parse_run_config(doc: dict) -> RunConfig:
     seeds = doc.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         errors.append("'seeds' must be a nonempty list of integers")
-    pparams = doc.get("problem_params", {})
-    allowed = _SYNTHETIC_KEYS if problem == "synthetic" else _DRO_KEYS
-    if problem in PROBLEMS:
-        for key in sorted(set(pparams) - allowed):
-            errors.append(f"unknown problem_params key {key!r}")
-    sparams = doc.get("solver_params", {})
-    if solver == "tr":
-        allowed = {f.name for f in fields(tr.TRConfig)} - {"seed", "max_iters"}
-        allowed |= {"llr_count", "value_count", "llr_schedule", "value_schedule"}
-    elif solver in SOLVERS:
-        allowed = {f.name for f in fields(baselines.BaselineConfig)} - {"seed", "max_iters", "method"}
-    if solver in SOLVERS:
-        for key in sorted(set(sparams) - allowed):
-            errors.append(f"unknown solver_params key {key!r}")
+    max_iters = doc.get("max_iters", 300)
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 0:
+        errors.append(f"'max_iters' must be a nonnegative integer, got {max_iters!r}")
+    log_diagnostics = doc.get("log_oracle_diagnostics", True)
+    if not isinstance(log_diagnostics, bool):
+        errors.append(f"'log_oracle_diagnostics' must be true or false, got {log_diagnostics!r}")
+    for section, allowed in (
+        ("problem_params", PROBLEM_KEYS.get(problem)), ("solver_params", SOLVER_KEYS.get(solver))
+    ):
+        params = doc.get(section, {})
+        if not isinstance(params, dict):
+            errors.append(f"{section!r} must be an object, got {params!r}")
+        elif allowed is not None:
+            errors += [f"unknown {section} key {key!r}" for key in sorted(set(params) - allowed)]
     if errors:
         raise ConfigurationError("invalid config: " + "; ".join(errors))
     return RunConfig(
@@ -92,10 +102,10 @@ def parse_run_config(doc: dict) -> RunConfig:
         solver=solver,
         seeds=list(seeds),
         output_dir=str(doc.get("output_dir", "runs")),
-        max_iters=int(doc.get("max_iters", 300)),
-        log_oracle_diagnostics=bool(doc.get("log_oracle_diagnostics", True)),
-        problem_params=dict(pparams),
-        solver_params=dict(sparams),
+        max_iters=max_iters,
+        log_oracle_diagnostics=log_diagnostics,
+        problem_params=dict(doc.get("problem_params", {})),
+        solver_params=dict(doc.get("solver_params", {})),
     )
 
 
@@ -114,29 +124,19 @@ def build_instance(config: RunConfig) -> problems.Instance:
     if config.problem == "synthetic":
         instance = problems.synthetic_instance(problems.SyntheticProblem(**params))
     else:
+        terms = {key: params.pop(key) for key in _DRO_TERMS & set(params)}
         diag_samples = params.pop("diag_samples", 5000)
         csv_path = params.pop("csv_path", None)
         n_rows = params.pop("n_rows", 200)
         n_features = params.pop("n_features", 5)
         data_seed = params.pop("data_seed", 0)
-        problem_kwargs = {
-            key: params[key]
-            for key in ("shift_scale", "lambda1", "lambda2", "alpha", "noise_sigma")
-            if key in params
-        }
         if csv_path is not None:
-            loader_kwargs = {}
-            if "label_column" in params:
-                loader_kwargs["label_column"] = params["label_column"]
-            if "feature_columns" in params:
-                loader_kwargs["feature_columns"] = params["feature_columns"]
-            dro = problems.load_credit_csv(csv_path, **loader_kwargs, **problem_kwargs)
+            # What is left are the loader's own keywords.
+            dro = problems.load_credit_csv(csv_path, **params, **terms)
             if n_rows < dro.n_rows:
                 dro = problems.subsample(dro, n_rows, data_seed)
         else:
-            dro = problems.generate_synthetic_credit(
-                n_rows, n_features, data_seed, **problem_kwargs
-            )
+            dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed, **terms)
         instance = problems.dro_instance(dro, diag_samples=diag_samples)
     if x0_center is not None:
         instance = replace(instance, x0_center=np.atleast_1d(np.asarray(x0_center, dtype=float)))
@@ -147,14 +147,12 @@ def build_instance(config: RunConfig) -> problems.Instance:
 
 def build_tr_config(config: RunConfig, seed: int) -> tr.TRConfig:
     params = dict(config.solver_params)
-    if "llr_count" in params:
-        params["llr_schedule"] = tr.SampleSchedule(fixed=int(params.pop("llr_count")))
-    elif "llr_schedule" in params:
-        params["llr_schedule"] = tr.SampleSchedule(fixed=None, **params["llr_schedule"])
-    if "value_count" in params:
-        params["value_schedule"] = tr.SampleSchedule(fixed=int(params.pop("value_count")))
-    elif "value_schedule" in params:
-        params["value_schedule"] = tr.SampleSchedule(fixed=None, **params["value_schedule"])
+    for name in ("llr", "value"):
+        count, schedule = f"{name}_count", f"{name}_schedule"
+        if count in params:
+            params[schedule] = tr.SampleSchedule(fixed=int(params.pop(count)))
+        elif schedule in params:
+            params[schedule] = tr.SampleSchedule(fixed=None, **params[schedule])
     return tr.TRConfig(max_iters=config.max_iters, seed=seed, **params)
 
 
@@ -218,7 +216,9 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
             diverged=bool(state.diverged),
         )
     if instance.diagnostics is not None and not entry["diverged"]:
-        diag_rng = make_rng(seed).spawn(3)[2]
+        # A seed sequence of its own: every solver generator is spawned from
+        # make_rng(seed), so none of their draws repeat here.
+        diag_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
         final_x = np.asarray(entry["final_x"])
         phi, grad_norm = instance.diagnostics.evaluate(final_x, diag_rng)
         entry["final_oracle_phi"] = phi

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -209,6 +209,30 @@ class DistributionOracle:
                 f"oracle returned shape {draws.shape}, expected ({count}, {self.d})"
             )
         return draws
+
+
+@dataclass(frozen=True)
+class OracleDiagnostics:
+    """Ground-truth evaluators logged alongside the run when available.
+
+    ``sample_count`` is 0 for closed-form oracles, otherwise the Monte-Carlo
+    sample size the callables use.  ``value_and_grad_norm``, when provided,
+    computes both quantities from one sample set.
+    """
+
+    value: Callable[[np.ndarray, np.random.Generator], float]
+    grad_norm: Callable[[np.ndarray, np.random.Generator], float]
+    sample_count: int = 0
+    value_and_grad_norm: Optional[
+        Callable[[np.ndarray, np.random.Generator], tuple[float, float]]
+    ] = None
+
+    def evaluate(self, x: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+        if self.value_and_grad_norm is not None:
+            phi, grad = self.value_and_grad_norm(x, rng)
+            return float(phi), float(grad)
+        phi_rng, grad_rng = rng.spawn(2)
+        return float(self.value(x, phi_rng)), float(self.grad_norm(x, grad_rng))
 
 
 def uniform_ball_sample(

@@ -16,7 +16,6 @@ therefore guarantees the returned point is within that tolerance of ``y*``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ class InnerSolveReport:
     maximizer: np.ndarray
     iterations: int
     final_step_norm: float
-    values: Optional[np.ndarray] = None  # objective trajectory, only when tracked
 
 
 def maximize_over_scenarios(
@@ -44,7 +42,6 @@ def maximize_over_scenarios(
     y_init: np.ndarray,
     epsilon: float,
     max_iters: int = 100_000,
-    track_values: bool = False,
 ) -> InnerSolveReport:
     """Maximize the scenario-average loss over the inner domain.
 
@@ -68,29 +65,15 @@ def maximize_over_scenarios(
 
     step = 1.0 / problem.ell
     cert_factor = problem.ell / problem.mu + 1.0
-    values = [] if track_values else None
 
     for t in range(1, max_iters + 1):
         grad = np.mean(problem.grad2(x, y, scenarios), axis=0)
         y_next = domain.project(y + step * grad)
         step_norm = float(np.linalg.norm(y_next - y))
-        if track_values:
-            values.append(float(np.mean(problem.loss(x, y_next, scenarios))))
         y = y_next
         if cert_factor * step_norm <= epsilon:
-            return InnerSolveReport(
-                maximizer=y,
-                iterations=t,
-                final_step_norm=step_norm,
-                values=None if values is None else np.asarray(values),
-            )
-    report = InnerSolveReport(
-        maximizer=y,
-        iterations=max_iters,
-        final_step_norm=step_norm,
-        values=None if values is None else np.asarray(values),
-    )
+            return InnerSolveReport(maximizer=y, iterations=t, final_step_norm=step_norm)
     raise InnerConvergenceError(
         f"inner maximizer failed to certify tolerance {epsilon} in {max_iters} iterations",
-        report=report,
+        report=InnerSolveReport(maximizer=y, iterations=max_iters, final_step_norm=step_norm),
     )

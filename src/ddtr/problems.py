@@ -19,11 +19,11 @@ from .core import (
     ConfigurationError,
     DistributionOracle,
     IngestionError,
+    OracleDiagnostics,
     ProblemSpec,
     Simplex,
     uniform_ball_sample,
 )
-from .tr import OracleDiagnostics
 
 log = logging.getLogger(__name__)
 
@@ -176,6 +176,8 @@ class DROProblem:
             raise ConfigurationError("features must be (N, n) with one label per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be -1 or +1")
+        if self.noise_sigma < 0:
+            raise ConfigurationError("noise_sigma must be nonnegative")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if self.lambda2 is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,11 +21,16 @@ from . import llr
 from .core import (
     ConfigurationError,
     DistributionOracle,
+    OracleDiagnostics,
     ProblemSpec,
     as_vector,
     make_rng,
 )
 from .inner import maximize_over_scenarios
+
+INNER_EPS_FLOOR = 1e-12  # least inner-solve tolerance
+GRAD_FLOOR = 1e-12  # least surrogate gradient norm that gives a trial step
+PRED_FLOOR = 1e-14  # least predicted reduction that gives a ratio test
 
 
 class DegenerateGradientError(RuntimeError):
@@ -74,11 +79,7 @@ class TRConfig:
     llr_schedule: SampleSchedule = field(default_factory=lambda: SampleSchedule(fixed=300))
     value_schedule: SampleSchedule = field(default_factory=lambda: SampleSchedule(fixed=100))
     inner_eps_coeff: float = 0.1
-    inner_eps_floor: float = 1e-12
     lambda_max: float = 100.0
-    poisedness_rounds: int = 50
-    grad_floor: float = 1e-12
-    pred_floor: float = 1e-14
     max_iters: int = 300
     seed: int = 0
     # Optional stopping rule (both thresholds must hold for `stop_patience`
@@ -102,31 +103,7 @@ class TRConfig:
             raise ConfigurationError("max_iters must be nonnegative")
 
     def inner_eps(self, delta: float) -> float:
-        return max(self.inner_eps_coeff * min(delta, delta**2), self.inner_eps_floor)
-
-
-@dataclass(frozen=True)
-class OracleDiagnostics:
-    """Ground-truth evaluators logged alongside the run when available.
-
-    ``sample_count`` is 0 for closed-form oracles, otherwise the Monte-Carlo
-    sample size the callables use.  ``value_and_grad_norm``, when provided,
-    computes both quantities from one sample set.
-    """
-
-    value: Callable[[np.ndarray, np.random.Generator], float]
-    grad_norm: Callable[[np.ndarray, np.random.Generator], float]
-    sample_count: int = 0
-    value_and_grad_norm: Optional[
-        Callable[[np.ndarray, np.random.Generator], tuple[float, float]]
-    ] = None
-
-    def evaluate(self, x: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
-        if self.value_and_grad_norm is not None:
-            phi, grad = self.value_and_grad_norm(x, rng)
-            return float(phi), float(grad)
-        phi_rng, grad_rng = rng.spawn(2)
-        return float(self.value(x, phi_rng)), float(self.grad_norm(x, grad_rng))
+        return max(self.inner_eps_coeff * min(delta, delta**2), INNER_EPS_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -249,9 +226,7 @@ def iterate(
     n_llr = config.llr_schedule.count(delta)
     if config.llr_schedule.fixed is None:
         n_llr = max(n_llr, problem.n + 5)
-    samples = llr.generate_poised_set(
-        oracle, x, delta, n_llr, config.lambda_max, llr_rng, config.poisedness_rounds
-    )
+    samples = llr.generate_poised_set(oracle, x, delta, n_llr, config.lambda_max, llr_rng)
     model = llr.fit(samples)
 
     eps = config.inner_eps(delta)
@@ -275,7 +250,7 @@ def iterate(
     x_trial, y_trial = x, state.y_warm
     # Below the floor there is no usable direction; the eta2 test would
     # reject such a step anyway.
-    if grad_norm >= config.grad_floor:
+    if grad_norm >= GRAD_FLOOR:
         x_trial = x + trial_step(g, delta)
         scenarios = model.surrogate_scenarios(x_trial)
         y_trial = maximize_over_scenarios(
@@ -291,7 +266,7 @@ def iterate(
             n_value = config.value_schedule.count(delta)
             v_k, _ = estimate_value(problem, oracle, x, n_value, eps, rep_old.maximizer, vk_rng)
             v_half, _ = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
-            rho = -math.inf if abs(pred) < config.pred_floor else (v_k - v_half) / pred
+            rho = -math.inf if abs(pred) < PRED_FLOOR else (v_k - v_half) / pred
 
     accepted, delta_next = acceptance_update(rho, grad_norm, delta, config)
     x_next, y_next = (x_trial, y_trial) if accepted else (x, state.y_warm)

@@ -49,6 +49,12 @@ class TestConfig:
         config = BaselineConfig(method="spd-constant", eta=1e-2)
         assert config.stepsize(57) == pytest.approx(1e-2)
 
+    @pytest.mark.parametrize("dyn_a, dyn_b", [(0.0, 10.0), (-5.0, 10.0), (1000.0, -1.0)])
+    def test_dynamic_coefficients_validated(self, dyn_a, dyn_b):
+        # dyn_a = 0 divided by zero at step 0; a negative one gave a negative stepsize.
+        with pytest.raises(ConfigurationError, match="dyn_"):
+            BaselineConfig(method="spd-dynamic", dyn_a=dyn_a, dyn_b=dyn_b)
+
 
 class TestSPD:
     def test_dual_ascent_contracts_to_interior_maximizer(self):

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddtr import cli
 from ddtr.cli import (
     SchemaError,
     main,
@@ -15,6 +17,8 @@ from ddtr.cli import (
     summarize,
 )
 from ddtr.core import ConfigurationError
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 # The column orders of README's "CSV schema", written out so a header check
 # compares the files with the documentation, not the code with itself.
@@ -27,6 +31,28 @@ TR_HEADER = [
 BASELINE_HEADER = [
     "k", "stepsize", "grad_norm_est", "diverged", "oracle_phi", "oracle_grad_norm",
     "oracle_samples", "x_after",
+]
+
+# The accepted config keys of README's "Config format", written out in the
+# same way.
+TOP_KEYS = [
+    "problem", "solver", "seeds", "output_dir", "max_iters", "log_oracle_diagnostics",
+    "problem_params", "solver_params",
+]
+START_KEYS = ["x0_center", "x0_radius"]
+SYNTHETIC_KEYS = ["noise_sigma", "half_width", *START_KEYS]
+DRO_KEYS = [
+    "shift_scale", "lambda1", "lambda2", "alpha", "noise_sigma", "csv_path",
+    "label_column", "feature_columns", "n_rows", "n_features", "data_seed", "diag_samples",
+    *START_KEYS,
+]
+TR_KEYS = [
+    "delta0", "delta_max", "gamma", "eta1", "eta2", "kappa_dcp", "llr_schedule",
+    "value_schedule", "inner_eps_coeff", "lambda_max", "stop_grad_tol", "stop_delta_tol",
+    "stop_patience", "llr_count", "value_count",
+]
+BASELINE_KEYS = [
+    "eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget", "ridge", "divergence_norm",
 ]
 
 
@@ -74,6 +100,47 @@ class TestParseRunConfig:
         doc = tiny_tr_doc("out", seeds=())
         with pytest.raises(ConfigurationError):
             parse_run_config(doc)
+
+    def test_key_sets_match_readme(self):
+        assert cli.TOP_KEYS == set(TOP_KEYS)
+        assert cli.PROBLEM_KEYS == {"synthetic": set(SYNTHETIC_KEYS), "dro": set(DRO_KEYS)}
+        assert cli.SOLVER_KEYS == {
+            "tr": set(TR_KEYS),
+            "asgda": set(BASELINE_KEYS),
+            "spd-constant": set(BASELINE_KEYS),
+            "spd-dynamic": set(BASELINE_KEYS),
+        }
+        assert cli.SOLVERS == ("tr", "asgda", "spd-constant", "spd-dynamic")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_iters", "abc"),
+            ("max_iters", 3.7),
+            ("max_iters", True),
+            ("max_iters", -1),
+            ("log_oracle_diagnostics", "false"),
+            ("log_oracle_diagnostics", 1),
+            ("problem_params", [1, 2]),
+            ("solver_params", "llr_count=30"),
+        ],
+    )
+    def test_wrong_type_rejected(self, key, value):
+        doc = dict(tiny_tr_doc("out"), **{key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            parse_run_config(doc)
+
+    def test_wrong_types_all_reported(self):
+        doc = dict(
+            tiny_tr_doc("out"), max_iters=2.5, log_oracle_diagnostics="no",
+            problem_params=[], solver_params=None, typo=0,
+        )
+        with pytest.raises(ConfigurationError) as exc:
+            parse_run_config(doc)
+        message = str(exc.value)
+        for key in ("max_iters", "log_oracle_diagnostics", "problem_params", "solver_params"):
+            assert key in message
+        assert "typo" in message
 
 
 class TestRun:
@@ -181,6 +248,56 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and rows[0]["oracle_samples"] == "50"
 
+    @pytest.mark.parametrize("solver", ["tr", "spd-constant"])
+    def test_final_diagnostic_has_its_own_stream(self, tmp_path, monkeypatch, solver):
+        # The final diagnostic is the last diagnostics call of a run. Its
+        # generator must be a stream that no generator the solver handed to the
+        # oracle or to the diagnostics uses, or a noisy run reuses those draws.
+        oracle_keys, diag_keys = [], []
+
+        def key(rng):
+            return tuple(int(word) for word in rng.bit_generator.state["state"]["key"])
+
+        def recording_instance(config):
+            instance = build_instance(config)
+            sampler = instance.oracle.sampler
+            joint = instance.diagnostics.value_and_grad_norm
+
+            def record_sample(x, count, rng):
+                oracle_keys.append(key(rng))
+                return sampler(x, count, rng)
+
+            def record_diag(x, rng):
+                diag_keys.append(key(rng))
+                return joint(x, rng)
+
+            return replace(
+                instance,
+                oracle=replace(instance.oracle, sampler=record_sample),
+                diagnostics=replace(instance.diagnostics, value_and_grad_norm=record_diag),
+            )
+
+        build_instance = cli.build_instance
+        monkeypatch.setattr(cli, "build_instance", recording_instance)
+        doc = {
+            "problem": "dro",
+            "solver": solver,
+            "seeds": [1],
+            "output_dir": str(tmp_path / solver),
+            "max_iters": 3,
+            "problem_params": {
+                "n_rows": 12, "n_features": 2, "data_seed": 3, "diag_samples": 20,
+                "noise_sigma": 0.1,
+            },
+            "solver_params": {"batch": 20},
+        }
+        if solver == "tr":
+            doc["solver_params"] = {"llr_count": 20, "value_count": 20}
+        assert run(parse_run_config(doc)) == 0
+        *solver_diag_keys, final = diag_keys
+        assert len(solver_diag_keys) == 3 and oracle_keys
+        assert final not in set(oracle_keys) | set(solver_diag_keys)
+
     def test_dro_run_from_csv(self, tmp_path):
         lines = ["SeriousDlqin2yrs,f1,f2,f3"]
         rng = np.random.default_rng(0)
@@ -207,6 +324,14 @@ class TestRun:
         assert run(parse_run_config(doc)) == 0
         summary = json.loads((tmp_path / "drocsv" / "summary.json").read_text())
         assert len(summary["runs"][0]["final_x"]) == 2  # two selected features
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_runs(tmp_path, path):
+    out = tmp_path / path.stem
+    argv = ["run", str(path), "--seed-override", "1", "--max-iters", "2", "--output-dir", str(out)]
+    assert main(argv) == 0
+    assert len(list(out.glob("*_seed1.csv"))) == 1
 
 
 class TestSummarize:
@@ -289,6 +414,12 @@ class TestMain:
         assert main(["run", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "tr" in err and "asgda" in err and "spd-dynamic" in err
+
+    def test_wrong_type_exits_with_error_line(self, tmp_path, capsys):
+        doc = dict(tiny_tr_doc(tmp_path / "x"), max_iters="abc")
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_iters" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2

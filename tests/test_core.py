@@ -1,6 +1,12 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+import ddtr
+import ddtr.baselines
+import ddtr.problems
 from ddtr.core import (
     Box,
     ConfigurationError,
@@ -213,3 +219,13 @@ class TestSampleAt:
             oracle.sample_at(np.zeros(3), make_rng(0))
         with pytest.raises(ConfigurationError):
             oracle.sample_at(np.zeros((0, 1)), make_rng(0))
+
+
+def test_problem_modules_do_not_import_the_solver():
+    # OracleDiagnostics lives in core, so the problems and the baselines
+    # depend on core alone, not on the trust-region driver.
+    for module in (ddtr.problems, ddtr.baselines):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "tr" not in imported and "core" in imported
+    assert ddtr.OracleDiagnostics is ddtr.core.OracleDiagnostics

@@ -182,6 +182,12 @@ class TestDROProblem:
         with pytest.raises(ConfigurationError):
             DROProblem(features=np.zeros((3, 2)), labels=np.array([0.0, 1.0, 1.0]))
 
+    def test_negative_noise_rejected(self, small_dro):
+        # The sampler only adds noise for noise_sigma > 0, so a negative value
+        # was silently taken as 0.
+        with pytest.raises(ConfigurationError, match="noise_sigma"):
+            DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=-0.1)
+
 
 def counted_sample():
     return mock.patch.object(

@@ -7,6 +7,7 @@ from ddtr.core import Box, ConfigurationError, DistributionOracle, ProblemSpec, 
 from ddtr.llr import LLRModel, fit, generate_poised_set
 from ddtr.problems import synthetic_instance, synthetic_primal_grad
 from ddtr.tr import (
+    GRAD_FLOOR,
     DegenerateGradientError,
     SampleSchedule,
     TRConfig,
@@ -257,7 +258,7 @@ class TestIterate:
         state = TRState(x=x, delta=0.5, k=0, y_warm=y_warm, history=[])
         after = iterate(state, problem, oracle, config, make_rng(1))
         rec = after.history[-1]
-        assert rec.grad_norm_surrogate < config.grad_floor
+        assert rec.grad_norm_surrogate < GRAD_FLOOR
         assert rec.rho == -math.inf
         assert math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
         assert math.isnan(rec.descent_lhs)
