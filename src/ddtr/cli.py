@@ -17,9 +17,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,27 +46,48 @@ class RunConfig:
     solver_params: dict
 
 
-def _names(cls, *excluded) -> set[str]:
-    return {f.name for f in fields(cls)} - set(excluded)
+def _types(cls, *excluded) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in excluded}
 
 
-# The accepted keys are the fields of the dataclasses the values go to, plus
-# the keys that pick the start ball and, for dro, the data set.
-_START_KEYS = {"x0_center", "x0_radius"}
-_DRO_TERMS = _names(problems.DROProblem, "features", "labels")
+# The accepted keys, each with the type of its value, are the fields of the
+# dataclasses the values go to, plus the keys that pick the start ball and,
+# for dro, the data set.
+_START_KEYS = {"x0_center": Union[float, list[float]], "x0_radius": float}
+_DRO_TERMS = _types(problems.DROProblem, "features", "labels")
 _DRO_SOURCE_KEYS = {
-    "csv_path", "label_column", "feature_columns", "n_rows", "n_features", "data_seed",
-    "diag_samples",
+    "csv_path": str, "label_column": str, "feature_columns": list[str], "n_rows": int,
+    "n_features": int, "data_seed": int, "diag_samples": int,
 }
-TOP_KEYS = _names(RunConfig)
+TOP_KEYS = _types(RunConfig).keys()
 PROBLEM_KEYS = {
-    "synthetic": _names(problems.SyntheticProblem) | _START_KEYS,
+    "synthetic": _types(problems.SyntheticProblem) | _START_KEYS,
     "dro": _DRO_TERMS | _DRO_SOURCE_KEYS | _START_KEYS,
 }
 SOLVER_KEYS = dict.fromkeys(
-    baselines.METHODS, _names(baselines.BaselineConfig, "seed", "max_iters", "method")
+    baselines.METHODS, _types(baselines.BaselineConfig, "seed", "max_iters", "method")
 )
-SOLVER_KEYS["tr"] = _names(tr.TRConfig, "seed", "max_iters") | {"llr_count", "value_count"}
+SOLVER_KEYS["tr"] = dict(_types(tr.TRConfig, "seed", "max_iters"), llr_count=int, value_count=int)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a type: an int fits a float, a bool only a
+    bool, and an object a dataclass whose fields its values fit. The one
+    such dataclass is a SampleSchedule, whose ``fixed`` is ``*_count``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(value, arm) for arm in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, *args) for v in value)
+    if is_dataclass(hint):
+        types = _types(hint, "fixed")
+        return isinstance(value, dict) and all(
+            key in types and _fits(v, types[key]) for key, v in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -94,10 +115,18 @@ def parse_run_config(doc: dict) -> RunConfig:
         if not isinstance(params, dict):
             errors.append(f"{section!r} must be an object, got {params!r}")
         elif allowed is not None:
-            errors += [f"unknown {section} key {key!r}" for key in sorted(set(params) - allowed)]
+            for key, value in sorted(params.items()):
+                hint = allowed.get(key)
+                if hint is None:
+                    errors.append(f"unknown {section} key {key!r}")
+                elif key in ("label_column", "feature_columns") and "csv_path" not in params:
+                    errors.append(f"{section} key {key!r} needs a 'csv_path'")
+                elif not _fits(value, hint):
+                    name = hint.__name__ if isinstance(hint, type) else str(hint)
+                    errors.append(f"{section} key {key!r} must be {name}, got {value!r}")
     if errors:
         raise ConfigurationError("invalid config: " + "; ".join(errors))
-    return RunConfig(
+    config = RunConfig(
         problem=problem,
         solver=solver,
         seeds=list(seeds),
@@ -107,6 +136,16 @@ def parse_run_config(doc: dict) -> RunConfig:
         problem_params=dict(doc.get("problem_params", {})),
         solver_params=dict(doc.get("solver_params", {})),
     )
+    try:
+        # The dataclasses that need no data are built once here, so that their
+        # own checks fail the parse and not each seed.
+        (build_tr_config if solver == "tr" else build_baseline_config)(config, seeds[0])
+        if problem == "synthetic":
+            terms = config.problem_params.keys() - _START_KEYS
+            problems.SyntheticProblem(**{key: config.problem_params[key] for key in terms})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"invalid config: {exc}") from None
+    return config
 
 
 def _resolve_output_dir(output_dir: str) -> Path:
@@ -124,7 +163,7 @@ def build_instance(config: RunConfig) -> problems.Instance:
     if config.problem == "synthetic":
         instance = problems.synthetic_instance(problems.SyntheticProblem(**params))
     else:
-        terms = {key: params.pop(key) for key in _DRO_TERMS & set(params)}
+        terms = {key: params.pop(key) for key in _DRO_TERMS.keys() & set(params)}
         diag_samples = params.pop("diag_samples", 5000)
         csv_path = params.pop("csv_path", None)
         n_rows = params.pop("n_rows", 200)
@@ -132,12 +171,14 @@ def build_instance(config: RunConfig) -> problems.Instance:
         data_seed = params.pop("data_seed", 0)
         if csv_path is not None:
             # What is left are the loader's own keywords.
-            dro = problems.load_credit_csv(csv_path, **params, **terms)
+            dro = problems.load_credit_csv(csv_path, **params)
             if n_rows < dro.n_rows:
                 dro = problems.subsample(dro, n_rows, data_seed)
         else:
-            dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed, **terms)
-        instance = problems.dro_instance(dro, diag_samples=diag_samples)
+            dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed)
+        # The terms go on after the subsample, which recomputes the default
+        # lambda2 for the new N: an explicit lambda2 is kept.
+        instance = problems.dro_instance(replace(dro, **terms), diag_samples=diag_samples)
     if x0_center is not None:
         instance = replace(instance, x0_center=np.atleast_1d(np.asarray(x0_center, dtype=float)))
     if x0_radius is not None:

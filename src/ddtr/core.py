@@ -92,10 +92,6 @@ class Box:
         y = as_vector(y, self.dim, "y")
         return np.clip(y, self.lower, self.upper)
 
-    def contains(self, y: np.ndarray, tol: float = 1e-12) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol))
-
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
@@ -121,10 +117,6 @@ class Simplex:
         rho = np.nonzero(cand > 0)[0][-1]
         theta = (1.0 - css[rho]) / (rho + 1.0)
         return np.maximum(y + theta, 0.0)
-
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= -tol) and abs(float(np.sum(y)) - 1.0) <= tol)
 
     def center(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -201,6 +200,9 @@ def _f_grad(x, lambda1, alpha):
 
 
 def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
+    valid = isinstance(diag_samples, (int, np.integer)) and not isinstance(diag_samples, bool)
+    if not valid or diag_samples < 1:
+        raise ConfigurationError(f"diag_samples must be an integer >= 1, got {diag_samples!r}")
     N, n = dro.n_rows, dro.n_features
     d = N * n
     b = dro.labels
@@ -255,45 +257,48 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
 
     oracle = DistributionOracle(d=d, sampler=sampler, batched=True)
 
+    # Without noise the diag_samples draws are copies of one row that depends
+    # on x alone. Each per-row result is computed on that row and repeated, so
+    # the means add the same numbers in the same order as over diag_samples
+    # drawn rows. A rejected trust-region step keeps x bitwise, so the last
+    # result (two floats, never the draws) is served again at a repeated x.
+    noiseless = dro.noise_sigma == 0
+
+    def mean(per_row):
+        if noiseless:
+            per_row = np.repeat(per_row, diag_samples, axis=0)
+        return np.mean(per_row, axis=0)
+
     def mc_evaluate(x, rng):
         # Monte-Carlo estimate of the primal value and gradient norm, with the
         # inner maximum solved in closed form: the y-part of the objective is
         # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, an isotropic
         # quadratic whose constrained maximizer is one simplex projection.
-        a, margins = margins_of(x, oracle.sample(x, diag_samples, rng))
-        mean_losses = np.mean(np.logaddexp(0.0, margins), axis=0)  # (N,)
+        a, margins = margins_of(x, oracle.sample(x, 1 if noiseless else diag_samples, rng))
+        mean_losses = mean(np.logaddexp(0.0, margins))  # (N,)
         y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
         reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
         value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
         coef = (-b * y_star)[None, :] * expit(margins) / N  # (S, N)
-        g1 = np.mean(np.einsum("sN,sNn->sn", coef, a), axis=0) + _f_grad(x, lam1, alpha)
-        g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
+        g1 = mean(np.einsum("sN,sNn->sn", coef, a)) + _f_grad(x, lam1, alpha)
+        g3_rows = mean(coef)[:, None] * x[None, :]  # (N, n)
         chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
         return value, float(np.linalg.norm(g1 + chain))
 
-    # Without noise the draws, and so both estimates, depend on x alone. A
-    # rejected trust-region step keeps x bitwise, so the last result (two
-    # floats, never the draws) is served again at a repeated x.
     last_key, last_result = None, None
 
     def mc_value_and_grad_norm(x, rng):
         nonlocal last_key, last_result
-        if dro.noise_sigma > 0:
+        if not noiseless:
             return mc_evaluate(x, rng)
         key = np.asarray(x, dtype=float).tobytes()
         if key != last_key:
             last_key, last_result = key, mc_evaluate(x, rng)
         return last_result
 
-    def mc_value(x, rng):
-        return mc_value_and_grad_norm(x, rng)[0]
-
-    def mc_grad_norm(x, rng):
-        return mc_value_and_grad_norm(x, rng)[1]
-
     diagnostics = OracleDiagnostics(
-        value=mc_value,
-        grad_norm=mc_grad_norm,
+        value=lambda x, rng: mc_value_and_grad_norm(x, rng)[0],
+        grad_norm=lambda x, rng: mc_value_and_grad_norm(x, rng)[1],
         sample_count=diag_samples,
         value_and_grad_norm=mc_value_and_grad_norm,
     )
@@ -304,41 +309,6 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         x0_center=np.full(n, 2.0),
         x0_radius=0.5,
     )
-
-
-def dro_inner_exact_check(
-    dro: DROProblem,
-    x: np.ndarray,
-    y: np.ndarray,
-    sample_indices: Optional[Sequence[int]] = None,
-) -> float:
-    """Independent straight-line evaluation of the robust objective.
-
-    Computes the objective with decision-dependent features over the selected
-    rows (all rows by default) using scalar arithmetic only, as a test oracle
-    for the vectorized evaluators.  When a subset of K rows is selected, y
-    must lie in the K-simplex and N is replaced by K throughout.
-    """
-    indices = range(dro.n_rows) if sample_indices is None else list(sample_indices)
-    for i in indices:
-        if not (0 <= i < dro.n_rows):
-            raise IndexError(f"sample index {i} out of range [0, {dro.n_rows})")
-    k_rows = len(list(indices))
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for pos, i in enumerate(indices):
-        a_i = [
-            dro.features[i, j] + dro.shift_scale * math.sin(x[j])
-            for j in range(dro.n_features)
-        ]
-        z = sum(a_i[j] * x[j] for j in range(dro.n_features))
-        total += y[pos] * math.log(1.0 + math.exp(-dro.labels[i] * z))
-    f = dro.lambda1 * sum(
-        dro.alpha * x[j] ** 2 / (1.0 + dro.alpha * x[j] ** 2) for j in range(len(x))
-    )
-    g = 0.5 * dro.lambda2 * sum((k_rows * y[pos] - 1.0) ** 2 for pos in range(k_rows))
-    return total / k_rows + f - g
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +322,6 @@ def load_credit_csv(
     path,
     label_column: str = "SeriousDlqin2yrs",
     feature_columns: Optional[Sequence[str]] = None,
-    **problem_kwargs,
 ) -> DROProblem:
     """Build a DROProblem from a credit-scoring CSV.
 
@@ -416,14 +385,10 @@ def load_credit_csv(
     log.info(
         "%s: loaded %d rows x %d features (%d dropped)", path, len(rows), feats.shape[1], dropped
     )
-    return DROProblem(
-        features=(feats - mean) / std, labels=np.asarray(labels), **problem_kwargs
-    )
+    return DROProblem(features=(feats - mean) / std, labels=np.asarray(labels))
 
 
-def generate_synthetic_credit(
-    n_rows: int, n_features: int, seed: int, **problem_kwargs
-) -> DROProblem:
+def generate_synthetic_credit(n_rows: int, n_features: int, seed: int) -> DROProblem:
     """Gaussian features with labels from a planted logistic model.
 
     Deterministic given the seed; stands in for the external credit data set.
@@ -438,13 +403,14 @@ def generate_synthetic_credit(
     probs = expit(feats @ planted)
     labels = np.where(rng.uniform(size=n_rows) < probs, 1.0, -1.0)
     feats = (feats - feats.mean(axis=0)) / feats.std(axis=0)
-    return DROProblem(features=feats, labels=labels, **problem_kwargs)
+    return DROProblem(features=feats, labels=labels)
 
 
 def subsample(dro: DROProblem, n_rows: int, seed: int) -> DROProblem:
     """Deterministically subsample rows (without replacement) of a data set.
 
-    ``lambda2`` is recomputed for the new size (its default couples to N).
+    ``lambda2`` is recomputed as its default 10 / N^2 for the new N; a caller
+    with an explicit ``lambda2`` applies it to the result.
     """
     if n_rows > dro.n_rows:
         raise ConfigurationError(f"cannot subsample {n_rows} of {dro.n_rows} rows")

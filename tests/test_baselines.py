@@ -19,7 +19,7 @@ from ddtr.core import (
 )
 from ddtr.problems import synthetic_instance
 
-from util import quadratic_problem
+from util import in_domain, quadratic_problem
 
 
 def affine_oracle(slope, intercept, sigma=0.0):
@@ -78,7 +78,7 @@ class TestSPD:
         )
         for _ in range(20):
             state = spd_step(state, problem, oracle, config, make_rng(state.k))
-            assert Simplex(3).contains(state.y)
+            assert in_domain(Simplex(3), state.y)
 
     def test_diverges_on_synthetic_from_ten(self):
         inst = synthetic_instance()
@@ -164,7 +164,7 @@ class TestASGDA:
         rng = make_rng(5)
         for _ in range(40):
             state = asgda_step(state, inst.problem, inst.oracle, config, rng)
-            assert inst.problem.inner_domain.contains(state.y)
+            assert in_domain(inst.problem.inner_domain, state.y)
             if state.diverged:
                 break
 

@@ -102,9 +102,12 @@ class TestParseRunConfig:
             parse_run_config(doc)
 
     def test_key_sets_match_readme(self):
+        # PROBLEM_KEYS and SOLVER_KEYS map each key to the type of its value.
         assert cli.TOP_KEYS == set(TOP_KEYS)
-        assert cli.PROBLEM_KEYS == {"synthetic": set(SYNTHETIC_KEYS), "dro": set(DRO_KEYS)}
-        assert cli.SOLVER_KEYS == {
+        assert {problem: set(keys) for problem, keys in cli.PROBLEM_KEYS.items()} == {
+            "synthetic": set(SYNTHETIC_KEYS), "dro": set(DRO_KEYS)
+        }
+        assert {solver: set(keys) for solver, keys in cli.SOLVER_KEYS.items()} == {
             "tr": set(TR_KEYS),
             "asgda": set(BASELINE_KEYS),
             "spd-constant": set(BASELINE_KEYS),
@@ -141,6 +144,74 @@ class TestParseRunConfig:
         for key in ("max_iters", "log_oracle_diagnostics", "problem_params", "solver_params"):
             assert key in message
         assert "typo" in message
+
+    @pytest.mark.parametrize(
+        "problem, section, params",
+        [
+            ("synthetic", "solver_params", {"eta1": "abc"}),
+            ("synthetic", "solver_params", {"inner_eps_coeff": "abc"}),
+            ("synthetic", "solver_params", {"llr_count": 2.5}),
+            ("synthetic", "solver_params", {"llr_schedule": {"coeff": "abc"}}),
+            ("synthetic", "solver_params", {"llr_schedule": {"bogus": 1}}),
+            ("synthetic", "solver_params", {"llr_schedule": {"fixed": 3}}),
+            ("synthetic", "solver_params", {"stop_grad_tol": True}),
+            ("synthetic", "problem_params", {"noise_sigma": "abc"}),
+            ("synthetic", "problem_params", {"x0_center": ["a"]}),
+            ("synthetic", "problem_params", {"x0_radius": None}),
+            ("dro", "problem_params", {"shift_scale": "abc"}),
+            ("dro", "problem_params", {"diag_samples": "abc"}),
+            ("dro", "problem_params", {"diag_samples": 2.0}),
+            ("dro", "problem_params", {"csv_path": 3}),
+            ("dro", "problem_params", {"feature_columns": "f1", "csv_path": "a.csv"}),
+        ],
+    )
+    def test_wrong_value_type_rejected(self, problem, section, params):
+        doc = dict(tiny_tr_doc("out"), problem=problem, **{section: params})
+        doc.setdefault("solver_params", {})
+        with pytest.raises(ConfigurationError, match=next(iter(params))):
+            parse_run_config(doc)
+
+    @pytest.mark.parametrize(
+        "solver, section, params, match",
+        [
+            ("tr", "solver_params", {"eta1": 2.0}, "eta1"),
+            ("tr", "solver_params", {"llr_count": 0}, "sample count"),
+            ("asgda", "solver_params", {"batch": 0}, "batch"),
+            ("tr", "problem_params", {"noise_sigma": -1.0}, "noise_sigma"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, solver, section, params, match):
+        doc = dict(tiny_tr_doc("out"), solver=solver, **{"solver_params": {}, section: params})
+        with pytest.raises(ConfigurationError, match=match):
+            parse_run_config(doc)
+
+    def test_valid_values_accepted(self):
+        doc = dict(
+            tiny_tr_doc("out"),
+            problem_params={"noise_sigma": 0, "x0_center": [1], "x0_radius": 0.5},
+            solver_params={
+                "eta1": 0.5, "stop_grad_tol": None, "stop_delta_tol": 1e-6,
+                "llr_schedule": {"coeff": 2, "power": 2.0}, "value_count": 30,
+            },
+        )
+        assert parse_run_config(doc).solver_params["eta1"] == 0.5
+
+    def test_bad_values_all_reported(self):
+        doc = dict(
+            tiny_tr_doc("out"), problem="dro",
+            problem_params={"shift_scale": "x", "n_rows": 2.5},
+            solver_params={"eta1": "abc", "gamma": [2]},
+        )
+        with pytest.raises(ConfigurationError) as exc:
+            parse_run_config(doc)
+        for key in ("shift_scale", "n_rows", "eta1", "gamma"):
+            assert key in str(exc.value)
+
+    @pytest.mark.parametrize("key, value", [("label_column", "y"), ("feature_columns", ["x"])])
+    def test_column_keys_need_csv_path(self, key, value):
+        doc = dict(tiny_tr_doc("out"), problem="dro", problem_params={key: value})
+        with pytest.raises(ConfigurationError, match=f"{key}.*csv_path"):
+            parse_run_config(doc)
 
 
 class TestRun:
@@ -298,6 +369,25 @@ class TestRun:
         assert len(solver_diag_keys) == 3 and oracle_keys
         assert final not in set(oracle_keys) | set(solver_diag_keys)
 
+    @pytest.mark.parametrize(
+        "terms, n_rows, mu",
+        [({"lambda2": 0.5}, 20, 0.5 * 20**2), ({"lambda2": 0.5}, 30, 0.5 * 30**2), ({}, 20, 10.0)],
+    )
+    def test_explicit_lambda2_outlives_subsample(self, tmp_path, terms, n_rows, mu):
+        # lambda2 defaults to 10 / N^2 for the subsampled N; an explicit value stays.
+        rng = np.random.default_rng(0)
+        lines = ["SeriousDlqin2yrs,f1,f2"]
+        lines += [f"{i % 2},{rng.normal():.4f},{rng.normal():.4f}" for i in range(30)]
+        data_path = tmp_path / "credit.csv"
+        data_path.write_text("\n".join(lines) + "\n")
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out"), problem="dro",
+            problem_params={"csv_path": str(data_path), "n_rows": n_rows, **terms},
+        )
+        instance = cli.build_instance(parse_run_config(doc))
+        assert instance.problem.m == n_rows
+        assert instance.problem.mu == pytest.approx(mu, rel=1e-12)
+
     def test_dro_run_from_csv(self, tmp_path):
         lines = ["SeriousDlqin2yrs,f1,f2,f3"]
         rng = np.random.default_rng(0)
@@ -414,6 +504,13 @@ class TestMain:
         assert main(["run", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "tr" in err and "asgda" in err and "spd-dynamic" in err
+
+    def test_bad_solver_value_exits_2_before_any_seed_runs(self, tmp_path, capsys):
+        doc = tiny_tr_doc(tmp_path / "x")
+        doc["solver_params"]["eta1"] = "abc"
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "eta1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_wrong_type_exits_with_error_line(self, tmp_path, capsys):
         doc = dict(tiny_tr_doc(tmp_path / "x"), max_iters="abc")

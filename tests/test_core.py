@@ -1,5 +1,6 @@
 import ast
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestSampleAt:
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
     def test_dro_matches_per_row_draws(self, noise_sigma):
-        dro = generate_synthetic_credit(12, 3, seed=5, noise_sigma=noise_sigma)
+        dro = replace(generate_synthetic_credit(12, 3, seed=5), noise_sigma=noise_sigma)
         oracle = dro_instance(dro, diag_samples=10).oracle
         assert oracle.batched
         points = make_rng(2).uniform(-4.0, 4.0, size=(300, 3))

@@ -5,7 +5,7 @@ from ddtr.core import Box, ConfigurationError, InnerConvergenceError, Simplex, m
 from ddtr.inner import maximize_over_scenarios
 from ddtr.problems import synthetic_instance
 
-from util import quadratic_problem
+from util import in_domain, quadratic_problem
 
 BIG_BOX = Box(np.array([-125.0]), np.array([125.0]))
 
@@ -46,7 +46,7 @@ class TestClosedFormCases:
 
     def test_maximizer_stays_in_domain(self):
         report = solve_quadratic([0.9, 0.05, 0.05], Simplex(3), epsilon=1e-7)
-        assert Simplex(3).contains(report.maximizer)
+        assert in_domain(Simplex(3), report.maximizer)
 
 
 class TestCertificate:

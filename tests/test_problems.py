@@ -9,7 +9,6 @@ from ddtr.core import ConfigurationError, DistributionOracle, IngestionError, Si
 from ddtr.problems import (
     DROProblem,
     SyntheticProblem,
-    dro_inner_exact_check,
     dro_instance,
     generate_synthetic_credit,
     load_credit_csv,
@@ -19,7 +18,7 @@ from ddtr.problems import (
     synthetic_primal_grad,
 )
 
-from util import directional_fd
+from util import directional_fd, dro_inner_exact_check, dro_mc_reference
 
 
 class TestSyntheticPrimal:
@@ -247,6 +246,39 @@ class TestDRODiagnosticsMemo:
             assert diag.value_and_grad_norm(self.X, make_rng(1)) == first
             assert sample.call_count == 3
         assert first[0] != second[0] and first[1] != second[1]
+
+
+class TestDRODiagnosticsOneRow:
+    """Without noise the diagnostic computes one row and averages it
+    ``diag_samples`` times: bitwise the estimator over ``diag_samples`` rows."""
+
+    @pytest.mark.parametrize("diag_samples", [1, 7, 5000])
+    def test_bitwise_equal_to_drawn_rows(self, small_dro, diag_samples):
+        diag = dro_instance(small_dro, diag_samples=diag_samples).diagnostics
+        rng = make_rng(11)
+        for i in range(100):
+            x = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 1.0)
+            got = diag.value_and_grad_norm(x, make_rng(i))
+            assert got == dro_mc_reference(small_dro, x, make_rng(i), diag_samples)
+
+    def test_noiseless_draws_one_row(self, small_dro):
+        diag = dro_instance(small_dro, diag_samples=5000).diagnostics
+        with counted_sample() as sample:
+            diag.value_and_grad_norm(np.array([0.6, -0.2, 1.1]), make_rng(1))
+        assert [call.args[2] for call in sample.call_args_list] == [1]
+        assert diag.sample_count == 5000
+
+    def test_noisy_draws_diag_samples_rows(self, small_dro):
+        noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
+        diag = dro_instance(noisy, diag_samples=300).diagnostics
+        with counted_sample() as sample:
+            diag.value_and_grad_norm(np.array([0.6, -0.2, 1.1]), make_rng(1))
+        assert [call.args[2] for call in sample.call_args_list] == [300]
+
+    @pytest.mark.parametrize("diag_samples", [0, -5, 2.5, "abc", True, None])
+    def test_invalid_diag_samples_rejected(self, small_dro, diag_samples):
+        with pytest.raises(ConfigurationError, match="diag_samples"):
+            dro_instance(small_dro, diag_samples=diag_samples)
 
 
 class TestDROInnerExactCheck:
