@@ -137,12 +137,15 @@ def parse_run_config(doc: dict) -> RunConfig:
         solver_params=dict(doc.get("solver_params", {})),
     )
     try:
-        # The dataclasses that need no data are built once here, so that their
-        # own checks fail the parse and not each seed.
+        # The dataclasses that need no data are built once here, and the dro
+        # terms checked, so that their own checks fail the parse and not each seed.
         (build_tr_config if solver == "tr" else build_baseline_config)(config, seeds[0])
+        params = config.problem_params
         if problem == "synthetic":
-            terms = config.problem_params.keys() - _START_KEYS
-            problems.SyntheticProblem(**{key: config.problem_params[key] for key in terms})
+            problems.SyntheticProblem(**{key: params[key] for key in params.keys() - _START_KEYS})
+        else:
+            checked = ("noise_sigma", "diag_samples")
+            problems.check_dro_terms(**{key: params[key] for key in params.keys() & checked})
     except ConfigurationError as exc:
         raise ConfigurationError(f"invalid config: {exc}") from None
     return config
@@ -243,6 +246,7 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
             iterations=len(history),
             final_grad_norm_surrogate=history[-1].grad_norm_surrogate if history else math.nan,
             diverged=False,
+            termination=state.termination,
         )
     else:
         state, history = baselines.run_baseline(
@@ -255,6 +259,7 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
             iterations=len(history),
             final_grad_norm_est=history[-1].grad_norm_est if history else math.nan,
             diverged=bool(state.diverged),
+            termination="diverged" if state.diverged else "max_iters",
         )
     if instance.diagnostics is not None and not entry["diverged"]:
         # A seed sequence of its own: every solver generator is spawned from

@@ -164,9 +164,10 @@ class ProblemSpec:
 class DistributionOracle:
     """Black-box sampler producing i.i.d. draws from D(x) for any query x.
 
-    ``sampler(x, count, rng)`` must return an array of shape ``(count, d)``.
-    Draws with an identical generator state are bit-identical; callers never
-    share one generator across threads.
+    ``sampler(x, count, rng)`` must return a finite array of shape
+    ``(count, d)``; ``sample`` raises on any other.  Draws with an identical
+    generator state are bit-identical; callers never share one generator
+    across threads.
 
     A ``batched`` sampler also accepts ``x`` of shape ``(count, n)`` and then
     returns a new array holding one draw per row, equal bit for bit to the
@@ -200,6 +201,9 @@ class DistributionOracle:
             raise ContractViolationError(
                 f"oracle returned shape {draws.shape}, expected ({count}, {self.d})"
             )
+        # A NaN or inf draw would poison every fit and mean it enters.
+        if not np.isfinite(draws).all():
+            raise ContractViolationError("oracle returned a non-finite draw")
         return draws
 
 

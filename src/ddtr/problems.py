@@ -175,8 +175,7 @@ class DROProblem:
             raise ConfigurationError("features must be (N, n) with one label per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be -1 or +1")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be nonnegative")
+        check_dro_terms(noise_sigma=self.noise_sigma)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if self.lambda2 is None:
@@ -199,10 +198,18 @@ def _f_grad(x, lambda1, alpha):
     return lambda1 * 2.0 * alpha * x / (1.0 + alpha * x**2) ** 2
 
 
-def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
+def check_dro_terms(noise_sigma: float = 0.0, diag_samples: int = 5000) -> None:
+    """The range checks of a DRO instance's terms that need no data, so that a
+    config can be checked before any data is loaded."""
+    if noise_sigma < 0:
+        raise ConfigurationError("noise_sigma must be nonnegative")
     valid = isinstance(diag_samples, (int, np.integer)) and not isinstance(diag_samples, bool)
     if not valid or diag_samples < 1:
         raise ConfigurationError(f"diag_samples must be an integer >= 1, got {diag_samples!r}")
+
+
+def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
+    check_dro_terms(diag_samples=diag_samples)
     N, n = dro.n_rows, dro.n_features
     d = N * n
     b = dro.labels

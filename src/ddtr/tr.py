@@ -7,6 +7,8 @@ surrogate sufficient-descent inequality to hold, estimate the primal value at
 the old and trial points with fresh oracle samples, and accept or reject on
 the actual-to-predicted reduction ratio together with a gradient-versus-radius
 test.  Accepted steps grow the radius (capped), rejected ones shrink it.
+A run ends after ``max_iters`` iterations, or earlier once the radius falls
+below the relative floor ``delta_min * max(1, ||x||)``.
 """
 
 from __future__ import annotations
@@ -82,11 +84,9 @@ class TRConfig:
     lambda_max: float = 100.0
     max_iters: int = 300
     seed: int = 0
-    # Optional stopping rule (both thresholds must hold for `stop_patience`
-    # consecutive iterations); disabled by default to mirror a fixed-length run.
-    stop_grad_tol: Optional[float] = None
-    stop_delta_tol: Optional[float] = None
-    stop_patience: int = 5
+    # Relative radius floor: a run stops once delta < delta_min * max(1, ||x||),
+    # where steps no longer move x in any printed digit. 0 gives fixed-length runs.
+    delta_min: float = math.sqrt(np.finfo(float).eps)
 
     def __post_init__(self):
         if not (0 < self.delta0 < self.delta_max):
@@ -101,6 +101,8 @@ class TRConfig:
             raise ConfigurationError("kappa_dcp must be positive")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
+        if not self.delta_min >= 0:
+            raise ConfigurationError("delta_min must be nonnegative")
 
     def inner_eps(self, delta: float) -> float:
         return max(self.inner_eps_coeff * min(delta, delta**2), INNER_EPS_FLOOR)
@@ -139,6 +141,8 @@ class TRState:
     k: int
     y_warm: np.ndarray
     history: list[IterationRecord]
+    # Why ``solve`` stopped: "radius_floor" or "max_iters".
+    termination: Optional[str] = None
 
 
 def surrogate_value_and_xgrad(
@@ -304,26 +308,16 @@ def solve(
     config: TRConfig,
     diagnostics: Optional[OracleDiagnostics] = None,
 ) -> tuple[TRState, list[IterationRecord]]:
-    """Run the driver for ``config.max_iters`` iterations (or until the
-    optional stopping rule fires) and return the final state plus history."""
+    """Iterate until the radius falls below its floor or for
+    ``config.max_iters`` iterations; return the final state, whose
+    ``termination`` says which, plus the history."""
     rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
     state = TRState(
         x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center(), history=[]
     )
-    use_stop = config.stop_grad_tol is not None and config.stop_delta_tol is not None
-    streak = 0
     for _ in range(config.max_iters):
+        if state.delta < config.delta_min * max(1.0, float(np.linalg.norm(state.x))):
+            return replace(state, termination="radius_floor"), state.history
         state = iterate(state, problem, oracle, config, rng, diagnostics)
-        if use_stop:
-            rec = state.history[-1]
-            if (
-                rec.grad_norm_surrogate < config.stop_grad_tol
-                and rec.delta < config.stop_delta_tol
-            ):
-                streak += 1
-                if streak >= config.stop_patience:
-                    break
-            else:
-                streak = 0
-    return state, state.history
+    return replace(state, termination="max_iters"), state.history

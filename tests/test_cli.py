@@ -48,8 +48,8 @@ DRO_KEYS = [
 ]
 TR_KEYS = [
     "delta0", "delta_max", "gamma", "eta1", "eta2", "kappa_dcp", "llr_schedule",
-    "value_schedule", "inner_eps_coeff", "lambda_max", "stop_grad_tol", "stop_delta_tol",
-    "stop_patience", "llr_count", "value_count",
+    "value_schedule", "inner_eps_coeff", "lambda_max", "delta_min", "llr_count",
+    "value_count",
 ]
 BASELINE_KEYS = [
     "eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget", "ridge", "divergence_norm",
@@ -154,7 +154,7 @@ class TestParseRunConfig:
             ("synthetic", "solver_params", {"llr_schedule": {"coeff": "abc"}}),
             ("synthetic", "solver_params", {"llr_schedule": {"bogus": 1}}),
             ("synthetic", "solver_params", {"llr_schedule": {"fixed": 3}}),
-            ("synthetic", "solver_params", {"stop_grad_tol": True}),
+            ("synthetic", "solver_params", {"delta_min": True}),
             ("synthetic", "problem_params", {"noise_sigma": "abc"}),
             ("synthetic", "problem_params", {"x0_center": ["a"]}),
             ("synthetic", "problem_params", {"x0_radius": None}),
@@ -178,6 +178,7 @@ class TestParseRunConfig:
             ("tr", "solver_params", {"llr_count": 0}, "sample count"),
             ("asgda", "solver_params", {"batch": 0}, "batch"),
             ("tr", "problem_params", {"noise_sigma": -1.0}, "noise_sigma"),
+            ("tr", "solver_params", {"delta_min": -1.0}, "delta_min"),
         ],
     )
     def test_out_of_range_value_rejected(self, solver, section, params, match):
@@ -185,12 +186,20 @@ class TestParseRunConfig:
         with pytest.raises(ConfigurationError, match=match):
             parse_run_config(doc)
 
+    @pytest.mark.parametrize("key, value", [("noise_sigma", -1.0), ("diag_samples", 0)])
+    def test_dro_term_out_of_range_rejected(self, key, value):
+        # The dro problem is built from data only in each seed's run; its
+        # terms are still checked at parse time.
+        doc = dict(tiny_tr_doc("out"), problem="dro", problem_params={key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            parse_run_config(doc)
+
     def test_valid_values_accepted(self):
         doc = dict(
             tiny_tr_doc("out"),
             problem_params={"noise_sigma": 0, "x0_center": [1], "x0_radius": 0.5},
             solver_params={
-                "eta1": 0.5, "stop_grad_tol": None, "stop_delta_tol": 1e-6,
+                "eta1": 0.5, "delta_min": 0,
                 "llr_schedule": {"coeff": 2, "power": 2.0}, "value_count": 30,
             },
         )
@@ -230,6 +239,15 @@ class TestRun:
             header = fh.readline().strip().split(",")
         assert header == TR_HEADER
 
+    def test_radius_floor_termination_in_summary(self, tmp_path):
+        # delta0 = 1 is below the floor of 1 * max(1, |x0|) from x0 near 10.
+        # A run that uses its budget is test_shipped_config_runs.
+        doc = tiny_tr_doc(tmp_path / "out", seeds=(1,))
+        doc["solver_params"]["delta_min"] = 1.0
+        assert run(parse_run_config(doc)) == 0
+        (entry,) = json.loads((tmp_path / "out" / "summary.json").read_text())["runs"]
+        assert entry["termination"] == "radius_floor" and entry["iterations"] == 0
+
     def test_summary_config_is_parsed_document(self, tmp_path):
         doc = tiny_tr_doc(tmp_path / "cfg", seeds=(1,), max_iters=2)
         assert run(parse_run_config(doc)) == 0
@@ -252,6 +270,7 @@ class TestRun:
         assert run(parse_run_config(doc)) == 0
         summary = json.loads((tmp_path / "spd" / "summary.json").read_text())
         assert summary["runs"][0]["diverged"] is True
+        assert summary["runs"][0]["termination"] == "diverged"
         with open(next((tmp_path / "spd").glob("*.csv"))) as fh:
             header = fh.readline().strip().split(",")
         assert header == BASELINE_HEADER
@@ -422,6 +441,8 @@ def test_shipped_config_runs(tmp_path, path):
     argv = ["run", str(path), "--seed-override", "1", "--max-iters", "2", "--output-dir", str(out)]
     assert main(argv) == 0
     assert len(list(out.glob("*_seed1.csv"))) == 1
+    (entry,) = json.loads((out / "summary.json").read_text())["runs"]
+    assert entry["termination"] == "max_iters"
 
 
 class TestSummarize:
@@ -510,6 +531,15 @@ class TestMain:
         doc["solver_params"]["eta1"] = "abc"
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "eta1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_dro_term_exits_2_before_any_seed_runs(self, tmp_path, capsys):
+        doc = dict(
+            tiny_tr_doc(tmp_path / "x"), problem="dro",
+            problem_params={"n_rows": 12, "n_features": 2, "noise_sigma": -1.0},
+        )
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "noise_sigma" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_wrong_type_exits_with_error_line(self, tmp_path, capsys):

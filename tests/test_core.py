@@ -17,6 +17,7 @@ from ddtr.core import (
     make_rng,
     uniform_ball_sample,
 )
+from ddtr.llr import generate_poised_set
 from ddtr.problems import (
     SyntheticProblem,
     dro_instance,
@@ -156,6 +157,21 @@ class TestDistributionOracle:
         assert np.array_equal(
             oracle.sample(x, 5, make_rng(9)), oracle.sample(x, 5, make_rng(9))
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_draw_rejected(self, bad, batched):
+        def sampler(x, count, rng):
+            draws = rng.standard_normal((count, 2))
+            draws[-1, 0] = bad
+            return draws
+
+        oracle = DistributionOracle(d=2, sampler=sampler, batched=batched)
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            oracle.sample(np.zeros(1), 3, make_rng(0))
+        # The regression set is where draws go on to the fit.
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            generate_poised_set(oracle, np.zeros(1), 0.5, 10, 100.0, make_rng(0))
 
 
 def per_row(oracle, points, seed):

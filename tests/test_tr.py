@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,18 +301,38 @@ class TestSolve:
             assert a.rho == b.rho or (math.isnan(a.rho) and math.isnan(b.rho))
             assert a.delta == b.delta and a.v_k == b.v_k or (math.isnan(a.v_k) and math.isnan(b.v_k))
 
-    def test_optional_stopping_rule(self):
-        problem, oracle = affine_map_problem()
-        config = small_config(
-            max_iters=200,
-            seed=4,
-            llr_schedule=SampleSchedule(fixed=12),
-            stop_grad_tol=1e-3,
-            stop_delta_tol=1e-3,
-            stop_patience=5,
+    @staticmethod
+    def floor(config, x):
+        return config.delta_min * max(1.0, float(np.linalg.norm(x)))
+
+    def test_radius_floor_ends_the_run(self):
+        inst = synthetic_instance()
+        config = small_config(max_iters=300, seed=3)
+        state, history = solve(np.array([9.8]), inst.problem, inst.oracle, config)
+        assert state.termination == "radius_floor"
+        assert len(history) < config.max_iters
+        assert all(rec.delta >= self.floor(config, rec.x_before) for rec in history)
+        assert history[-1].delta_next < self.floor(config, history[-1].x_after)
+        assert state.delta == history[-1].delta_next
+
+    def test_zero_floor_runs_every_iteration(self):
+        inst = synthetic_instance()
+        config = small_config(max_iters=300, seed=3)
+        _, floored = solve(np.array([9.8]), inst.problem, inst.oracle, config)
+        state, history = solve(
+            np.array([9.8]), inst.problem, inst.oracle, replace(config, delta_min=0.0)
         )
-        state, history = solve(np.array([2.9]), problem, oracle, config)
-        assert len(history) < 200
+        assert state.termination == "max_iters"
+        assert len(history) == config.max_iters
+        # The floor only ends the run: up to there both runs are the same.
+        assert [r.x_after.tobytes() for r in floored] == [
+            r.x_after.tobytes() for r in history[: len(floored)]
+        ]
+
+    @pytest.mark.parametrize("delta_min", [-1e-8, math.nan])
+    def test_negative_delta_min_rejected(self, delta_min):
+        with pytest.raises(ConfigurationError, match="delta_min"):
+            TRConfig(delta_min=delta_min)
 
     def test_gradient_trend_improves_across_seeds(self):
         # Statistical sanity: for every seed, the median true gradient over
