@@ -130,9 +130,9 @@ def spd_step(
     """One stochastic primal-dual step; the x-gradient ignores the sampling
     distribution's dependence on x."""
     eta = config.stepsize(state.k)
-    draws = oracle.sample(state.x, config.batch, rng)
-    gx = np.mean(problem.grad1(state.x, state.y, draws), axis=0)
-    gy = np.mean(problem.grad2(state.x, state.y, draws), axis=0)
+    evaluation = problem.bind(state.x, oracle.sample(state.x, config.batch, rng))
+    gx = np.mean(evaluation.grad1(state.y), axis=0)
+    gy = np.mean(evaluation.grad2(state.y), axis=0)
     x_new = state.x - eta * gx
     y_new = _safe_project(problem, state.y + eta * gy)
     return replace(
@@ -155,10 +155,11 @@ def asgda_step(
     the current global affine estimate of the map, then a model update."""
     draws = oracle.sample(state.x, config.batch, rng)
     a_hat, _ = state.model.coefficients(config.ridge)
-    gx = np.mean(problem.grad1(state.x, state.y, draws), axis=0) + a_hat @ np.mean(
-        problem.grad3(state.x, state.y, draws), axis=0
+    evaluation = problem.bind(state.x, draws)
+    gx = np.mean(evaluation.grad1(state.y), axis=0) + a_hat @ np.mean(
+        evaluation.grad3(state.y), axis=0
     )
-    gy = np.mean(problem.grad2(state.x, state.y, draws), axis=0)
+    gy = np.mean(evaluation.grad2(state.y), axis=0)
     x_new = state.x - config.stepsize(state.k) * gx
     y_new = _safe_project(problem, state.y + config.eta_y * gy)
     model = state.model.update(state.x, draws, config.forget)

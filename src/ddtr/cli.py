@@ -173,9 +173,10 @@ def build_instance(config: RunConfig) -> problems.Instance:
         n_features = params.pop("n_features", 5)
         data_seed = params.pop("data_seed", 0)
         if csv_path is not None:
-            # What is left are the loader's own keywords.
+            # What is left are the loader's own keywords. An explicit n_rows always
+            # goes to subsample, which rejects one above the file's rows.
             dro = problems.load_credit_csv(csv_path, **params)
-            if n_rows < dro.n_rows:
+            if n_rows < dro.n_rows or "n_rows" in config.problem_params:
                 dro = problems.subsample(dro, n_rows, data_seed)
         else:
             dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed)

@@ -8,6 +8,9 @@ Conventions used throughout the package:
   they take ``(x, y, omegas)`` with ``omegas`` of shape ``(S, d)`` and
   return arrays of shape ``(S,)``, ``(S, n)``, ``(S, m)`` and ``(S, d)``
   respectively;
+* callers that evaluate one ``(x, omegas)`` at many ``y`` bind it once with
+  ``ProblemSpec.bind``; the binding's ``loss(y)`` ... ``grad3(y)`` return
+  what the four evaluators return, bit for bit;
 * every stochastic operation takes an explicit ``numpy.random.Generator``
   backed by the counter-based Philox bit generator, so reruns with the
   same seed are bit-identical and generators can be split deterministically.
@@ -148,6 +151,12 @@ class ProblemSpec:
     inner_domain: InnerDomain
     mu: float
     ell: float
+    fused: Optional[Callable[[np.ndarray, np.ndarray], Evaluation]] = None
+
+    def bind(self, x: np.ndarray, omegas: np.ndarray) -> Evaluation:
+        """The four evaluators at one ``(x, omegas)`` as functions of ``y``; a
+        ``fused`` binding does the work that does not depend on ``y`` once."""
+        return Evaluation(self, x, omegas) if self.fused is None else self.fused(x, omegas)
 
     def __post_init__(self):
         if min(self.n, self.m, self.d) < 1:
@@ -158,6 +167,27 @@ class ProblemSpec:
             raise ConfigurationError("ell must be at least mu")
         if getattr(self.inner_domain, "dim") != self.m:
             raise ConfigurationError("inner domain dimension must equal m")
+
+
+class Evaluation:
+    """A problem's callables at one ``(x, omegas)``. A ``fused`` binding's methods must
+    return what these return, bit for bit, at any ``y`` in any order. A binding may
+    hold arrays derived from ``omegas``, which must not be mutated while it is in use."""
+
+    def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas: np.ndarray):
+        self.problem, self.x, self.omegas = problem, x, omegas
+
+    def loss(self, y: np.ndarray) -> np.ndarray:
+        return self.problem.loss(self.x, y, self.omegas)
+
+    def grad1(self, y: np.ndarray) -> np.ndarray:
+        return self.problem.grad1(self.x, y, self.omegas)
+
+    def grad2(self, y: np.ndarray) -> np.ndarray:
+        return self.problem.grad2(self.x, y, self.omegas)
+
+    def grad3(self, y: np.ndarray) -> np.ndarray:
+        return self.problem.grad3(self.x, y, self.omegas)
 
 
 @dataclass(frozen=True)

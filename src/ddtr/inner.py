@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ContractViolationError,
+    Evaluation,
     InnerConvergenceError,
     ProblemSpec,
     as_vector,
@@ -33,6 +34,7 @@ class InnerSolveReport:
     maximizer: np.ndarray
     iterations: int
     final_step_norm: float
+    evaluation: Evaluation  # the problem bound to (x, scenarios) in every step
 
 
 def maximize_over_scenarios(
@@ -62,18 +64,19 @@ def maximize_over_scenarios(
     x = as_vector(x, problem.n, "x")
     domain = problem.inner_domain
     y = domain.project(as_vector(y_init, problem.m, "y_init"))
+    evaluation = problem.bind(x, scenarios)
 
     step = 1.0 / problem.ell
     cert_factor = problem.ell / problem.mu + 1.0
 
     for t in range(1, max_iters + 1):
-        grad = np.mean(problem.grad2(x, y, scenarios), axis=0)
+        grad = np.mean(evaluation.grad2(y), axis=0)
         y_next = domain.project(y + step * grad)
         step_norm = float(np.linalg.norm(y_next - y))
         y = y_next
         if cert_factor * step_norm <= epsilon:
-            return InnerSolveReport(maximizer=y, iterations=t, final_step_norm=step_norm)
+            return InnerSolveReport(y, t, step_norm, evaluation)
     raise InnerConvergenceError(
         f"inner maximizer failed to certify tolerance {epsilon} in {max_iters} iterations",
-        report=InnerSolveReport(maximizer=y, iterations=max_iters, final_step_norm=step_norm),
+        report=InnerSolveReport(y, max_iters, step_norm, evaluation),
     )

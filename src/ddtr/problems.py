@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -215,42 +216,45 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     b = dro.labels
     lam1, lam2, alpha = dro.lambda1, dro.lambda2, dro.alpha
 
-    def margins_of(x, w):
-        a = w.reshape(-1, N, n)
-        return a, -b[None, :] * (a @ x)  # (S, N, n), (S, N)
+    class DROEvaluation:
+        """The loss and gradients at one (x, w): the margins -b * (a(x) x) are
+        computed once, and their logaddexp and expit on first use."""
 
-    def loss(x, y, w):
-        _, margins = margins_of(x, w)
-        losses = np.logaddexp(0.0, margins)
-        reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
-        return losses @ y / N + _f_value(x, lam1, alpha) - reg
+        def __init__(self, x, w):
+            self.x, self.a = x, w.reshape(-1, N, n)  # (S, N, n)
+            self.margins = -b[None, :] * (self.a @ x)  # (S, N)
 
-    def grad1(x, y, w):
-        a, margins = margins_of(x, w)
-        coef = (-b * y)[None, :] * expit(margins) / N  # (S, N)
-        return np.einsum("sN,sNn->sn", coef, a) + _f_grad(x, lam1, alpha)
+        losses = cached_property(lambda self: np.logaddexp(0.0, self.margins))
+        sig = cached_property(lambda self: expit(self.margins))
 
-    def grad2(x, y, w):
-        _, margins = margins_of(x, w)
-        losses = np.logaddexp(0.0, margins)
-        return losses / N - (lam2 * N * (N * y - 1.0))[None, :]
+        def coef(self, y):
+            return (-b * y)[None, :] * self.sig / N  # (S, N)
 
-    def grad3(x, y, w):
-        _, margins = margins_of(x, w)
-        coef = (-b * y)[None, :] * expit(margins) / N  # (S, N)
-        return (coef[:, :, None] * x[None, None, :]).reshape(-1, d)
+        def loss(self, y):
+            reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
+            return self.losses @ y / N + _f_value(self.x, lam1, alpha) - reg
+
+        def grad1(self, y):
+            return np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
+
+        def grad2(self, y):
+            return self.losses / N - (lam2 * N * (N * y - 1.0))[None, :]
+
+        def grad3(self, y):
+            return (self.coef(y)[:, :, None] * self.x[None, None, :]).reshape(-1, d)
 
     problem = ProblemSpec(
         n=n,
         m=N,
         d=d,
-        loss=loss,
-        grad1=grad1,
-        grad2=grad2,
-        grad3=grad3,
+        loss=lambda x, y, w: DROEvaluation(x, w).loss(y),
+        grad1=lambda x, y, w: DROEvaluation(x, w).grad1(y),
+        grad2=lambda x, y, w: DROEvaluation(x, w).grad2(y),
+        grad3=lambda x, y, w: DROEvaluation(x, w).grad3(y),
         inner_domain=Simplex(N),
         mu=lam2 * N**2,
         ell=lam2 * N**2,
+        fused=DROEvaluation,
     )
 
     base = dro.features
@@ -281,13 +285,13 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         # inner maximum solved in closed form: the y-part of the objective is
         # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, an isotropic
         # quadratic whose constrained maximizer is one simplex projection.
-        a, margins = margins_of(x, oracle.sample(x, 1 if noiseless else diag_samples, rng))
-        mean_losses = mean(np.logaddexp(0.0, margins))  # (N,)
+        rows = DROEvaluation(x, oracle.sample(x, 1 if noiseless else diag_samples, rng))
+        mean_losses = mean(rows.losses)  # (N,)
         y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
         reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
         value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
-        coef = (-b * y_star)[None, :] * expit(margins) / N  # (S, N)
-        g1 = mean(np.einsum("sN,sNn->sn", coef, a)) + _f_grad(x, lam1, alpha)
+        coef = rows.coef(y_star)  # (S, N)
+        g1 = mean(np.einsum("sN,sNn->sn", coef, rows.a)) + _f_grad(x, lam1, alpha)
         g3_rows = mean(coef)[:, None] * x[None, :]  # (N, n)
         chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
         return value, float(np.linalg.norm(g1 + chain))

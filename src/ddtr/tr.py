@@ -23,6 +23,7 @@ from . import llr
 from .core import (
     ConfigurationError,
     DistributionOracle,
+    Evaluation,
     OracleDiagnostics,
     ProblemSpec,
     as_vector,
@@ -146,19 +147,16 @@ class TRState:
 
 
 def surrogate_value_and_xgrad(
-    problem: ProblemSpec, model: llr.LLRModel, x: np.ndarray, y: np.ndarray
+    model: llr.LLRModel, evaluation: Evaluation, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Surrogate value and its x-gradient at (x, y), exact over the residual scenarios.
+    """Surrogate value and its x-gradient at (x, y), exact over the scenarios bound at x.
 
     The gradient carries the chain-rule correction through the fitted map:
     ``mean(grad1) + b1 @ mean(grad3)``.
     """
-    x = as_vector(x, problem.n, "x")
-    y = as_vector(y, problem.m, "y")
-    scenarios = model.surrogate_scenarios(x)
-    value = float(np.mean(problem.loss(x, y, scenarios)))
-    g1 = np.mean(problem.grad1(x, y, scenarios), axis=0)
-    g3 = np.mean(problem.grad3(x, y, scenarios), axis=0)
+    value = float(np.mean(evaluation.loss(y)))
+    g1 = np.mean(evaluation.grad1(y), axis=0)
+    g3 = np.mean(evaluation.grad3(y), axis=0)
     return value, g1 + model.b1 @ g3
 
 
@@ -199,7 +197,7 @@ def estimate_value(
     x = as_vector(x, problem.n, "x")
     draws = oracle.sample(x, count, rng)
     report = maximize_over_scenarios(problem, x, draws, y_warm, inner_eps)
-    value = float(np.mean(problem.loss(x, report.maximizer, draws)))
+    value = float(np.mean(report.evaluation.loss(report.maximizer)))
     return value, report.maximizer
 
 
@@ -230,14 +228,16 @@ def iterate(
     n_llr = config.llr_schedule.count(delta)
     if config.llr_schedule.fixed is None:
         n_llr = max(n_llr, problem.n + 5)
-    samples = llr.generate_poised_set(oracle, x, delta, n_llr, config.lambda_max, llr_rng)
-    model = llr.fit(samples)
+    # The sample set is freed after the fit; the model keeps its residuals.
+    model = llr.fit(llr.generate_poised_set(oracle, x, delta, n_llr, config.lambda_max, llr_rng))
 
     eps = config.inner_eps(delta)
     rep_old = maximize_over_scenarios(
         problem, x, model.surrogate_scenarios(x), state.y_warm, eps
     )
-    l_old, g = surrogate_value_and_xgrad(problem, model, x, rep_old.maximizer)
+    l_old, g = surrogate_value_and_xgrad(model, rep_old.evaluation, rep_old.maximizer)
+    y_old = rep_old.maximizer
+    del rep_old  # its binding holds arrays of the size of the scenarios
     grad_norm = float(np.linalg.norm(g))
 
     oracle_phi = math.nan
@@ -256,11 +256,12 @@ def iterate(
     # reject such a step anyway.
     if grad_norm >= GRAD_FLOOR:
         x_trial = x + trial_step(g, delta)
-        scenarios = model.surrogate_scenarios(x_trial)
-        y_trial = maximize_over_scenarios(
-            problem, x_trial, scenarios, rep_old.maximizer, eps
-        ).maximizer
-        l_new = float(np.mean(problem.loss(x_trial, y_trial, scenarios)))
+        rep_trial = maximize_over_scenarios(
+            problem, x_trial, model.surrogate_scenarios(x_trial), y_old, eps
+        )
+        y_trial = rep_trial.maximizer
+        l_new = float(np.mean(rep_trial.evaluation.loss(y_trial)))
+        del rep_trial
         pred = l_old - l_new
         descent_lhs = pred if math.isfinite(l_new) else math.nan
         # A step failing the descent requirement is unsuccessful, so the
@@ -268,7 +269,7 @@ def iterate(
         descent_ok = check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp)
         if descent_ok:
             n_value = config.value_schedule.count(delta)
-            v_k, _ = estimate_value(problem, oracle, x, n_value, eps, rep_old.maximizer, vk_rng)
+            v_k, _ = estimate_value(problem, oracle, x, n_value, eps, y_old, vk_rng)
             v_half, _ = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
             rho = -math.inf if abs(pred) < PRED_FLOOR else (v_k - v_half) / pred
 

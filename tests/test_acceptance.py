@@ -20,9 +20,9 @@ from ddtr.problems import (
     synthetic_instance,
     synthetic_primal_grad,
 )
-from ddtr.tr import SampleSchedule, TRConfig, acceptance_update, solve, surrogate_value_and_xgrad
+from ddtr.tr import SampleSchedule, TRConfig, acceptance_update, solve
 
-from util import directional_fd, quadratic_problem, scalar_oracle
+from util import directional_fd, quadratic_problem, scalar_oracle, surrogate_at
 
 SEEDS = (1, 2, 3, 4, 5)
 STATIONARY_POINTS = (0.0, 1.0, -1.0)
@@ -249,12 +249,22 @@ def test_criterion_7_state_machine():
     accepted, delta_next = acceptance_update(0.9, 5.0, 1.5, config)
     assert accepted and delta_next == pytest.approx(2.0)  # growth caps at delta_max
 
+    _, history, rejected = state_machine_run()
+    assert rejected > 0
+    report(7, "acceptance state machine", True,
+           f"4 rule combinations exact, {rejected} rejections bit-stable")
+
+
+def state_machine_run(**config):
+    """The 150-iteration run of criterion 7 with its invariants checked: the
+    acceptance rule holds exactly and a rejected step keeps x bit for bit."""
     inst = synthetic_instance()
     run_config = TRConfig(
         llr_schedule=SampleSchedule(fixed=40),
         value_schedule=SampleSchedule(fixed=40),
         max_iters=150,
         seed=3,
+        **config,
     )
     _, history = solve(np.array([9.9]), inst.problem, inst.oracle, run_config)
     rejected = 0
@@ -268,9 +278,24 @@ def test_criterion_7_state_machine():
         if not rec.accepted:
             rejected += 1
             assert rec.x_after.tobytes() == rec.x_before.tobytes()
-    assert rejected > 0
-    report(7, "acceptance state machine", True,
-           f"4 rule combinations exact, {rejected} rejections bit-stable")
+    return run_config, history, rejected
+
+
+def test_criterion_7_state_machine_below_radius_floor():
+    # The default radius floor ends the run above at k = 65; without it the
+    # same run goes on to steps far shorter than the floor, where the rule
+    # and the bitwise-kept rejections must hold all the same.
+    floor = TRConfig().delta_min
+    _, history, rejected = state_machine_run(delta_min=0.0)
+    below = [
+        rec for rec in history if rec.delta < floor * max(1.0, float(np.linalg.norm(rec.x_before)))
+    ]
+    accepted = sum(rec.accepted for rec in below)
+    assert len(history) == 150
+    assert 0 < accepted < len(below)  # both branches of the rule are taken there
+    report(7, "acceptance state machine below the radius floor", True,
+           f"{len(below)} iterations below the default floor ({accepted} accepted), "
+           f"{rejected} rejections bit-stable, least delta {min(r.delta for r in history):.1e}")
 
 
 def test_criterion_8_gradient_checks():
@@ -327,9 +352,9 @@ def test_criterion_8_gradient_checks():
         model = fit(samples)
         x = center + rng.normal(size=1) * 0.3
         y = rng.normal(size=1) * 2.0
-        _, grad = surrogate_value_and_xgrad(syn.problem, model, x, y)
+        _, grad = surrogate_at(syn.problem, model, x, y)
         fd = directional_fd(
-            lambda z: surrogate_value_and_xgrad(syn.problem, model, z, y)[0], x, np.ones(1)
+            lambda z: surrogate_at(syn.problem, model, z, y)[0], x, np.ones(1)
         )
         check(grad[0], fd)
 

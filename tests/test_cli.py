@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddtr import cli
+from ddtr import cli, problems
 from ddtr.cli import (
     SchemaError,
     main,
@@ -16,7 +16,7 @@ from ddtr.cli import (
     run,
     summarize,
 )
-from ddtr.core import ConfigurationError
+from ddtr.core import ConfigurationError, make_rng
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -406,6 +406,40 @@ class TestRun:
         instance = cli.build_instance(parse_run_config(doc))
         assert instance.problem.m == n_rows
         assert instance.problem.mu == pytest.approx(mu, rel=1e-12)
+
+    def write_rows(self, tmp_path, count):
+        rng = np.random.default_rng(0)
+        lines = ["SeriousDlqin2yrs,f1,f2"]
+        lines += [f"{i % 2},{rng.normal():.4f},{rng.normal():.4f}" for i in range(count)]
+        data_path = tmp_path / "credit.csv"
+        data_path.write_text("\n".join(lines) + "\n")
+        return data_path
+
+    def test_n_rows_above_file_rows_fails_each_seed(self, tmp_path):
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out", seeds=(1, 2)), problem="dro",
+            problem_params={"csv_path": str(self.write_rows(tmp_path, 30)), "n_rows": 50},
+        )
+        assert run(parse_run_config(doc)) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [entry["seed"] for entry in summary["runs"]] == [1, 2]
+        for entry in summary["runs"]:
+            assert entry["error"] == "ConfigurationError: cannot subsample 50 of 30 rows"
+
+    @pytest.mark.parametrize("params, rows", [({}, 30), ({"n_rows": 30}, 30)])
+    def test_file_rows_kept_up_to_n_rows(self, tmp_path, params, rows):
+        # Without n_rows a file of at most 200 rows is used whole, as with an
+        # n_rows equal to its rows.
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out"), problem="dro",
+            problem_params={"csv_path": str(self.write_rows(tmp_path, 30)), **params},
+        )
+        instance = cli.build_instance(parse_run_config(doc))
+        loaded = problems.load_credit_csv(tmp_path / "credit.csv")
+        assert instance.problem.m == rows
+        # At x = 0 a draw is the base features, row by row.
+        draw = instance.oracle.sample(np.zeros(2), 1, make_rng(0))
+        assert draw.tobytes() == loaded.features.tobytes()
 
     def test_dro_run_from_csv(self, tmp_path):
         lines = ["SeriousDlqin2yrs,f1,f2,f3"]

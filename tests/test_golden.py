@@ -48,6 +48,30 @@ SYNTHETIC_ASGDA = {
     "problem_params": {"x0_center": [2.0]},
     "solver_params": {"eta_x": 0.001, "eta_y": 0.1, "batch": 500},
 }
+# Small DRO runs (N = 40, eight iterations) for the routes the cases above
+# miss: noisy draws through the trust region, and both baselines, whose
+# evaluators see one draw batch per step.
+DRO_SMALL = {"n_rows": 40, "n_features": 5, "data_seed": 0, "diag_samples": 200}
+DRO_TR_NOISY = {
+    "problem": "dro",
+    "solver": "tr",
+    "seeds": [1],
+    "max_iters": 8,
+    "log_oracle_diagnostics": True,
+    "problem_params": {**DRO_SMALL, "noise_sigma": 0.5},
+    "solver_params": {"llr_count": 300, "value_count": 100},
+}
+DRO_SPD = {
+    "problem": "dro",
+    "solver": "spd-constant",
+    "seeds": [1],
+    "max_iters": 8,
+    "log_oracle_diagnostics": True,
+    "problem_params": DRO_SMALL,
+    "solver_params": {"batch": 100},
+}
+DRO_ASGDA = dict(DRO_SPD, solver="asgda")
+DRO_ASGDA_NOISY = dict(DRO_ASGDA, problem_params={**DRO_SMALL, "noise_sigma": 0.5})
 
 GOLDEN = {
     "synthetic_tr": (
@@ -62,6 +86,16 @@ GOLDEN = {
     "synthetic_asgda": (
         SYNTHETIC_ASGDA,
         "a79a483beecb8717c9035c86b364b7a83323e0fa79e565fd15ae56629d204842",
+    ),
+    "dro_tr_noisy": (
+        DRO_TR_NOISY,
+        "99624007cfba4dd3e794d8a78cb47027ad34bf7341dbead89c3397fcc2ecd7d4",
+    ),
+    "dro_spd": (DRO_SPD, "deff227a7c03aa7420812b373527439e1e29a78fe0fed8d4374b403442e31b3b"),
+    "dro_asgda": (DRO_ASGDA, "884e677f53a58979176950ff4b5e62762047ffd6234244ac9c98981c0527dd42"),
+    "dro_asgda_noisy": (
+        DRO_ASGDA_NOISY,
+        "9fb0f40566ed53233233b9e878bd4985f7d6af6fa144ffb6e4cb981f349b6ad8",
     ),
 }
 

@@ -5,7 +5,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ddtr.core import ConfigurationError, DistributionOracle, IngestionError, Simplex, make_rng
+from ddtr.core import (
+    Box,
+    ConfigurationError,
+    DistributionOracle,
+    Evaluation,
+    IngestionError,
+    Simplex,
+    make_rng,
+)
 from ddtr.problems import (
     DROProblem,
     SyntheticProblem,
@@ -18,7 +26,13 @@ from ddtr.problems import (
     synthetic_primal_grad,
 )
 
-from util import directional_fd, dro_inner_exact_check, dro_mc_reference
+from util import (
+    directional_fd,
+    dro_inner_exact_check,
+    dro_mc_reference,
+    dro_reference_evaluators,
+    quadratic_problem,
+)
 
 
 class TestSyntheticPrimal:
@@ -279,6 +293,51 @@ class TestDRODiagnosticsOneRow:
     def test_invalid_diag_samples_rejected(self, small_dro, diag_samples):
         with pytest.raises(ConfigurationError, match="diag_samples"):
             dro_instance(small_dro, diag_samples=diag_samples)
+
+
+EVALUATORS = ("loss", "grad1", "grad2", "grad3")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_binding(bound, x, w, ys, references) -> None:
+    """Each method of one binding, at every y and in two call orders, equals
+    every reference callable of ``(x, y, w)`` bit for bit."""
+    for i, y in enumerate(ys):
+        for name in EVALUATORS if i % 2 == 0 else EVALUATORS[::-1]:
+            got = getattr(bound, name)(y)
+            for reference in references:
+                assert same_bits(got, reference[name](x, y, w)), (i, name)
+
+
+class TestBinding:
+    """``ProblemSpec.bind`` gives, at any number of y, what the four callables give."""
+
+    def test_dro_fused_binding_matches_callables_bitwise(self, small_dro):
+        noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
+        inst = dro_instance(noisy)
+        callables = {name: getattr(inst.problem, name) for name in EVALUATORS}
+        rng = make_rng(8)
+        for trial in range(5):
+            x = rng.normal(size=3) * 2.0
+            w = inst.oracle.sample(x, 1 + 20 * trial, rng)
+            bound = inst.problem.bind(x, w)
+            assert not isinstance(bound, Evaluation)
+            ys = [Simplex(40).project(rng.normal(size=40)) for _ in range(4)]
+            ys += [Simplex(40).center(), ys[0]]
+            check_binding(bound, x, w, ys, [callables, dro_reference_evaluators(noisy)])
+
+    def test_default_binding_matches_callables_bitwise(self):
+        problem = quadratic_problem([1.0, 2.5, 4.0], Box(np.full(3, -2.0), np.full(3, 2.0)))
+        callables = {name: getattr(problem, name) for name in EVALUATORS}
+        rng = make_rng(9)
+        x, w = rng.normal(size=1), rng.normal(size=(30, 3))
+        bound = problem.bind(x, w)
+        assert isinstance(bound, Evaluation)
+        check_binding(bound, x, w, list(rng.normal(size=(5, 3))), [callables])
 
 
 class TestDROInnerExactCheck:

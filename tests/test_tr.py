@@ -22,7 +22,7 @@ from ddtr.tr import (
     trial_step,
 )
 
-from util import affine_map_problem, directional_fd, scalar_oracle
+from util import affine_map_problem, directional_fd, scalar_oracle, surrogate_at
 
 
 def small_config(**kw):
@@ -61,7 +61,7 @@ class TestSurrogateValueAndXGrad:
         )
         model = fitted_model(lambda x: 2.0 * x + 1.0, np.array([0.0]))
         x = np.array([4.0])
-        value, grad = surrogate_value_and_xgrad(problem, model, x, np.zeros(1))
+        value, grad = surrogate_at(problem, model, x, np.zeros(1))
         assert grad[0] == pytest.approx(2.0 * (x[0] - 1.0))
 
     def test_zero_slope_reduces_to_grad1_average(self):
@@ -74,7 +74,7 @@ class TestSurrogateValueAndXGrad:
             radius=1.0,
         )
         x, y = np.array([2.0]), np.array([0.5])
-        value, grad = surrogate_value_and_xgrad(inst.problem, model, x, y)
+        value, grad = surrogate_at(inst.problem, model, x, y)
         scen = model.surrogate_scenarios(x)
         expected = np.mean(inst.problem.grad1(x, y, scen), axis=0)
         assert np.allclose(grad, expected)
@@ -85,10 +85,10 @@ class TestSurrogateValueAndXGrad:
         y = np.array([-7.5])
 
         def value_at(x):
-            return surrogate_value_and_xgrad(inst.problem, model, x, y)[0]
+            return surrogate_at(inst.problem, model, x, y)[0]
 
         x = np.array([2.1])
-        _, grad = surrogate_value_and_xgrad(inst.problem, model, x, y)
+        _, grad = surrogate_at(inst.problem, model, x, y)
         fd = directional_fd(value_at, x, np.array([1.0]))
         assert grad[0] == pytest.approx(fd, rel=1e-6)
 
@@ -105,9 +105,9 @@ class TestSurrogateValueAndXGrad:
             )
             x = model.center + rng.normal(size=1) * 0.3
             y = rng.normal(size=1) * 3.0
-            _, grad = surrogate_value_and_xgrad(inst.problem, model, x, y)
+            _, grad = surrogate_at(inst.problem, model, x, y)
             fd = directional_fd(
-                lambda z: surrogate_value_and_xgrad(inst.problem, model, z, y)[0],
+                lambda z: surrogate_at(inst.problem, model, z, y)[0],
                 x,
                 np.array([1.0]),
             )

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 from ddtr.core import Box, DistributionOracle, ProblemSpec
 from ddtr.problems import DROProblem, dro_instance
+from ddtr.tr import surrogate_value_and_xgrad
 
 
 def quadratic_problem(weights, domain) -> ProblemSpec:
@@ -167,3 +168,49 @@ def dro_mc_reference(dro: DROProblem, x, rng, diag_samples: int = 5000) -> tuple
     g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
     chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
     return value, float(np.linalg.norm(g1 + chain))
+
+
+def surrogate_at(problem: ProblemSpec, model, x, y):
+    """``tr.surrogate_value_and_xgrad`` at (x, y), bound to the model's
+    surrogate scenarios at x as the trust-region iteration binds them."""
+    return surrogate_value_and_xgrad(model, problem.bind(x, model.surrogate_scenarios(x)), y)
+
+
+def dro_reference_evaluators(dro: DROProblem) -> dict:
+    """The DRO loss and gradients as four straight-line functions of
+    ``(x, y, w)``, each computing its margins afresh: a reference for the
+    shared-margin evaluation of ``dro_instance``, which must match it bit for bit."""
+    N, n = dro.n_rows, dro.n_features
+    b, lam1, lam2, alpha = dro.labels, dro.lambda1, dro.lambda2, dro.alpha
+
+    def margins_of(x, w):
+        a = w.reshape(-1, N, n)
+        return a, -b[None, :] * (a @ x)
+
+    def f_value(x):
+        q = alpha * x**2
+        return lam1 * float(np.sum(q / (1.0 + q)))
+
+    def f_grad(x):
+        return lam1 * 2.0 * alpha * x / (1.0 + alpha * x**2) ** 2
+
+    def loss(x, y, w):
+        _, margins = margins_of(x, w)
+        reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
+        return np.logaddexp(0.0, margins) @ y / N + f_value(x) - reg
+
+    def grad1(x, y, w):
+        a, margins = margins_of(x, w)
+        coef = (-b * y)[None, :] * expit(margins) / N
+        return np.einsum("sN,sNn->sn", coef, a) + f_grad(x)
+
+    def grad2(x, y, w):
+        _, margins = margins_of(x, w)
+        return np.logaddexp(0.0, margins) / N - (lam2 * N * (N * y - 1.0))[None, :]
+
+    def grad3(x, y, w):
+        _, margins = margins_of(x, w)
+        coef = (-b * y)[None, :] * expit(margins) / N
+        return (coef[:, :, None] * x[None, None, :]).reshape(-1, N * n)
+
+    return {"loss": loss, "grad1": grad1, "grad2": grad2, "grad3": grad3}
