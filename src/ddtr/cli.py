@@ -144,7 +144,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         if problem == "synthetic":
             problems.SyntheticProblem(**{key: params[key] for key in params.keys() - _START_KEYS})
         else:
-            checked = ("noise_sigma", "diag_samples")
+            checked = ("noise_sigma", "diag_samples", "n_rows")
             problems.check_dro_terms(**{key: params[key] for key in params.keys() & checked})
     except ConfigurationError as exc:
         raise ConfigurationError(f"invalid config: {exc}") from None

@@ -197,7 +197,9 @@ class DistributionOracle:
     ``sampler(x, count, rng)`` must return a finite array of shape
     ``(count, d)``; ``sample`` raises on any other.  Draws with an identical
     generator state are bit-identical; callers never share one generator
-    across threads.
+    across threads.  The array may be read-only with rows that share memory,
+    such as a view with stride 0 that repeats one row; callers must not write
+    into it.  A binding may evaluate such a batch once (the ``dro`` one does).
 
     A ``batched`` sampler also accepts ``x`` of shape ``(count, n)`` and then
     returns a new array holding one draw per row, equal bit for bit to the
@@ -231,8 +233,9 @@ class DistributionOracle:
             raise ContractViolationError(
                 f"oracle returned shape {draws.shape}, expected ({count}, {self.d})"
             )
-        # A NaN or inf draw would poison every fit and mean it enters.
-        if not np.isfinite(draws).all():
+        # A NaN or inf draw would poison every fit and mean it enters. Rows
+        # that share memory (stride 0) are checked once.
+        if not np.isfinite(draws[:1] if draws.strides[0] == 0 else draws).all():
             raise ContractViolationError("oracle returned a non-finite draw")
         return draws
 

@@ -199,14 +199,15 @@ def _f_grad(x, lambda1, alpha):
     return lambda1 * 2.0 * alpha * x / (1.0 + alpha * x**2) ** 2
 
 
-def check_dro_terms(noise_sigma: float = 0.0, diag_samples: int = 5000) -> None:
-    """The range checks of a DRO instance's terms that need no data, so that a
-    config can be checked before any data is loaded."""
+def check_dro_terms(noise_sigma: float = 0.0, diag_samples: int = 5000, n_rows: int = 2) -> None:
+    """The range checks of a DRO instance's terms and row count that need no
+    data, so that a config can be checked before any data is loaded."""
     if noise_sigma < 0:
         raise ConfigurationError("noise_sigma must be nonnegative")
-    valid = isinstance(diag_samples, (int, np.integer)) and not isinstance(diag_samples, bool)
-    if not valid or diag_samples < 1:
-        raise ConfigurationError(f"diag_samples must be an integer >= 1, got {diag_samples!r}")
+    for name, value, least in (("diag_samples", diag_samples, 1), ("n_rows", n_rows, 2)):
+        valid = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not valid or value < least:
+            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
@@ -218,30 +219,47 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
 
     class DROEvaluation:
         """The loss and gradients at one (x, w): the margins -b * (a(x) x) are
-        computed once, and their logaddexp and expit on first use."""
+        computed once, and their logaddexp and expit on first use.
+
+        Noiseless draws at one x are copies of one row, passed as a view with
+        stride 0 (see ``sampler``). They are evaluated on that row, and each
+        result is returned as a stride-0 view with one row per draw; numpy
+        reduces such a view over its rows in the order it reduces C-ordered
+        copies, so callers get the copies' means bit for bit.
+        """
 
         def __init__(self, x, w):
-            self.x, self.a = x, w.reshape(-1, N, n)  # (S, N, n)
+            self.count = w.shape[0]
+            if w.strides[0] == 0:
+                w = w[:1]
+            self.x, self.a = x, w.reshape(-1, N, n)  # (S, N, n), S = 1 for copies
             self.margins = -b[None, :] * (self.a @ x)  # (S, N)
 
         losses = cached_property(lambda self: np.logaddexp(0.0, self.margins))
         sig = cached_property(lambda self: expit(self.margins))
+
+        def per_draw(self, rows):
+            return np.broadcast_to(rows, (self.count,) + rows.shape[1:])
 
         def coef(self, y):
             return (-b * y)[None, :] * self.sig / N  # (S, N)
 
         def loss(self, y):
             reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
-            return self.losses @ y / N + _f_value(self.x, lam1, alpha) - reg
+            # The product runs over every draw: BLAS may round a row of a
+            # matrix-vector product differently by its place in the matrix.
+            losses = np.ascontiguousarray(self.per_draw(self.losses))
+            return losses @ y / N + _f_value(self.x, lam1, alpha) - reg
 
         def grad1(self, y):
-            return np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
+            g1 = np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
+            return self.per_draw(g1)
 
         def grad2(self, y):
-            return self.losses / N - (lam2 * N * (N * y - 1.0))[None, :]
+            return self.per_draw(self.losses / N - (lam2 * N * (N * y - 1.0))[None, :])
 
         def grad3(self, y):
-            return (self.coef(y)[:, :, None] * self.x[None, None, :]).reshape(-1, d)
+            return self.per_draw((self.coef(y)[:, :, None] * self.x[None, None, :]).reshape(-1, d))
 
     problem = ProblemSpec(
         n=n,
@@ -260,10 +278,13 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     base = dro.features
 
     def sampler(x, count, rng):
-        shifted = base[None] + dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :]
-        draws = np.broadcast_to(shifted, (count, N, n)).copy()
+        draws = base[None] + dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :]
         if dro.noise_sigma > 0:
-            draws += dro.noise_sigma * rng.standard_normal((count, N, n))
+            draws = draws + dro.noise_sigma * rng.standard_normal((count, N, n))
+        if draws.shape[0] < count:
+            # Noiseless draws at one x: copies of one row, as a read-only view
+            # with stride 0 on the first axis.
+            draws = np.broadcast_to(draws, (count, N, n))
         return draws.reshape(count, d)
 
     oracle = DistributionOracle(d=d, sampler=sampler, batched=True)

@@ -186,7 +186,10 @@ class TestParseRunConfig:
         with pytest.raises(ConfigurationError, match=match):
             parse_run_config(doc)
 
-    @pytest.mark.parametrize("key, value", [("noise_sigma", -1.0), ("diag_samples", 0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0), ("n_rows", -1)],
+    )
     def test_dro_term_out_of_range_rejected(self, key, value):
         # The dro problem is built from data only in each seed's run; its
         # terms are still checked at parse time.
@@ -425,6 +428,18 @@ class TestRun:
         assert [entry["seed"] for entry in summary["runs"]] == [1, 2]
         for entry in summary["runs"]:
             assert entry["error"] == "ConfigurationError: cannot subsample 50 of 30 rows"
+
+    @pytest.mark.parametrize("n_rows", [1, 0, -1])
+    def test_n_rows_below_two_exits_2_before_any_seed_runs(self, tmp_path, capsys, n_rows):
+        # Before the parse checked it, 0 failed each seed with a ZeroDivisionError,
+        # -1 with numpy's ValueError, and 1 ran a one-row problem.
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out"), problem="dro",
+            problem_params={"csv_path": str(self.write_rows(tmp_path, 30)), "n_rows": n_rows},
+        )
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "n_rows must be an integer >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params, rows", [({}, 30), ({"n_rows": 30}, 30)])
     def test_file_rows_kept_up_to_n_rows(self, tmp_path, params, rows):

@@ -14,6 +14,7 @@ from ddtr.core import (
     Simplex,
     make_rng,
 )
+from ddtr.llr import generate_poised_set
 from ddtr.problems import (
     DROProblem,
     SyntheticProblem,
@@ -330,6 +331,36 @@ class TestBinding:
             ys += [Simplex(40).center(), ys[0]]
             check_binding(bound, x, w, ys, [callables, dro_reference_evaluators(noisy)])
 
+    @pytest.mark.parametrize("rows, features", [(40, 3), (7, 2), (200, 5)])
+    @pytest.mark.parametrize("count", [1, 2, 100, 500])
+    def test_dro_binding_of_noiseless_copies_matches_copied_draws_bitwise(
+        self, rows, features, count
+    ):
+        # Noiseless draws at one x are a stride-0 view of one row, which the
+        # binding evaluates once. Its results and their means over the draws
+        # (for loss, the 1-D mean) must equal those of the binding on a C-ordered
+        # copy of the draws, the array the sampler used to return, and of the
+        # straight-line closures, bit for bit. np.array(draws) is no reference:
+        # it lays a stride-0 axis out in Fortran order.
+        dro = generate_synthetic_credit(rows, features, 0)
+        inst = dro_instance(dro)
+        closures = dro_reference_evaluators(dro)
+        rng = make_rng(count)
+        for trial in range(3):
+            x = rng.normal(size=features) * 2.0
+            w = inst.oracle.sample(x, count, rng)
+            copies = np.ascontiguousarray(w)
+            assert count == 1 or w.strides[0] == 0
+            assert same_bits(w.sum(axis=0), copies.sum(axis=0))  # the asgda model update
+            bound, reference = inst.problem.bind(x, w), inst.problem.bind(x, copies)
+            ys = [Simplex(rows).project(rng.normal(size=rows)) for _ in range(3)]
+            for i, y in enumerate(ys + [Simplex(rows).center()]):
+                for name in EVALUATORS if (i + trial) % 2 == 0 else EVALUATORS[::-1]:
+                    got, want = getattr(bound, name)(y), getattr(reference, name)(y)
+                    assert same_bits(got, want), (trial, i, name)
+                    assert same_bits(got, closures[name](x, y, copies)), (trial, i, name)
+                    assert same_bits(np.mean(got, axis=0), np.mean(want, axis=0)), (trial, i, name)
+
     def test_default_binding_matches_callables_bitwise(self):
         problem = quadratic_problem([1.0, 2.5, 4.0], Box(np.full(3, -2.0), np.full(3, 2.0)))
         callables = {name: getattr(problem, name) for name in EVALUATORS}
@@ -338,6 +369,50 @@ class TestBinding:
         bound = problem.bind(x, w)
         assert isinstance(bound, Evaluation)
         check_binding(bound, x, w, list(rng.normal(size=(5, 3))), [callables])
+
+
+class TestDROSampler:
+    """Noiseless draws at one x are a read-only view of one row; every other
+    draw is a new, writable array."""
+
+    X = np.array([0.3, -1.0, 2.0])
+
+    def test_noiseless_draws_at_one_x_share_one_row(self, small_dro):
+        draws = dro_instance(small_dro).oracle.sample(self.X, 50, make_rng(0))
+        assert draws.shape == (50, 120) and draws.strides[0] == 0
+        assert not draws.flags.writeable
+        shifted = small_dro.features + small_dro.shift_scale * np.sin(self.X)
+        assert same_bits(draws[0], shifted.reshape(-1))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_sample_at_returns_new_writable_rows(self, small_dro, sigma):
+        dro = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=sigma)
+        oracle = dro_instance(dro).oracle
+        points = make_rng(1).normal(size=(6, 3))
+        draws = oracle.sample_at(points, make_rng(2))
+        assert draws.flags.writeable and draws.flags.c_contiguous
+        assert not np.shares_memory(draws, small_dro.features)
+        rng = make_rng(2)
+        singles = np.vstack([oracle.sample(point, 1, rng) for point in points])
+        assert same_bits(draws, singles)
+
+    @pytest.mark.parametrize("count", [1, 2, 50])
+    def test_noisy_draws_are_new(self, small_dro, count):
+        dro = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
+        draws = dro_instance(dro).oracle.sample(self.X, count, make_rng(3))
+        assert draws.flags.writeable and draws.flags.c_contiguous
+        assert draws.strides[0] == 120 * 8
+
+    def test_poised_set_redraws_rows_of_noiseless_draws(self, small_dro):
+        # The redraw loop writes one row at a time into the batched draw, so
+        # that draw must be writable; lambda_max = 5 forces three redraws here.
+        oracle = dro_instance(small_dro).oracle
+        with counted_sample() as sample:
+            samples = generate_poised_set(oracle, self.X, 0.5, 8, 5.0, make_rng(1))
+        assert sample.call_count > 1 and samples.poisedness_metric <= 5.0
+        rng = make_rng(0)
+        singles = np.vstack([oracle.sample(point, 1, rng) for point in samples.points])
+        assert same_bits(samples.responses, singles)
 
 
 class TestDROInnerExactCheck:
