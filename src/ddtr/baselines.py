@@ -131,8 +131,8 @@ def spd_step(
     distribution's dependence on x."""
     eta = config.stepsize(state.k)
     evaluation = problem.bind(state.x, oracle.sample(state.x, config.batch, rng))
-    gx = np.mean(evaluation.grad1(state.y), axis=0)
-    gy = np.mean(evaluation.grad2(state.y), axis=0)
+    gx = evaluation.grad1(state.y)
+    gy = evaluation.grad2(state.y)
     x_new = state.x - eta * gx
     y_new = _safe_project(problem, state.y + eta * gy)
     return replace(
@@ -156,10 +156,8 @@ def asgda_step(
     draws = oracle.sample(state.x, config.batch, rng)
     a_hat, _ = state.model.coefficients(config.ridge)
     evaluation = problem.bind(state.x, draws)
-    gx = np.mean(evaluation.grad1(state.y), axis=0) + a_hat @ np.mean(
-        evaluation.grad3(state.y), axis=0
-    )
-    gy = np.mean(evaluation.grad2(state.y), axis=0)
+    gx = evaluation.grad1(state.y) + a_hat @ evaluation.grad3(state.y)
+    gy = evaluation.grad2(state.y)
     x_new = state.x - config.stepsize(state.k) * gx
     y_new = _safe_project(problem, state.y + config.eta_y * gy)
     model = state.model.update(state.x, draws, config.forget)

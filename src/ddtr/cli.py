@@ -384,7 +384,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
             if args.seed_override:
-                doc["seeds"] = [int(s) for s in args.seed_override.split(",")]
+                try:
+                    doc["seeds"] = [int(s) for s in args.seed_override.split(",")]
+                except ValueError:
+                    raise ConfigurationError(
+                        f"--seed-override must be comma-separated integers, "
+                        f"got {args.seed_override!r}"
+                    ) from None
             if args.max_iters is not None:
                 doc["max_iters"] = args.max_iters
             if args.output_dir is not None:

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   respectively;
 * callers that evaluate one ``(x, omegas)`` at many ``y`` bind it once with
   ``ProblemSpec.bind``; the binding's ``loss(y)`` ... ``grad3(y)`` return
-  what the four evaluators return, bit for bit;
+  the scenario means of what the four evaluators return, of shapes ``()``,
+  ``(n,)``, ``(m,)`` and ``(d,)``, equal bit for bit to
+  ``np.mean(evaluator(x, y, omegas), axis=0)``;
 * every stochastic operation takes an explicit ``numpy.random.Generator``
   backed by the counter-based Philox bit generator, so reruns with the
   same seed are bit-identical and generators can be split deterministically.
@@ -170,24 +172,26 @@ class ProblemSpec:
 
 
 class Evaluation:
-    """A problem's callables at one ``(x, omegas)``. A ``fused`` binding's methods must
-    return what these return, bit for bit, at any ``y`` in any order. A binding may
-    hold arrays derived from ``omegas``, which must not be mutated while it is in use."""
+    """A problem's callables at one ``(x, omegas)``, averaged over the scenarios:
+    each method returns ``np.mean(callable(x, y, omegas), axis=0)``. A ``fused``
+    binding's methods must return what these return, bit for bit, at any ``y`` in
+    any order. A binding may hold arrays derived from ``omegas``, which must not be
+    mutated while it is in use."""
 
     def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas: np.ndarray):
         self.problem, self.x, self.omegas = problem, x, omegas
 
     def loss(self, y: np.ndarray) -> np.ndarray:
-        return self.problem.loss(self.x, y, self.omegas)
+        return np.mean(self.problem.loss(self.x, y, self.omegas), axis=0)
 
     def grad1(self, y: np.ndarray) -> np.ndarray:
-        return self.problem.grad1(self.x, y, self.omegas)
+        return np.mean(self.problem.grad1(self.x, y, self.omegas), axis=0)
 
     def grad2(self, y: np.ndarray) -> np.ndarray:
-        return self.problem.grad2(self.x, y, self.omegas)
+        return np.mean(self.problem.grad2(self.x, y, self.omegas), axis=0)
 
     def grad3(self, y: np.ndarray) -> np.ndarray:
-        return self.problem.grad3(self.x, y, self.omegas)
+        return np.mean(self.problem.grad3(self.x, y, self.omegas), axis=0)
 
 
 @dataclass(frozen=True)

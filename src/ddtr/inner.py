@@ -70,7 +70,7 @@ def maximize_over_scenarios(
     cert_factor = problem.ell / problem.mu + 1.0
 
     for t in range(1, max_iters + 1):
-        grad = np.mean(evaluation.grad2(y), axis=0)
+        grad = evaluation.grad2(y)
         y_next = domain.project(y + step * grad)
         step_norm = float(np.linalg.norm(y_next - y))
         y = y_next

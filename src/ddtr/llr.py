@@ -132,8 +132,8 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
     if np.min(diag) <= 1e-13 * max(np.max(diag), 1.0):
         raise SingularFitError("rank-deficient regression design")
     coef = solve_triangular(r, q.T @ samples.responses)  # (n + 1, d)
-    fitted = design @ coef
-    residuals = samples.responses - fitted
+    residuals = design @ coef  # the fitted values, replaced by the residuals
+    np.subtract(samples.responses, residuals, out=residuals)
     b1 = coef[:n] / samples.radius
     b0 = coef[n] - b1.T @ samples.center
     return LLRModel(b1=b1, b0=b0, residuals=residuals, center=samples.center, radius=samples.radius)

@@ -131,10 +131,16 @@ def synthetic_instance(params: SyntheticProblem = SyntheticProblem()) -> Instanc
         return cubes + sigma * rng.standard_normal((count, 1))
 
     oracle = DistributionOracle(d=1, sampler=sampler, batched=True)
+
+    def closed_form(x, rng):  # ignores rng, so evaluate spawns no generators
+        x0 = float(x[0])
+        return synthetic_primal(x0, h), abs(synthetic_primal_grad(x0, h))
+
     diagnostics = OracleDiagnostics(
-        value=lambda x, rng: synthetic_primal(float(x[0]), h),
-        grad_norm=lambda x, rng: abs(synthetic_primal_grad(float(x[0]), h)),
+        value=lambda x, rng: closed_form(x, rng)[0],
+        grad_norm=lambda x, rng: closed_form(x, rng)[1],
         sample_count=0,
+        value_and_grad_norm=closed_form,
     )
     return Instance(
         problem=problem,
@@ -214,18 +220,20 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     check_dro_terms(diag_samples=diag_samples)
     N, n = dro.n_rows, dro.n_features
     d = N * n
-    b = dro.labels
+    b, neg_b = dro.labels, -dro.labels
     lam1, lam2, alpha = dro.lambda1, dro.lambda2, dro.alpha
 
     class DROEvaluation:
-        """The loss and gradients at one (x, w): the margins -b * (a(x) x) are
-        computed once, and their logaddexp and expit on first use.
+        """The loss and gradients at one (x, w) as means over the draws (see
+        ``core.Evaluation``): the margins -b * (a(x) x) are computed once, their
+        logaddexp and expit on first use, and the coefficients of grad1 and
+        grad3 once per y. The ``*_rows`` methods give one row per draw.
 
         Noiseless draws at one x are copies of one row, passed as a view with
         stride 0 (see ``sampler``). They are evaluated on that row, and each
-        result is returned as a stride-0 view with one row per draw; numpy
+        mean is taken over a stride-0 view with one row per draw; numpy
         reduces such a view over its rows in the order it reduces C-ordered
-        copies, so callers get the copies' means bit for bit.
+        copies, so the means are the copies' bit for bit.
         """
 
         def __init__(self, x, w):
@@ -233,42 +241,68 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
             if w.strides[0] == 0:
                 w = w[:1]
             self.x, self.a = x, w.reshape(-1, N, n)  # (S, N, n), S = 1 for copies
-            self.margins = -b[None, :] * (self.a @ x)  # (S, N)
+            self.margins = self.a @ x  # (S, N)
+            self.margins *= neg_b
+            self.coef_y = None, None  # (y bytes, coef) of the last y
 
         losses = cached_property(lambda self: np.logaddexp(0.0, self.margins))
+        losses_n = cached_property(lambda self: self.losses / N)
         sig = cached_property(lambda self: expit(self.margins))
 
         def per_draw(self, rows):
             return np.broadcast_to(rows, (self.count,) + rows.shape[1:])
 
-        def coef(self, y):
-            return (-b * y)[None, :] * self.sig / N  # (S, N)
+        def coef(self, y):  # (S, N)
+            if self.coef_y[0] != y.tobytes():
+                self.coef_y = y.tobytes(), (-b * y)[None, :] * self.sig / N
+            return self.coef_y[1]
 
-        def loss(self, y):
+        def loss_rows(self, y):
             reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
             # The product runs over every draw: BLAS may round a row of a
             # matrix-vector product differently by its place in the matrix.
             losses = np.ascontiguousarray(self.per_draw(self.losses))
             return losses @ y / N + _f_value(self.x, lam1, alpha) - reg
 
-        def grad1(self, y):
+        def grad1_rows(self, y):
             g1 = np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
             return self.per_draw(g1)
 
+        def grad2_rows(self, y):
+            return self.per_draw(self.losses_n - (lam2 * N * (N * y - 1.0))[None, :])
+
+        def grad3_rows(self, y):
+            return self.per_draw((self.coef(y)[:, :, None] * self.x[None, None, :]).reshape(-1, d))
+
+        def loss(self, y):
+            return np.mean(self.loss_rows(y), axis=0)
+
+        def grad1(self, y):
+            return np.mean(self.grad1_rows(y), axis=0)
+
         def grad2(self, y):
-            return self.per_draw(self.losses / N - (lam2 * N * (N * y - 1.0))[None, :])
+            return np.mean(self.grad2_rows(y), axis=0)
 
         def grad3(self, y):
-            return self.per_draw((self.coef(y)[:, :, None] * self.x[None, None, :]).reshape(-1, d))
+            # Column j of the (N, n) mean is the mean of coef * x[j]: numpy adds
+            # an (S, N) array over axis 0 row by row, as it adds the (S, N * n)
+            # one, so that array is never built. One row (a batch of copies) is
+            # cheaper whole, and with N = 1 numpy would add pairwise.
+            if N == 1 or self.a.shape[0] == 1:
+                return np.mean(self.grad3_rows(y), axis=0)
+            coef, g3 = self.coef(y), np.empty((N, n))
+            for j in range(n):
+                g3[:, j] = np.mean(self.per_draw(coef * self.x[j]), axis=0)
+            return g3.reshape(d)
 
     problem = ProblemSpec(
         n=n,
         m=N,
         d=d,
-        loss=lambda x, y, w: DROEvaluation(x, w).loss(y),
-        grad1=lambda x, y, w: DROEvaluation(x, w).grad1(y),
-        grad2=lambda x, y, w: DROEvaluation(x, w).grad2(y),
-        grad3=lambda x, y, w: DROEvaluation(x, w).grad3(y),
+        loss=lambda x, y, w: DROEvaluation(x, w).loss_rows(y),
+        grad1=lambda x, y, w: DROEvaluation(x, w).grad1_rows(y),
+        grad2=lambda x, y, w: DROEvaluation(x, w).grad2_rows(y),
+        grad3=lambda x, y, w: DROEvaluation(x, w).grad3_rows(y),
         inner_domain=Simplex(N),
         mu=lam2 * N**2,
         ell=lam2 * N**2,

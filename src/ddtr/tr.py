@@ -154,10 +154,7 @@ def surrogate_value_and_xgrad(
     The gradient carries the chain-rule correction through the fitted map:
     ``mean(grad1) + b1 @ mean(grad3)``.
     """
-    value = float(np.mean(evaluation.loss(y)))
-    g1 = np.mean(evaluation.grad1(y), axis=0)
-    g3 = np.mean(evaluation.grad3(y), axis=0)
-    return value, g1 + model.b1 @ g3
+    return float(evaluation.loss(y)), evaluation.grad1(y) + model.b1 @ evaluation.grad3(y)
 
 
 def trial_step(grad: np.ndarray, delta: float) -> np.ndarray:
@@ -197,8 +194,7 @@ def estimate_value(
     x = as_vector(x, problem.n, "x")
     draws = oracle.sample(x, count, rng)
     report = maximize_over_scenarios(problem, x, draws, y_warm, inner_eps)
-    value = float(np.mean(report.evaluation.loss(report.maximizer)))
-    return value, report.maximizer
+    return float(report.evaluation.loss(report.maximizer)), report.maximizer
 
 
 def acceptance_update(
@@ -260,7 +256,7 @@ def iterate(
             problem, x_trial, model.surrogate_scenarios(x_trial), y_old, eps
         )
         y_trial = rep_trial.maximizer
-        l_new = float(np.mean(rep_trial.evaluation.loss(y_trial)))
+        l_new = float(rep_trial.evaluation.loss(y_trial))
         del rep_trial
         pred = l_old - l_new
         descent_lhs = pred if math.isfinite(l_new) else math.nan

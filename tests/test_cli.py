@@ -597,6 +597,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_iters" in err
 
+    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,,2"])
+    def test_bad_seed_override_exits_2_with_error_line(self, tmp_path, capsys, seeds):
+        path = write_config(tmp_path, tiny_tr_doc(tmp_path / "x"))
+        assert main(["run", str(path), "--seed-override", seeds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed-override" in err and repr(seeds) in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2
         assert "error:" in capsys.readouterr().err

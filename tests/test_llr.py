@@ -90,6 +90,17 @@ class TestFit:
         model = fit(samples)
         assert np.all(np.abs(model.residuals.mean(axis=0)) < 1e-10)
 
+    def test_responses_left_unchanged(self):
+        # The fit writes its residuals into its own product, never into the
+        # sample set, whose responses may be a caller's array.
+        samples = make_set(
+            scalar_oracle(lambda x: np.sin(x), sigma=0.5), np.array([1.0]), 0.7, 40, seed=3
+        )
+        before = samples.responses.copy()
+        model = fit(samples)
+        assert samples.responses.tobytes() == before.tobytes()
+        assert not np.shares_memory(model.residuals, samples.responses)
+
     def test_reconstruction_identity(self):
         samples = make_set(
             scalar_oracle(lambda x: x**2, sigma=0.3), np.array([2.0]), 0.5, 25, seed=5

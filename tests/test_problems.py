@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestSyntheticInstance:
             assert g1 == pytest.approx(fd1, rel=1e-5, abs=1e-6)
             assert g2 == pytest.approx(fd2, rel=1e-5, abs=1e-6)
             assert g3 == pytest.approx(fd3, rel=1e-5, abs=1e-6)
+
+    def test_diagnostics_evaluate_closed_form_without_spawning(self):
+        # The joint callable serves OracleDiagnostics.evaluate, which then
+        # spawns no generators: the closed forms ignore theirs.
+        diag = synthetic_instance().diagnostics
+        rng = make_rng(0)
+        for x in (-6.0, -1.2, 0.0, 1.3, 5.0 + 1e-9):
+            want = (synthetic_primal(x), abs(synthetic_primal_grad(x)))
+            assert diag.evaluate(np.array([x]), rng) == want
+            assert (diag.value(np.array([x]), rng), diag.grad_norm(np.array([x]), rng)) == want
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -306,16 +318,28 @@ def same_bits(a, b) -> bool:
 
 def check_binding(bound, x, w, ys, references) -> None:
     """Each method of one binding, at every y and in two call orders, equals
-    every reference callable of ``(x, y, w)`` bit for bit."""
+    the scenario mean of every reference callable of ``(x, y, w)`` bit for bit
+    (for loss, the 1-D mean)."""
     for i, y in enumerate(ys):
         for name in EVALUATORS if i % 2 == 0 else EVALUATORS[::-1]:
             got = getattr(bound, name)(y)
             for reference in references:
-                assert same_bits(got, reference[name](x, y, w)), (i, name)
+                assert same_bits(got, np.mean(reference[name](x, y, w), axis=0)), (i, name)
+
+
+def dro_with_rows(rows, features, seed, noise_sigma=0.0):
+    """A DRO problem of any shape: ``generate_synthetic_credit`` needs two
+    rows, so one row is drawn here."""
+    if rows > 1:
+        dro = generate_synthetic_credit(rows, features, seed)
+    else:
+        dro = DROProblem(features=make_rng(seed).normal(size=(1, features)), labels=[1.0])
+    return replace(dro, noise_sigma=noise_sigma)
 
 
 class TestBinding:
-    """``ProblemSpec.bind`` gives, at any number of y, what the four callables give."""
+    """``ProblemSpec.bind`` gives, at any number of y, the scenario means of
+    what the four callables give."""
 
     def test_dro_fused_binding_matches_callables_bitwise(self, small_dro):
         noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
@@ -331,18 +355,37 @@ class TestBinding:
             ys += [Simplex(40).center(), ys[0]]
             check_binding(bound, x, w, ys, [callables, dro_reference_evaluators(noisy)])
 
-    @pytest.mark.parametrize("rows, features", [(40, 3), (7, 2), (200, 5)])
+    @pytest.mark.parametrize("rows, features", [(200, 5), (7, 2), (1, 5)])
+    @pytest.mark.parametrize("count", [1, 2, 300, 301])
+    def test_dro_binding_of_drawn_rows_matches_callables_bitwise(self, rows, features, count):
+        # The benchmark shape (N = 200, n = 5) with its regression set size,
+        # 300. grad3 is averaged one feature column at a time, which adds the
+        # rows in the order of the (S, N * n) mean for N >= 2; N = 1 takes the
+        # (S, n) mean, since an (S, 1) mean adds pairwise.
+        dro = dro_with_rows(rows, features, count, noise_sigma=0.5)
+        inst = dro_instance(dro)
+        callables = {name: getattr(inst.problem, name) for name in EVALUATORS}
+        rng = make_rng(count)
+        for trial in range(2):
+            x = rng.normal(size=features) * 2.0
+            w = inst.oracle.sample(x, count, rng)
+            ys = [Simplex(rows).project(rng.normal(size=rows)) for _ in range(3)]
+            ys += [Simplex(rows).center(), ys[0]]
+            references = [callables, dro_reference_evaluators(dro)]
+            check_binding(inst.problem.bind(x, w), x, w, ys, references)
+
+    @pytest.mark.parametrize("rows, features", [(40, 3), (7, 2), (200, 5), (1, 5)])
     @pytest.mark.parametrize("count", [1, 2, 100, 500])
     def test_dro_binding_of_noiseless_copies_matches_copied_draws_bitwise(
         self, rows, features, count
     ):
         # Noiseless draws at one x are a stride-0 view of one row, which the
-        # binding evaluates once. Its results and their means over the draws
-        # (for loss, the 1-D mean) must equal those of the binding on a C-ordered
-        # copy of the draws, the array the sampler used to return, and of the
-        # straight-line closures, bit for bit. np.array(draws) is no reference:
-        # it lays a stride-0 axis out in Fortran order.
-        dro = generate_synthetic_credit(rows, features, 0)
+        # binding evaluates once and averages over a stride-0 view. Its means,
+        # and the callables' rows, must equal those on a C-ordered copy of the
+        # draws, the array the sampler used to return, bit for bit, and so
+        # must the means of the binding on that copy. np.array(draws) is no
+        # reference: it lays a stride-0 axis out in Fortran order.
+        dro = dro_with_rows(rows, features, 0)
         inst = dro_instance(dro)
         closures = dro_reference_evaluators(dro)
         rng = make_rng(count)
@@ -358,8 +401,10 @@ class TestBinding:
                 for name in EVALUATORS if (i + trial) % 2 == 0 else EVALUATORS[::-1]:
                     got, want = getattr(bound, name)(y), getattr(reference, name)(y)
                     assert same_bits(got, want), (trial, i, name)
-                    assert same_bits(got, closures[name](x, y, copies)), (trial, i, name)
-                    assert same_bits(np.mean(got, axis=0), np.mean(want, axis=0)), (trial, i, name)
+                    rows_of_copies = closures[name](x, y, copies)
+                    assert same_bits(got, np.mean(rows_of_copies, axis=0)), (trial, i, name)
+                    callable_rows = getattr(inst.problem, name)(x, y, w)
+                    assert same_bits(callable_rows, rows_of_copies), (trial, i, name)
 
     def test_default_binding_matches_callables_bitwise(self):
         problem = quadratic_problem([1.0, 2.5, 4.0], Box(np.full(3, -2.0), np.full(3, 2.0)))

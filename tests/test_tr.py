@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 
 from ddtr.core import Box, ConfigurationError, DistributionOracle, ProblemSpec, make_rng
 from ddtr.llr import LLRModel, fit, generate_poised_set
-from ddtr.problems import synthetic_instance, synthetic_primal_grad
+from ddtr.inner import maximize_over_scenarios
+from ddtr.problems import (
+    dro_instance,
+    generate_synthetic_credit,
+    synthetic_instance,
+    synthetic_primal_grad,
+)
 from ddtr.tr import (
     GRAD_FLOOR,
     DegenerateGradientError,
@@ -112,6 +119,27 @@ class TestSurrogateValueAndXGrad:
                 np.array([1.0]),
             )
             assert grad[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    def test_dro_xgradient_allocates_less_than_one_scenario_array(self):
+        # On the benchmark shape (N = 200, n = 5, d = 1000) with 300 scenarios,
+        # the surrogate and its x-gradient must not build an (S, d) array:
+        # grad3 is averaged one feature column at a time. Measured after the
+        # inner solve, as the iteration calls it.
+        inst = dro_instance(generate_synthetic_credit(200, 5, 0))
+        x = np.full(5, 2.0)
+        model = fit(generate_poised_set(inst.oracle, x, 0.5, 300, 100.0, make_rng(1)))
+        scenarios = model.surrogate_scenarios(x)
+        assert scenarios.shape == (300, 1000)
+        report = maximize_over_scenarios(
+            inst.problem, x, scenarios, inst.problem.inner_domain.center(), 1e-3
+        )
+        tracemalloc.start()
+        try:
+            surrogate_value_and_xgrad(model, report.evaluation, report.maximizer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scenarios.nbytes, peak
 
 
 class TestTrialStep:
