@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -137,16 +138,11 @@ def parse_run_config(doc: dict) -> RunConfig:
         solver_params=dict(doc.get("solver_params", {})),
     )
     try:
-        # The dataclasses that need no data are built once here, and the dro
-        # terms checked, so that their own checks fail the parse and not each seed.
+        # Building what the config describes runs the checks of every value,
+        # so a config that does not build fails here, before any seed runs.
         (build_tr_config if solver == "tr" else build_baseline_config)(config, seeds[0])
-        params = config.problem_params
-        if problem == "synthetic":
-            problems.SyntheticProblem(**{key: params[key] for key in params.keys() - _START_KEYS})
-        else:
-            checked = ("noise_sigma", "diag_samples", "n_rows")
-            problems.check_dro_terms(**{key: params[key] for key in params.keys() & checked})
-    except ConfigurationError as exc:
+        build_instance(config)
+    except ValueError as exc:
         raise ConfigurationError(f"invalid config: {exc}") from None
     return config
 
@@ -161,8 +157,9 @@ def _resolve_output_dir(output_dir: str) -> Path:
 
 def build_instance(config: RunConfig) -> problems.Instance:
     params = dict(config.problem_params)
-    x0_center = params.pop("x0_center", None)
-    x0_radius = params.pop("x0_radius", None)
+    start = {key: params.pop(key) for key in _START_KEYS.keys() & set(params)}
+    if "x0_center" in start:
+        start["x0_center"] = np.atleast_1d(np.asarray(start["x0_center"], dtype=float))
     if config.problem == "synthetic":
         instance = problems.synthetic_instance(problems.SyntheticProblem(**params))
     else:
@@ -183,11 +180,7 @@ def build_instance(config: RunConfig) -> problems.Instance:
         # The terms go on after the subsample, which recomputes the default
         # lambda2 for the new N: an explicit lambda2 is kept.
         instance = problems.dro_instance(replace(dro, **terms), diag_samples=diag_samples)
-    if x0_center is not None:
-        instance = replace(instance, x0_center=np.atleast_1d(np.asarray(x0_center, dtype=float)))
-    if x0_radius is not None:
-        instance = replace(instance, x0_radius=float(x0_radius))
-    return instance
+    return replace(instance, **start)
 
 
 def build_tr_config(config: RunConfig, seed: int) -> tr.TRConfig:
@@ -275,11 +268,10 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     return entry
 
 
-def _run_seed(job) -> dict:
+def _run_seed(config: RunConfig, out_dir: str, seed: int) -> dict:
     """One seed's summary entry; an error is recorded, so sibling seeds run on."""
-    config_doc, seed, out_dir = job
     try:
-        return run_one(parse_run_config(config_doc), seed, out_dir)
+        return run_one(config, seed, out_dir)
     except Exception as exc:
         return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -288,14 +280,13 @@ def run(config: RunConfig, workers: int = 1) -> int:
     """Execute one run per seed; returns a process exit status."""
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_doc = asdict(config)
-    jobs = [(config_doc, seed, str(out_dir)) for seed in config.seeds]
+    job = partial(_run_seed, config, str(out_dir))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_run_seed, jobs))
+            entries = list(pool.map(job, config.seeds))
     else:
-        entries = [_run_seed(job) for job in jobs]
-    summary = {"config": config_doc, "runs": entries}
+        entries = list(map(job, config.seeds))
+    summary = {"config": asdict(config), "runs": entries}
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     return 1 if any("error" in e for e in entries) else 0
@@ -324,9 +315,13 @@ def _load_metric_rows(path: Path, metric: Optional[str]) -> tuple[str, dict[int,
                 raise SchemaError(f"{path}: no known metric column in {reader.fieldnames}")
         elif metric not in reader.fieldnames:
             raise SchemaError(f"{path}: missing column {metric!r}")
-        rows = {}
-        for row in reader:
-            rows[int(row["k"])] = float(row[metric])
+        def cell(row, column, kind):
+            try:
+                return kind(row[column])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{reader.line_num}: column {column!r}: {exc}") from None
+
+        rows = {cell(row, "k", int): cell(row, metric, float) for row in reader}
         return metric, rows
 
 

@@ -45,6 +45,16 @@ class Instance:
     x0_radius: float
     y0_center: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        problem, radius = self.problem, self.x0_radius
+        for name, center, size in (
+            ("x0_center", self.x0_center, problem.n), ("y0_center", self.y0_center, problem.m)
+        ):
+            if center is not None and np.shape(center) != (size,):
+                raise ConfigurationError(f"{name} has shape {np.shape(center)}, not {(size,)}")
+        if not 0 < radius < np.inf:
+            raise ConfigurationError(f"x0_radius must be finite and positive, got {radius!r}")
+
     def draw_start(self, rng: np.random.Generator) -> tuple[np.ndarray, Optional[np.ndarray]]:
         if self.y0_center is None:
             return uniform_ball_sample(self.x0_center, self.x0_radius, 1, rng)[0], None
@@ -182,7 +192,8 @@ class DROProblem:
             raise ConfigurationError("features must be (N, n) with one label per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be -1 or +1")
-        check_dro_terms(noise_sigma=self.noise_sigma)
+        if self.noise_sigma < 0:
+            raise ConfigurationError("noise_sigma must be nonnegative")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if self.lambda2 is None:
@@ -205,19 +216,22 @@ def _f_grad(x, lambda1, alpha):
     return lambda1 * 2.0 * alpha * x / (1.0 + alpha * x**2) ** 2
 
 
-def check_dro_terms(noise_sigma: float = 0.0, diag_samples: int = 5000, n_rows: int = 2) -> None:
-    """The range checks of a DRO instance's terms and row count that need no
-    data, so that a config can be checked before any data is loaded."""
-    if noise_sigma < 0:
-        raise ConfigurationError("noise_sigma must be nonnegative")
-    for name, value, least in (("diag_samples", diag_samples, 1), ("n_rows", n_rows, 2)):
-        valid = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not valid or value < least:
-            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _row_rng(n_rows: int, seed: int) -> np.random.Generator:
+    """The generator of a data set's ``n_rows`` rows; ``seed`` is a config's ``data_seed``."""
+    _check_count("n_rows", n_rows, 2)
+    _check_count("data_seed", seed, 0)
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
-    check_dro_terms(diag_samples=diag_samples)
+    _check_count("diag_samples", diag_samples, 1)
+    if not dro.lambda2 > 0:  # the modulus of strong concavity in y is lambda2 N^2
+        raise ConfigurationError(f"lambda2 must be positive, got {dro.lambda2}")
     N, n = dro.n_rows, dro.n_features
     d = N * n
     b, neg_b = dro.labels, -dro.labels
@@ -459,11 +473,8 @@ def generate_synthetic_credit(n_rows: int, n_features: int, seed: int) -> DROPro
 
     Deterministic given the seed; stands in for the external credit data set.
     """
-    if n_rows < 2:
-        raise ConfigurationError("need at least 2 rows")
-    if n_features < 1:
-        raise ConfigurationError("need at least 1 feature")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _row_rng(n_rows, seed)
+    _check_count("n_features", n_features, 1)
     feats = rng.standard_normal((n_rows, n_features))
     planted = rng.standard_normal(n_features)
     probs = expit(feats @ planted)
@@ -478,8 +489,8 @@ def subsample(dro: DROProblem, n_rows: int, seed: int) -> DROProblem:
     ``lambda2`` is recomputed as its default 10 / N^2 for the new N; a caller
     with an explicit ``lambda2`` applies it to the result.
     """
+    rng = _row_rng(n_rows, seed)
     if n_rows > dro.n_rows:
         raise ConfigurationError(f"cannot subsample {n_rows} of {dro.n_rows} rows")
-    rng = np.random.Generator(np.random.Philox(seed))
     idx = np.sort(rng.choice(dro.n_rows, size=n_rows, replace=False))
     return replace(dro, features=dro.features[idx], labels=dro.labels[idx], lambda2=None)

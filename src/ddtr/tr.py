@@ -36,10 +36,6 @@ GRAD_FLOOR = 1e-12  # least surrogate gradient norm that gives a trial step
 PRED_FLOOR = 1e-14  # least predicted reduction that gives a ratio test
 
 
-class DegenerateGradientError(RuntimeError):
-    """The surrogate gradient vanished; no trial direction exists."""
-
-
 @dataclass(frozen=True)
 class SampleSchedule:
     """Per-iteration sample count, either fixed or growing as the radius shrinks.
@@ -158,14 +154,11 @@ def surrogate_value_and_xgrad(
 
 
 def trial_step(grad: np.ndarray, delta: float) -> np.ndarray:
-    """Radius-length step along the negative gradient direction."""
+    """Radius-length step along the negative gradient, whose norm must be finite and nonzero."""
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
     grad = np.asarray(grad, dtype=float)
-    norm = float(np.linalg.norm(grad))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise DegenerateGradientError("cannot normalize a zero or non-finite gradient")
-    return -delta * grad / norm
+    return -delta * grad / float(np.linalg.norm(grad))
 
 
 def check_sufficient_descent(
@@ -248,9 +241,9 @@ def iterate(
     rho, v_k, v_half, descent_lhs = -math.inf, math.nan, math.nan, math.nan
     n_value, descent_ok = 0, False
     x_trial, y_trial = x, state.y_warm
-    # Below the floor there is no usable direction; the eta2 test would
-    # reject such a step anyway.
-    if grad_norm >= GRAD_FLOOR:
+    # Below the floor, or at an infinite or NaN norm, there is no usable
+    # direction; the eta2 test would reject a step below the floor anyway.
+    if GRAD_FLOOR <= grad_norm < math.inf:
         x_trial = x + trial_step(g, delta)
         rep_trial = maximize_over_scenarios(
             problem, x_trial, model.surrogate_scenarios(x_trial), y_old, eps

@@ -188,11 +188,13 @@ class TestParseRunConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0), ("n_rows", -1)],
+        [
+            ("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0),
+            ("n_rows", -1), ("n_features", 0), ("lambda2", 0.0), ("data_seed", -1),
+        ],
     )
     def test_dro_term_out_of_range_rejected(self, key, value):
-        # The dro problem is built from data only in each seed's run; its
-        # terms are still checked at parse time.
+        # The parse builds the dro problem, so the message names the key.
         doc = dict(tiny_tr_doc("out"), problem="dro", problem_params={key: value})
         with pytest.raises(ConfigurationError, match=key):
             parse_run_config(doc)
@@ -418,16 +420,32 @@ class TestRun:
         data_path.write_text("\n".join(lines) + "\n")
         return data_path
 
-    def test_n_rows_above_file_rows_fails_each_seed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "problem, params, match",
+        [
+            ("dro", {"csv_path": "credit.csv", "n_rows": 50}, "cannot subsample 50 of 30 rows"),
+            ("dro", {"csv_path": "none.csv"}, "cannot open"),
+            ("dro", {"x0_center": [1.0, 2.0]}, "x0_center has shape (2,), not (5,)"),
+            ("synthetic", {"x0_center": [1, 2]}, "x0_center has shape (2,), not (1,)"),
+            ("synthetic", {"x0_radius": 0}, "x0_radius must be finite and positive"),
+        ],
+        ids=["n_rows-above-file-rows", "missing-csv", "dro-x0_center", "x0_center", "x0_radius"],
+    )
+    def test_config_that_does_not_build_exits_2_before_any_seed_runs(
+        self, tmp_path, capsys, problem, params, match
+    ):
+        # Every seed builds the same instance, so an instance that does not
+        # build fails the parse once, not each seed.
+        self.write_rows(tmp_path, 30)
+        if "csv_path" in params:
+            params = dict(params, csv_path=str(tmp_path / params["csv_path"]))
         doc = dict(
-            tiny_tr_doc(tmp_path / "out", seeds=(1, 2)), problem="dro",
-            problem_params={"csv_path": str(self.write_rows(tmp_path, 30)), "n_rows": 50},
+            tiny_tr_doc(tmp_path / "out", seeds=(1, 2)), problem=problem, problem_params=params
         )
-        assert run(parse_run_config(doc)) == 1
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert [entry["seed"] for entry in summary["runs"]] == [1, 2]
-        for entry in summary["runs"]:
-            assert entry["error"] == "ConfigurationError: cannot subsample 50 of 30 rows"
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:") and match in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_rows", [1, 0, -1])
     def test_n_rows_below_two_exits_2_before_any_seed_runs(self, tmp_path, capsys, n_rows):
@@ -533,6 +551,19 @@ class TestSummarize:
         empty.mkdir()
         with pytest.raises(SchemaError):
             summarize([str(empty)], output=io.StringIO())
+
+    @pytest.mark.parametrize(
+        "rows, line, column", [("0,1.5\n1,abc\n", 3, "grad_norm_est"), ("x,1.5\n", 2, "k")]
+    )
+    def test_bad_cell_exits_2_naming_file_line_and_column(
+        self, tmp_path, capsys, rows, line, column
+    ):
+        out = tmp_path / "bad"
+        out.mkdir()
+        (out / "weird.csv").write_text("k,grad_norm_est\n" + rows)
+        assert main(["summarize", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'weird.csv'}:{line}: column {column!r}")
 
     def test_missing_metric_names_file(self, tmp_path):
         out = tmp_path / "bad"

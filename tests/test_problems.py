@@ -128,6 +128,18 @@ class TestSyntheticInstance:
         with pytest.raises(ConfigurationError):
             SyntheticProblem(noise_sigma=-1.0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x0_center", np.zeros(2)), ("x0_center", np.float64(1.0)), ("x0_radius", 0.0),
+            ("x0_radius", -1.0), ("x0_radius", math.inf), ("x0_radius", math.nan),
+            ("y0_center", np.zeros(2)),
+        ],
+    )
+    def test_start_ball_validation(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            replace(synthetic_instance(), **{key: value})
+
 
 @pytest.fixture(scope="module")
 def small_dro():
