@@ -74,8 +74,9 @@ SOLVER_KEYS["tr"] = dict(_types(tr.TRConfig, "seed", "max_iters"), llr_count=int
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a type: an int fits a float, a bool only a
-    bool, and an object a dataclass whose fields its values fit. The one
-    such dataclass is a SampleSchedule, whose ``fixed`` is ``*_count``."""
+    bool, a NaN nothing, and an object a dataclass whose fields its values
+    fit. The one such dataclass is a SampleSchedule, whose ``fixed`` is
+    ``*_count``."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
         return any(_fits(value, arm) for arm in args)
@@ -88,6 +89,8 @@ def _fits(value, hint) -> bool:
         )
     if isinstance(value, bool):
         return hint is bool
+    if isinstance(value, float) and math.isnan(value):  # json.load reads NaN
+        return False
     return isinstance(value, (int, float) if hint is float else hint)
 
 
@@ -325,12 +328,13 @@ def _load_metric_rows(path: Path, metric: Optional[str]) -> tuple[str, dict[int,
         return metric, rows
 
 
-def summarize(run_dirs: list[str], metric: Optional[str] = None, output=None) -> None:
+def summarize(
+    run_dirs: list[str], metric: Optional[str] = None, output: Optional[str] = None
+) -> None:
     """Aggregate per-iteration median and quartiles of a metric across the
-    run CSVs found in each directory."""
-    out = output if output is not None else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(["dir", "metric", "k", "n_runs", "q25", "median", "q75"])
+    run CSVs found in each directory, as CSV to the path ``output`` or to
+    stdout. Every run CSV is read first, so a bad one writes nothing."""
+    rows = [["dir", "metric", "k", "n_runs", "q25", "median", "q75"]]
     for run_dir in run_dirs:
         directory = Path(run_dir)
         paths = sorted(p for p in directory.glob("*.csv") if p.name != "aggregate.csv")
@@ -339,20 +343,23 @@ def summarize(run_dirs: list[str], metric: Optional[str] = None, output=None) ->
         chosen = metric
         per_run = []
         for path in paths:
-            chosen_here, rows = _load_metric_rows(path, chosen)
+            chosen_here, by_k = _load_metric_rows(path, chosen)
             if chosen is None:
                 chosen = chosen_here
-            per_run.append(rows)
-        all_k = sorted(set().union(*(rows.keys() for rows in per_run)))
+            per_run.append(by_k)
+        all_k = sorted(set().union(*(by_k.keys() for by_k in per_run)))
         for k in all_k:
-            values = [rows[k] for rows in per_run if k in rows]
+            values = [by_k[k] for by_k in per_run if k in by_k]
             finite = [v for v in values if math.isfinite(v)]
             if not finite:
                 continue
             q25, med, q75 = np.percentile(finite, [25, 50, 75])
-            writer.writerow(
-                [str(directory), chosen, k, len(finite), _fmt(q25), _fmt(med), _fmt(q75)]
-            )
+            rows.append([str(directory), chosen, k, len(finite), _fmt(q25), _fmt(med), _fmt(q75)])
+    if output is None:
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        with open(output, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -393,11 +400,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             config = parse_run_config(doc)
             return run(config, workers=max(1, args.workers))
         if args.command == "summarize":
-            if args.output:
-                with open(args.output, "w", newline="", encoding="utf-8") as fh:
-                    summarize(args.dirs, metric=args.metric, output=fh)
-            else:
-                summarize(args.dirs, metric=args.metric)
+            summarize(args.dirs, metric=args.metric, output=args.output)
             return 0
     except (ConfigurationError, SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

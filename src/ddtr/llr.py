@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     ConfigurationError,
@@ -131,7 +130,8 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
     diag = np.abs(np.diag(r))
     if np.min(diag) <= 1e-13 * max(np.max(diag), 1.0):
         raise SingularFitError("rank-deficient regression design")
-    coef = solve_triangular(r, q.T @ samples.responses)  # (n + 1, d)
+    # Column-major: the layout sets how b1 @ grad3 and b1.T @ x round.
+    coef = np.asfortranarray(np.linalg.solve(r, q.T @ samples.responses))  # (n + 1, d)
     residuals = design @ coef  # the fitted values, replaced by the residuals
     np.subtract(samples.responses, residuals, out=residuals)
     b1 = coef[:n] / samples.radius

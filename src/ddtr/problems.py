@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     Box,
@@ -206,6 +205,11 @@ class DROProblem:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+
+def expit(z):
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the exact limit 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _f_value(x, lambda1, alpha):

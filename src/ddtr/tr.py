@@ -96,6 +96,8 @@ class TRConfig:
             raise ConfigurationError("eta2 must be positive")
         if self.kappa_dcp <= 0:
             raise ConfigurationError("kappa_dcp must be positive")
+        if not self.lambda_max > 1:
+            raise ConfigurationError("lambda_max must exceed 1")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
         if not self.delta_min >= 0:

@@ -179,6 +179,12 @@ class TestParseRunConfig:
             ("asgda", "solver_params", {"batch": 0}, "batch"),
             ("tr", "problem_params", {"noise_sigma": -1.0}, "noise_sigma"),
             ("tr", "solver_params", {"delta_min": -1.0}, "delta_min"),
+            ("tr", "solver_params", {"lambda_max": 0.5}, "lambda_max"),
+            ("tr", "solver_params", {"eta2": math.nan}, "eta2"),
+            ("tr", "solver_params", {"llr_schedule": {"coeff": math.nan}}, "llr_schedule"),
+            ("asgda", "solver_params", {"eta": math.nan}, "eta"),
+            ("tr", "problem_params", {"noise_sigma": math.nan}, "noise_sigma"),
+            ("tr", "problem_params", {"x0_center": [math.nan]}, "x0_center"),
         ],
     )
     def test_out_of_range_value_rejected(self, solver, section, params, match):
@@ -191,6 +197,7 @@ class TestParseRunConfig:
         [
             ("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0),
             ("n_rows", -1), ("n_features", 0), ("lambda2", 0.0), ("data_seed", -1),
+            ("shift_scale", math.nan),
         ],
     )
     def test_dro_term_out_of_range_rejected(self, key, value):
@@ -521,11 +528,10 @@ class TestSummarize:
     def parse(self, text):
         return list(csv.DictReader(io.StringIO(text)))
 
-    def test_single_run_medians_equal_values(self, tmp_path):
+    def test_single_run_medians_equal_values(self, tmp_path, capsys):
         out = self.make_runs(tmp_path, (3,))
-        buffer = io.StringIO()
-        summarize([str(out)], output=buffer)
-        rows = self.parse(buffer.getvalue())
+        summarize([str(out)])
+        rows = self.parse(capsys.readouterr().out)
         with open(next(out.glob("*.csv"))) as fh:
             raw = {int(r["k"]): float(r["oracle_grad_norm"]) for r in csv.DictReader(fh)}
         for row in rows:
@@ -533,16 +539,15 @@ class TestSummarize:
             assert float(row["median"]) == pytest.approx(raw[k])
             assert float(row["q25"]) == pytest.approx(raw[k])
 
-    def test_identical_seeds_zero_iqr(self, tmp_path):
+    def test_identical_seeds_zero_iqr(self, tmp_path, capsys):
         out = tmp_path / "same"
         out.mkdir()
         src = self.make_runs(tmp_path, (4,), name="src")
         data = next(src.glob("*.csv")).read_bytes()
         for i in range(5):
             (out / f"copy{i}.csv").write_bytes(data)
-        buffer = io.StringIO()
-        summarize([str(out)], output=buffer)
-        for row in self.parse(buffer.getvalue()):
+        summarize([str(out)])
+        for row in self.parse(capsys.readouterr().out):
             assert float(row["q75"]) - float(row["q25"]) == 0.0
             assert int(row["n_runs"]) == 5
 
@@ -550,7 +555,7 @@ class TestSummarize:
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(SchemaError):
-            summarize([str(empty)], output=io.StringIO())
+            summarize([str(empty)])
 
     @pytest.mark.parametrize(
         "rows, line, column", [("0,1.5\n1,abc\n", 3, "grad_norm_est"), ("x,1.5\n", 2, "k")]
@@ -562,15 +567,26 @@ class TestSummarize:
         out.mkdir()
         (out / "weird.csv").write_text("k,grad_norm_est\n" + rows)
         assert main(["summarize", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {out / 'weird.csv'}:{line}: column {column!r}")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'weird.csv'}:{line}: column {column!r}")
+        assert captured.out == ""
+
+    def test_bad_csv_after_a_good_directory_creates_no_output(self, tmp_path, capsys):
+        good = self.make_runs(tmp_path, (1,))
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "weird.csv").write_text("k,grad_norm_est\n0,abc\n")
+        target = tmp_path / "agg.csv"
+        assert main(["summarize", str(good), str(bad), "--output", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad / 'weird.csv'}:2:")
+        assert not target.exists()
 
     def test_missing_metric_names_file(self, tmp_path):
         out = tmp_path / "bad"
         out.mkdir()
         (out / "weird.csv").write_text("k,foo\n0,1.0\n")
         with pytest.raises(SchemaError, match="weird.csv"):
-            summarize([str(out)], output=io.StringIO())
+            summarize([str(out)])
 
 
 class TestMain:
@@ -634,6 +650,22 @@ class TestMain:
         assert main(["run", str(path), "--seed-override", seeds]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed-override" in err and repr(seeds) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "section, params",
+        [
+            ("solver_params", {"eta2": math.nan}),
+            ("problem_params", {"noise_sigma": math.nan}),
+            ("solver_params", {"lambda_max": 0.5}),
+        ],
+    )
+    def test_bad_value_exits_2_before_any_seed(self, tmp_path, capsys, section, params):
+        # json.dumps writes a NaN as the bare NaN that json.load reads back.
+        doc = dict(tiny_tr_doc(tmp_path / "x", seeds=(1, 2)), **{section: params})
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:") and next(iter(params)) in err
         assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -1,6 +1,10 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +250,20 @@ def test_problem_modules_do_not_import_the_solver():
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "tr" not in imported and "core" in imported
     assert ddtr.OracleDiagnostics is ddtr.core.OracleDiagnostics
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # numpy is the one runtime dependency; every run and worker process
+    # imports the package, so nothing heavier may come with it.
+    # multiprocessing registers the alias __mp_main__.
+    src = str(Path(ddtr.__file__).resolve().parent.parent)
+    code = (
+        "import sys, numpy; before = set(sys.modules); import ddtr, ddtr.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'ddtr', 'numpy', '__mp_main__'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -76,7 +76,7 @@ DRO_ASGDA_NOISY = dict(DRO_ASGDA, problem_params={**DRO_SMALL, "noise_sigma": 0.
 GOLDEN = {
     "synthetic_tr": (
         SYNTHETIC_TR,
-        "1d04f60492689c2b928bd291ce1e3de6068c4363297cbb5c54dc07f30e6b4e3b",
+        "8533ced123e6a46779445abc0e870b27eff6becbd3fd2cf6fc23fb48681b2357",
     ),
     "dro_tr": (DRO_TR, "038fc0fc3fd181f2869a9cd8ffb427be6c4477b1ec75e32f488364548ab4d150"),
     "synthetic_spd": (

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -20,6 +21,7 @@ from ddtr.problems import (
     DROProblem,
     SyntheticProblem,
     dro_instance,
+    expit,
     generate_synthetic_credit,
     load_credit_csv,
     subsample,
@@ -591,3 +593,26 @@ class TestGenerateSyntheticCredit:
         assert sub.lambda2 == pytest.approx(10.0 / 30**2)
         with pytest.raises(ConfigurationError):
             subsample(sub, 31, 0)
+
+
+class TestExpit:
+    def test_within_2_ulp_of_the_scalar_formula_without_warnings(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate(
+            [np.linspace(-800.0, 800.0, 16001)]
+            + [scale * rng.standard_normal(10000) for scale in (1.0, 10.0, 100.0)]
+        )
+
+        def reference(t):
+            try:
+                return 1.0 / (1.0 + math.exp(-t))
+            except OverflowError:
+                return 0.0
+
+        want = np.array([reference(t) for t in z])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(z)
+            assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        assert got[0] == 0.0 and got[16000] == 1.0

@@ -6,10 +6,9 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ddtr.core import Box, DistributionOracle, ProblemSpec
-from ddtr.problems import DROProblem, dro_instance
+from ddtr.problems import DROProblem, dro_instance, expit
 from ddtr.tr import surrogate_value_and_xgrad
 
 
