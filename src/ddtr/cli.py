@@ -74,9 +74,9 @@ SOLVER_KEYS["tr"] = dict(_types(tr.TRConfig, "seed", "max_iters"), llr_count=int
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a type: an int fits a float, a bool only a
-    bool, a NaN nothing, and an object a dataclass whose fields its values
-    fit. The one such dataclass is a SampleSchedule, whose ``fixed`` is
-    ``*_count``."""
+    bool, a NaN or an infinity nothing, and an object a dataclass whose
+    fields its values fit. The one such dataclass is a SampleSchedule, whose
+    ``fixed`` is ``*_count``."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
         return any(_fits(value, arm) for arm in args)
@@ -89,7 +89,7 @@ def _fits(value, hint) -> bool:
         )
     if isinstance(value, bool):
         return hint is bool
-    if isinstance(value, float) and math.isnan(value):  # json.load reads NaN
+    if isinstance(value, float) and not math.isfinite(value):  # json.load reads NaN, Infinity
         return False
     return isinstance(value, (int, float) if hint is float else hint)
 

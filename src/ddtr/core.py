@@ -4,15 +4,15 @@ Conventions used throughout the package:
 
 * all vectors are dense float64 numpy arrays; ``x`` has shape ``(n,)``,
   ``y`` has shape ``(m,)`` and a batch of random draws has shape ``(S, d)``;
-* loss and gradient evaluators are vectorized over the random variable:
+* the per-draw loss and gradients are vectorized over the random variable:
   they take ``(x, y, omegas)`` with ``omegas`` of shape ``(S, d)`` and
   return arrays of shape ``(S,)``, ``(S, n)``, ``(S, m)`` and ``(S, d)``
   respectively;
-* callers that evaluate one ``(x, omegas)`` at many ``y`` bind it once with
-  ``ProblemSpec.bind``; the binding's ``loss(y)`` ... ``grad3(y)`` return
-  the scenario means of what the four evaluators return, of shapes ``()``,
-  ``(n,)``, ``(m,)`` and ``(d,)``, equal bit for bit to
-  ``np.mean(evaluator(x, y, omegas), axis=0)``;
+* every caller evaluates a problem through ``ProblemSpec.bind``, which binds
+  one ``(x, omegas)``; the binding's ``loss(y)`` ... ``grad3(y)`` return the
+  scenario means of the per-draw loss and gradients, of shapes ``()``,
+  ``(n,)``, ``(m,)`` and ``(d,)``, equal bit for bit to ``np.mean`` of the
+  per-draw array over axis 0;
 * every stochastic operation takes an explicit ``numpy.random.Generator``
   backed by the counter-based Philox bit generator, so reruns with the
   same seed are bit-identical and generators can be split deterministically.
@@ -132,9 +132,11 @@ InnerDomain = Union[Box, Simplex]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A minimax instance: the loss, its three partial gradients and geometry.
+    """A minimax instance: its geometry and its loss with three partial gradients.
 
-    ``loss(x, y, omegas)`` evaluates the integrand on a batch of scenarios,
+    The loss is given as a ``fused(x, omegas)`` binding, or as four per-draw
+    callables that the default binding, ``Evaluation``, averages:
+    ``loss(x, y, omegas)`` evaluates the integrand on a batch of scenarios and
     ``grad1``/``grad2``/``grad3`` are its partial gradients with respect to
     the first (x), second (y) and third (omega) block.  ``mu`` is the strong
     concavity modulus of the loss in ``y`` over the inner domain and ``ell``
@@ -146,18 +148,17 @@ class ProblemSpec:
     n: int
     m: int
     d: int
-    loss: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    grad1: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    grad2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    grad3: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     inner_domain: InnerDomain
     mu: float
     ell: float
+    loss: Optional[Callable[..., np.ndarray]] = None
+    grad1: Optional[Callable[..., np.ndarray]] = None
+    grad2: Optional[Callable[..., np.ndarray]] = None
+    grad3: Optional[Callable[..., np.ndarray]] = None
     fused: Optional[Callable[[np.ndarray, np.ndarray], Evaluation]] = None
 
     def bind(self, x: np.ndarray, omegas: np.ndarray) -> Evaluation:
-        """The four evaluators at one ``(x, omegas)`` as functions of ``y``; a
-        ``fused`` binding does the work that does not depend on ``y`` once."""
+        """The loss and gradients at one ``(x, omegas)`` as functions of ``y``."""
         return Evaluation(self, x, omegas) if self.fused is None else self.fused(x, omegas)
 
     def __post_init__(self):
@@ -169,14 +170,16 @@ class ProblemSpec:
             raise ConfigurationError("ell must be at least mu")
         if getattr(self.inner_domain, "dim") != self.m:
             raise ConfigurationError("inner domain dimension must equal m")
+        if self.fused is None and None in (self.loss, self.grad1, self.grad2, self.grad3):
+            raise ConfigurationError("a problem without a fused binding needs all four callables")
 
 
 class Evaluation:
-    """A problem's callables at one ``(x, omegas)``, averaged over the scenarios:
-    each method returns ``np.mean(callable(x, y, omegas), axis=0)``. A ``fused``
-    binding's methods must return what these return, bit for bit, at any ``y`` in
-    any order. A binding may hold arrays derived from ``omegas``, which must not be
-    mutated while it is in use."""
+    """The default binding: a problem's per-draw callables at one ``(x, omegas)``,
+    averaged over the scenarios. A ``fused`` binding's methods must return what
+    these would return for its problem's per-draw loss and gradients, bit for bit,
+    at any ``y`` in any order. A binding may hold arrays derived from ``omegas``,
+    which must not be mutated while it is in use."""
 
     def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas: np.ndarray):
         self.problem, self.x, self.omegas = problem, x, omegas

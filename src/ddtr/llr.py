@@ -50,10 +50,6 @@ class LLRModel:
     center: np.ndarray  # (n,)
     radius: float
 
-    @property
-    def count(self) -> int:
-        return self.residuals.shape[0]
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = as_vector(x, self.b1.shape[0], "x")
         return self.b1.T @ x + self.b0

@@ -245,7 +245,8 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         """The loss and gradients at one (x, w) as means over the draws (see
         ``core.Evaluation``): the margins -b * (a(x) x) are computed once, their
         logaddexp and expit on first use, and the coefficients of grad1 and
-        grad3 once per y. The ``*_rows`` methods give one row per draw.
+        grad3 once per y. Each mean equals, bit for bit, the mean of the
+        per-draw loss or gradient (``dro_reference_evaluators`` in the tests).
 
         Noiseless draws at one x are copies of one row, passed as a view with
         stride 0 (see ``sampler``). They are evaluated on that row, and each
@@ -275,40 +276,31 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
                 self.coef_y = y.tobytes(), (-b * y)[None, :] * self.sig / N
             return self.coef_y[1]
 
-        def loss_rows(self, y):
+        def loss(self, y):
             reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
             # The product runs over every draw: BLAS may round a row of a
             # matrix-vector product differently by its place in the matrix.
             losses = np.ascontiguousarray(self.per_draw(self.losses))
-            return losses @ y / N + _f_value(self.x, lam1, alpha) - reg
-
-        def grad1_rows(self, y):
-            g1 = np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
-            return self.per_draw(g1)
-
-        def grad2_rows(self, y):
-            return self.per_draw(self.losses_n - (lam2 * N * (N * y - 1.0))[None, :])
-
-        def grad3_rows(self, y):
-            return self.per_draw((self.coef(y)[:, :, None] * self.x[None, None, :]).reshape(-1, d))
-
-        def loss(self, y):
-            return np.mean(self.loss_rows(y), axis=0)
+            return np.mean(losses @ y / N + _f_value(self.x, lam1, alpha) - reg, axis=0)
 
         def grad1(self, y):
-            return np.mean(self.grad1_rows(y), axis=0)
+            g1 = np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
+            return np.mean(self.per_draw(g1), axis=0)
 
         def grad2(self, y):
-            return np.mean(self.grad2_rows(y), axis=0)
+            g2 = self.losses_n - (lam2 * N * (N * y - 1.0))[None, :]
+            return np.mean(self.per_draw(g2), axis=0)
 
         def grad3(self, y):
             # Column j of the (N, n) mean is the mean of coef * x[j]: numpy adds
             # an (S, N) array over axis 0 row by row, as it adds the (S, N * n)
             # one, so that array is never built. One row (a batch of copies) is
             # cheaper whole, and with N = 1 numpy would add pairwise.
+            coef = self.coef(y)
             if N == 1 or self.a.shape[0] == 1:
-                return np.mean(self.grad3_rows(y), axis=0)
-            coef, g3 = self.coef(y), np.empty((N, n))
+                g3 = (coef[:, :, None] * self.x[None, None, :]).reshape(-1, d)
+                return np.mean(self.per_draw(g3), axis=0)
+            g3 = np.empty((N, n))
             for j in range(n):
                 g3[:, j] = np.mean(self.per_draw(coef * self.x[j]), axis=0)
             return g3.reshape(d)
@@ -317,10 +309,6 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         n=n,
         m=N,
         d=d,
-        loss=lambda x, y, w: DROEvaluation(x, w).loss_rows(y),
-        grad1=lambda x, y, w: DROEvaluation(x, w).grad1_rows(y),
-        grad2=lambda x, y, w: DROEvaluation(x, w).grad2_rows(y),
-        grad3=lambda x, y, w: DROEvaluation(x, w).grad3_rows(y),
         inner_domain=Simplex(N),
         mu=lam2 * N**2,
         ell=lam2 * N**2,

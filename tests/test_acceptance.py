@@ -335,12 +335,11 @@ def test_criterion_8_gradient_checks():
         vx = rng.normal(size=problem.n); vx /= np.linalg.norm(vx)
         vy = rng.normal(size=problem.m); vy /= np.linalg.norm(vy)
         vw = rng.normal(size=problem.d); vw /= np.linalg.norm(vw)
-        check(problem.grad1(x, y, w)[0] @ vx,
-              directional_fd(lambda z: problem.loss(z, y, w)[0], x, vx))
-        check(problem.grad2(x, y, w)[0] @ vy,
-              directional_fd(lambda z: problem.loss(x, z, w)[0], y, vy))
-        check(problem.grad3(x, y, w)[0] @ vw,
-              (problem.loss(x, y, w + 1e-6 * vw)[0] - problem.loss(x, y, w - 1e-6 * vw)[0]) / 2e-6)
+        bound = problem.bind(x, w)
+        check(bound.grad1(y) @ vx, directional_fd(lambda z: problem.bind(z, w).loss(y), x, vx))
+        check(bound.grad2(y) @ vy, directional_fd(bound.loss, y, vy))
+        loss_at = lambda omegas: problem.bind(x, omegas).loss(y)
+        check(bound.grad3(y) @ vw, (loss_at(w + 1e-6 * vw) - loss_at(w - 1e-6 * vw)) / 2e-6)
 
     # Surrogate x-gradient including the fitted-slope chain term.
     for trial in range(100):

@@ -181,10 +181,17 @@ class TestParseRunConfig:
             ("tr", "solver_params", {"delta_min": -1.0}, "delta_min"),
             ("tr", "solver_params", {"lambda_max": 0.5}, "lambda_max"),
             ("tr", "solver_params", {"eta2": math.nan}, "eta2"),
+            ("tr", "solver_params", {"eta2": math.inf}, "eta2"),
+            ("tr", "solver_params", {"delta_max": math.inf}, "delta_max"),
             ("tr", "solver_params", {"llr_schedule": {"coeff": math.nan}}, "llr_schedule"),
+            ("tr", "solver_params", {"llr_schedule": {"coeff": math.inf}}, "llr_schedule"),
             ("asgda", "solver_params", {"eta": math.nan}, "eta"),
+            ("asgda", "solver_params", {"eta": math.inf}, "eta"),
             ("tr", "problem_params", {"noise_sigma": math.nan}, "noise_sigma"),
+            ("tr", "problem_params", {"noise_sigma": math.inf}, "noise_sigma"),
             ("tr", "problem_params", {"x0_center": [math.nan]}, "x0_center"),
+            ("tr", "problem_params", {"x0_center": [math.inf]}, "x0_center"),
+            ("tr", "problem_params", {"x0_center": [-math.inf]}, "x0_center"),
         ],
     )
     def test_out_of_range_value_rejected(self, solver, section, params, match):
@@ -197,7 +204,7 @@ class TestParseRunConfig:
         [
             ("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0),
             ("n_rows", -1), ("n_features", 0), ("lambda2", 0.0), ("data_seed", -1),
-            ("shift_scale", math.nan),
+            ("shift_scale", math.nan), ("shift_scale", math.inf), ("shift_scale", -math.inf),
         ],
     )
     def test_dro_term_out_of_range_rejected(self, key, value):
@@ -656,12 +663,15 @@ class TestMain:
         "section, params",
         [
             ("solver_params", {"eta2": math.nan}),
+            ("solver_params", {"eta2": math.inf}),
             ("problem_params", {"noise_sigma": math.nan}),
+            ("problem_params", {"noise_sigma": math.inf}),
             ("solver_params", {"lambda_max": 0.5}),
         ],
     )
     def test_bad_value_exits_2_before_any_seed(self, tmp_path, capsys, section, params):
-        # json.dumps writes a NaN as the bare NaN that json.load reads back.
+        # json.dumps writes a NaN or an infinity as the bare NaN or Infinity
+        # that json.load reads back.
         doc = dict(tiny_tr_doc(tmp_path / "x", seeds=(1, 2)), **{section: params})
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         err = capsys.readouterr().err

@@ -1,7 +1,7 @@
 import logging
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +17,7 @@ from ddtr.core import (
     make_rng,
 )
 from ddtr.llr import generate_poised_set
+from ddtr.tr import IterationRecord, SampleSchedule, TRConfig, solve
 from ddtr.problems import (
     DROProblem,
     SyntheticProblem,
@@ -161,10 +162,10 @@ class TestDROProblem:
         N = small_dro.n_rows
         rng = make_rng(1)
         x = rng.normal(size=3)
-        w = inst.oracle.sample(x, 1, rng)
+        bound = inst.problem.bind(x, inst.oracle.sample(x, 1, rng))
         y1 = Simplex(N).project(rng.normal(size=N))
         y2 = Simplex(N).project(rng.normal(size=N))
-        dg = inst.problem.grad2(x, y1, w)[0] - inst.problem.grad2(x, y2, w)[0]
+        dg = bound.grad2(y1) - bound.grad2(y2)
         assert np.allclose(dg, -inst.problem.mu * (y1 - y2), atol=1e-10)
 
     def test_gradients_match_finite_differences(self, small_dro):
@@ -181,13 +182,14 @@ class TestDROProblem:
             vy /= np.linalg.norm(vy)
             vw = rng.normal(size=problem.d)
             vw /= np.linalg.norm(vw)
-            g1 = problem.grad1(x, y, w)[0] @ vx
-            g2 = problem.grad2(x, y, w)[0] @ vy
-            g3 = problem.grad3(x, y, w)[0] @ vw
-            fd1 = directional_fd(lambda z: problem.loss(z, y, w)[0], x, vx)
-            fd2 = directional_fd(lambda z: problem.loss(x, z, w)[0], y, vy)
+            bound = problem.bind(x, w)
+            g1 = bound.grad1(y) @ vx
+            g2 = bound.grad2(y) @ vy
+            g3 = bound.grad3(y) @ vw
+            fd1 = directional_fd(lambda z: problem.bind(z, w).loss(y), x, vx)
+            fd2 = directional_fd(bound.loss, y, vy)
             fd3 = (
-                problem.loss(x, y, w + 1e-6 * vw)[0] - problem.loss(x, y, w - 1e-6 * vw)[0]
+                problem.bind(x, w + 1e-6 * vw).loss(y) - problem.bind(x, w - 1e-6 * vw).loss(y)
             ) / 2e-6
             assert g1 == pytest.approx(fd1, rel=1e-5, abs=1e-8)
             assert g2 == pytest.approx(fd2, rel=1e-5, abs=1e-8)
@@ -353,12 +355,11 @@ def dro_with_rows(rows, features, seed, noise_sigma=0.0):
 
 class TestBinding:
     """``ProblemSpec.bind`` gives, at any number of y, the scenario means of
-    what the four callables give."""
+    the per-draw loss and gradients."""
 
-    def test_dro_fused_binding_matches_callables_bitwise(self, small_dro):
+    def test_dro_fused_binding_matches_reference_bitwise(self, small_dro):
         noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
         inst = dro_instance(noisy)
-        callables = {name: getattr(inst.problem, name) for name in EVALUATORS}
         rng = make_rng(8)
         for trial in range(5):
             x = rng.normal(size=3) * 2.0
@@ -367,26 +368,24 @@ class TestBinding:
             assert not isinstance(bound, Evaluation)
             ys = [Simplex(40).project(rng.normal(size=40)) for _ in range(4)]
             ys += [Simplex(40).center(), ys[0]]
-            check_binding(bound, x, w, ys, [callables, dro_reference_evaluators(noisy)])
+            check_binding(bound, x, w, ys, [dro_reference_evaluators(noisy)])
 
     @pytest.mark.parametrize("rows, features", [(200, 5), (7, 2), (1, 5)])
     @pytest.mark.parametrize("count", [1, 2, 300, 301])
-    def test_dro_binding_of_drawn_rows_matches_callables_bitwise(self, rows, features, count):
+    def test_dro_binding_of_drawn_rows_matches_reference_bitwise(self, rows, features, count):
         # The benchmark shape (N = 200, n = 5) with its regression set size,
         # 300. grad3 is averaged one feature column at a time, which adds the
         # rows in the order of the (S, N * n) mean for N >= 2; N = 1 takes the
         # (S, n) mean, since an (S, 1) mean adds pairwise.
         dro = dro_with_rows(rows, features, count, noise_sigma=0.5)
         inst = dro_instance(dro)
-        callables = {name: getattr(inst.problem, name) for name in EVALUATORS}
         rng = make_rng(count)
         for trial in range(2):
             x = rng.normal(size=features) * 2.0
             w = inst.oracle.sample(x, count, rng)
             ys = [Simplex(rows).project(rng.normal(size=rows)) for _ in range(3)]
             ys += [Simplex(rows).center(), ys[0]]
-            references = [callables, dro_reference_evaluators(dro)]
-            check_binding(inst.problem.bind(x, w), x, w, ys, references)
+            check_binding(inst.problem.bind(x, w), x, w, ys, [dro_reference_evaluators(dro)])
 
     @pytest.mark.parametrize("rows, features", [(40, 3), (7, 2), (200, 5), (1, 5)])
     @pytest.mark.parametrize("count", [1, 2, 100, 500])
@@ -394,11 +393,11 @@ class TestBinding:
         self, rows, features, count
     ):
         # Noiseless draws at one x are a stride-0 view of one row, which the
-        # binding evaluates once and averages over a stride-0 view. Its means,
-        # and the callables' rows, must equal those on a C-ordered copy of the
-        # draws, the array the sampler used to return, bit for bit, and so
-        # must the means of the binding on that copy. np.array(draws) is no
-        # reference: it lays a stride-0 axis out in Fortran order.
+        # binding evaluates once and averages over a stride-0 view. Its means
+        # must equal the reference's on a C-ordered copy of the draws, bit for
+        # bit, and so must the means of the binding on that copy.
+        # np.array(draws) is no reference: it lays a stride-0 axis out in
+        # Fortran order.
         dro = dro_with_rows(rows, features, 0)
         inst = dro_instance(dro)
         closures = dro_reference_evaluators(dro)
@@ -417,8 +416,6 @@ class TestBinding:
                     assert same_bits(got, want), (trial, i, name)
                     rows_of_copies = closures[name](x, y, copies)
                     assert same_bits(got, np.mean(rows_of_copies, axis=0)), (trial, i, name)
-                    callable_rows = getattr(inst.problem, name)(x, y, w)
-                    assert same_bits(callable_rows, rows_of_copies), (trial, i, name)
 
     def test_default_binding_matches_callables_bitwise(self):
         problem = quadratic_problem([1.0, 2.5, 4.0], Box(np.full(3, -2.0), np.full(3, 2.0)))
@@ -428,6 +425,61 @@ class TestBinding:
         bound = problem.bind(x, w)
         assert isinstance(bound, Evaluation)
         check_binding(bound, x, w, list(rng.normal(size=(5, 3))), [callables])
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_problem_without_fused_binding_needs_all_four_callables(self, name):
+        problem = quadratic_problem([1.0, 2.0], Box(np.full(2, -1.0), np.full(2, 1.0)))
+        with pytest.raises(ConfigurationError, match="four callables"):
+            replace(problem, **{name: None})
+
+
+class TestBenchmarkWrappedFields:
+    """Pass-through wrappers of the callable fields that the benchmark's
+    tracer replaces leave an instance and its runs as they are."""
+
+    # perfbench/tracing.py replaces these fields by name: keep them until it wraps ``bind``.
+    DIAGNOSTICS = ("value", "grad_norm", "value_and_grad_norm")
+
+    def wrapped(self, inst):
+        def through(fn):
+            return lambda *args: fn(*args)
+
+        problem, diag = inst.problem, inst.diagnostics
+        return replace(
+            inst,
+            problem=replace(problem, **{g: through(getattr(problem, g)) for g in EVALUATORS}),
+            oracle=replace(inst.oracle, sampler=through(inst.oracle.sampler)),
+            diagnostics=replace(diag, **{
+                key: through(fn) for key in self.DIAGNOSTICS
+                if (fn := getattr(diag, key)) is not None
+            }),
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [synthetic_instance, lambda: dro_instance(generate_synthetic_credit(40, 3, 7), 50)],
+        ids=["synthetic", "dro"],
+    )
+    def test_wrapped_instance_runs_identically(self, build):
+        inst = build()
+        wrapped = self.wrapped(inst)
+        x = inst.x0_center
+        w = inst.oracle.sample(x, 2, make_rng(0))
+        assert type(wrapped.problem.bind(x, w)) is type(inst.problem.bind(x, w))
+        config = TRConfig(
+            llr_schedule=SampleSchedule(fixed=40),
+            value_schedule=SampleSchedule(fixed=40),
+            max_iters=3,
+            seed=1,
+        )
+        plain, traced = (
+            solve(x, i.problem, i.oracle, config, i.diagnostics)[1] for i in (inst, wrapped)
+        )
+        assert len(plain) == len(traced) == 3
+        for want, got in zip(plain, traced):
+            for field in fields(IterationRecord):
+                a, b = np.asarray(getattr(want, field.name)), np.asarray(getattr(got, field.name))
+                assert same_bits(a, b), field.name
 
 
 class TestDROSampler:
@@ -511,8 +563,7 @@ class TestDROInnerExactCheck:
         for _ in range(5):
             x = rng.normal(size=3)
             y = Simplex(40).project(rng.normal(size=40) * 0.2)
-            w = inst.oracle.sample(x, 1, rng)
-            vec = inst.problem.loss(x, y, w)[0]
+            vec = inst.problem.bind(x, inst.oracle.sample(x, 1, rng)).loss(y)
             ref = dro_inner_exact_check(small_dro, x, y)
             assert vec == pytest.approx(ref, rel=1e-12)
 
