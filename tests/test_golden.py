@@ -1,13 +1,18 @@
 """Golden digests: the per-run CSVs of small fixed configs, byte for byte.
 
-Each case runs one seed through ``cli.run_one`` and compares the SHA-256 of
-the CSV it writes with a value committed here.  A change that moves a digest
-on purpose updates the value and says why in CHANGES.md.  The digests were
+Each case runs one seed through ``cli.run_one`` and compares two SHA-256
+digests with values committed here: of the CSV it writes, and of its
+trajectory, the same CSV with the ``oracle_*`` columns dropped.  The
+diagnostics draw from their own generators and feed nothing back, so a
+change to them alone moves only the first.  A change that moves a digest on
+purpose updates the value and says why in CHANGES.md.  The digests were
 recorded on x86_64 with numpy 2.4 and one BLAS thread; another platform or
 BLAS may round differently in the last bit.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -77,32 +82,59 @@ GOLDEN = {
     "synthetic_tr": (
         SYNTHETIC_TR,
         "8533ced123e6a46779445abc0e870b27eff6becbd3fd2cf6fc23fb48681b2357",
+        "178134e0681c7384c82de47316de173668ccdcce8c266d8159f2b793d50b1cfc",
     ),
-    "dro_tr": (DRO_TR, "038fc0fc3fd181f2869a9cd8ffb427be6c4477b1ec75e32f488364548ab4d150"),
+    "dro_tr": (
+        DRO_TR,
+        "038fc0fc3fd181f2869a9cd8ffb427be6c4477b1ec75e32f488364548ab4d150",
+        "0f990398baf4bd1786a4b71ddb9a9e3eec17640dc1505921e5f9dec868f7a46b",
+    ),
     "synthetic_spd": (
         SYNTHETIC_SPD,
         "debfae92d129d73d113a08c4292220c46312ee5446eda26e9e3fd4f03a0372a9",
+        "814eb86e34292839704aa41b11acfc2af71afcda3ed805c46bc4b7c721c481aa",
     ),
     "synthetic_asgda": (
         SYNTHETIC_ASGDA,
         "a79a483beecb8717c9035c86b364b7a83323e0fa79e565fd15ae56629d204842",
+        "ee85e953255e459646020f48451961266c92998d2adbfcd85313ca26a4ae8c84",
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,
         "99624007cfba4dd3e794d8a78cb47027ad34bf7341dbead89c3397fcc2ecd7d4",
+        "978abf8ae39b435ae34a672046a4bf084ee61921f1f3d7feeca84b3bfb94c943",
     ),
-    "dro_spd": (DRO_SPD, "deff227a7c03aa7420812b373527439e1e29a78fe0fed8d4374b403442e31b3b"),
-    "dro_asgda": (DRO_ASGDA, "884e677f53a58979176950ff4b5e62762047ffd6234244ac9c98981c0527dd42"),
+    "dro_spd": (
+        DRO_SPD,
+        "deff227a7c03aa7420812b373527439e1e29a78fe0fed8d4374b403442e31b3b",
+        "c0e00fd12174a4e7cdceea9427defaab929f00eb9673beb62b07d7d58baa3a0b",
+    ),
+    "dro_asgda": (
+        DRO_ASGDA,
+        "884e677f53a58979176950ff4b5e62762047ffd6234244ac9c98981c0527dd42",
+        "97c814da18e685d81d381a27c7cfa44c4eb32b214850d22669aa0dd03c1489a2",
+    ),
     "dro_asgda_noisy": (
         DRO_ASGDA_NOISY,
         "9fb0f40566ed53233233b9e878bd4985f7d6af6fa144ffb6e4cb981f349b6ad8",
+        "27c48ae7b94d1306b8d1547734c363f2a7c412897a6ad66e645baf9cb3564279",
     ),
 }
 
 
-@pytest.mark.parametrize("doc, digest", GOLDEN.values(), ids=GOLDEN.keys())
-def test_csv_digest(tmp_path, doc, digest):
+def trajectory(data: bytes) -> bytes:
+    """A run CSV without its ``oracle_*`` columns."""
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("oracle_")]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([[row[i] for i in keep] for row in rows])
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("doc, digest, trajectory_digest", GOLDEN.values(), ids=GOLDEN.keys())
+def test_csv_digest(tmp_path, doc, digest, trajectory_digest):
     config = parse_run_config({**doc, "output_dir": str(tmp_path)})
     entry = run_one(config, config.seeds[0], str(tmp_path))
     data = (tmp_path / entry["csv"]).read_bytes()
+    assert hashlib.sha256(trajectory(data)).hexdigest() == trajectory_digest
     assert hashlib.sha256(data).hexdigest() == digest
