@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -223,8 +224,24 @@ def _write_csv(path: Path, columns: list[str], records) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in columns])
 
 
+@cache
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's malloc thresholds, once per process. Left dynamic, they follow
+    the largest block freed so far, and the arrays of a few MB that each iteration
+    frees are then often given back to the OS and faulted in again. Where libc
+    has no ``mallopt``, this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD, from glibc's malloc.h
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     """Execute a single seeded run and write its CSV; returns a summary entry."""
+    _pin_malloc_thresholds()
     instance = build_instance(config)
     diagnostics = instance.diagnostics if config.log_oracle_diagnostics else None
     start_rng = make_rng(seed)

@@ -329,50 +329,30 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
 
     oracle = DistributionOracle(d=d, sampler=sampler, batched=True)
 
-    # Without noise the diag_samples draws are copies of one row that depends
-    # on x alone. Each per-row result is computed on that row and repeated, so
-    # the means add the same numbers in the same order as over diag_samples
-    # drawn rows. A rejected trust-region step keeps x bitwise, so the last
-    # result (two floats, never the draws) is served again at a repeated x.
+    # Without noise the draws at x are copies of one row, so the diagnostic
+    # is exact on that one row and draws no Monte-Carlo sample.
     noiseless = dro.noise_sigma == 0
 
-    def mean(per_row):
-        if noiseless:
-            per_row = np.repeat(per_row, diag_samples, axis=0)
-        return np.mean(per_row, axis=0)
-
     def mc_evaluate(x, rng):
-        # Monte-Carlo estimate of the primal value and gradient norm, with the
-        # inner maximum solved in closed form: the y-part of the objective is
-        # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, an isotropic
-        # quadratic whose constrained maximizer is one simplex projection.
+        # Primal value and gradient norm over the drawn rows. The y-part of the objective,
+        # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, is an isotropic quadratic
+        # whose constrained maximizer is one simplex projection.
         rows = DROEvaluation(x, oracle.sample(x, 1 if noiseless else diag_samples, rng))
-        mean_losses = mean(rows.losses)  # (N,)
+        mean_losses = np.mean(rows.losses, axis=0)  # (N,)
         y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
         reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
         value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
         coef = rows.coef(y_star)  # (S, N)
-        g1 = mean(np.einsum("sN,sNn->sn", coef, rows.a)) + _f_grad(x, lam1, alpha)
-        g3_rows = mean(coef)[:, None] * x[None, :]  # (N, n)
+        g1 = np.mean(np.einsum("sN,sNn->sn", coef, rows.a), axis=0) + _f_grad(x, lam1, alpha)
+        g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
         chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
         return value, float(np.linalg.norm(g1 + chain))
 
-    last_key, last_result = None, None
-
-    def mc_value_and_grad_norm(x, rng):
-        nonlocal last_key, last_result
-        if not noiseless:
-            return mc_evaluate(x, rng)
-        key = np.asarray(x, dtype=float).tobytes()
-        if key != last_key:
-            last_key, last_result = key, mc_evaluate(x, rng)
-        return last_result
-
     diagnostics = OracleDiagnostics(
-        value=lambda x, rng: mc_value_and_grad_norm(x, rng)[0],
-        grad_norm=lambda x, rng: mc_value_and_grad_norm(x, rng)[1],
-        sample_count=diag_samples,
-        value_and_grad_norm=mc_value_and_grad_norm,
+        value=lambda x, rng: mc_evaluate(x, rng)[0],
+        grad_norm=lambda x, rng: mc_evaluate(x, rng)[1],
+        sample_count=0 if noiseless else diag_samples,
+        value_and_grad_norm=mc_evaluate,
     )
     return Instance(
         problem=problem,

@@ -8,7 +8,7 @@ the old and trial points with fresh oracle samples, and accept or reject on
 the actual-to-predicted reduction ratio together with a gradient-versus-radius
 test.  Accepted steps grow the radius (capped), rejected ones shrink it.
 A run ends after ``max_iters`` iterations, or earlier once the radius falls
-below the relative floor ``delta_min * max(1, ||x||)``.
+below the relative floor ``delta_min * max(1, ||x||)`` or underflows to 0.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class SampleSchedule:
             return self.fixed
         try:
             raw = math.ceil(self.coeff * max(float(delta) ** -self.power, 1.0))
-        except OverflowError:  # past the float range, so far past ``maximum``
+        except (OverflowError, ZeroDivisionError):  # past the float range, or delta = 0
             return self.maximum
         return int(min(max(raw, self.minimum), self.maximum))
 
@@ -300,7 +300,7 @@ def solve(
     config: TRConfig,
     diagnostics: Optional[OracleDiagnostics] = None,
 ) -> tuple[TRState, list[IterationRecord]]:
-    """Iterate until the radius falls below its floor or for
+    """Iterate until the radius falls below its floor or to 0, or for
     ``config.max_iters`` iterations; return the final state, whose
     ``termination`` says which, plus the history."""
     rng = make_rng(config.seed)
@@ -309,7 +309,8 @@ def solve(
         x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center(), history=[]
     )
     for _ in range(config.max_iters):
-        if state.delta < config.delta_min * max(1.0, float(np.linalg.norm(state.x))):
+        floor = config.delta_min * max(1.0, float(np.linalg.norm(state.x)))
+        if state.delta < floor or state.delta == 0.0:  # 0 also with delta_min = 0
             return replace(state, termination="radius_floor"), state.history
         state = iterate(state, problem, oracle, config, rng, diagnostics)
     return replace(state, termination="max_iters"), state.history

@@ -148,7 +148,7 @@ def test_criterion_4_dro_decrease():
             seed=seed,
         )
         state, history = solve(x0, inst.problem, inst.oracle, config, inst.diagnostics)
-        assert all(r.oracle_samples == 5000 for r in history)
+        assert all(r.oracle_samples == 0 for r in history)  # exact without noise
         phi0, grad0 = history[0].oracle_phi, history[0].oracle_grad_norm
         phi_final, grad_final = inst.diagnostics.evaluate(state.x, make_rng(seed + 10_000))
         outcomes.append((seed, (phi0 - phi_final) / phi0, grad_final / grad0))

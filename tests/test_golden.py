@@ -86,7 +86,7 @@ GOLDEN = {
     ),
     "dro_tr": (
         DRO_TR,
-        "038fc0fc3fd181f2869a9cd8ffb427be6c4477b1ec75e32f488364548ab4d150",
+        "5fee8bad70a8525c609b8692943a46245db6c7fd0ae1733a58a0a47fb1d3b8b4",
         "0f990398baf4bd1786a4b71ddb9a9e3eec17640dc1505921e5f9dec868f7a46b",
     ),
     "synthetic_spd": (
@@ -106,12 +106,12 @@ GOLDEN = {
     ),
     "dro_spd": (
         DRO_SPD,
-        "deff227a7c03aa7420812b373527439e1e29a78fe0fed8d4374b403442e31b3b",
+        "076459ff42b732f6a0853e29c257b8941ab937949d55bd374a5e0578b423f3be",
         "c0e00fd12174a4e7cdceea9427defaab929f00eb9673beb62b07d7d58baa3a0b",
     ),
     "dro_asgda": (
         DRO_ASGDA,
-        "884e677f53a58979176950ff4b5e62762047ffd6234244ac9c98981c0527dd42",
+        "a10037d17f71b93cb9313f8bd73eb849ee11c211f9d5b775d8b7f1a0968078ed",
         "97c814da18e685d81d381a27c7cfa44c4eb32b214850d22669aa0dd03c1489a2",
     ),
     "dro_asgda_noisy": (

@@ -379,6 +379,24 @@ class TestSolve:
             r.x_after.tobytes() for r in history[: len(floored)]
         ]
 
+    @pytest.mark.parametrize(
+        "llr_schedule",
+        [SampleSchedule(fixed=40), SampleSchedule(fixed=None)],
+        ids=["fixed", "adaptive"],
+    )
+    def test_radius_underflow_ends_the_run(self, llr_schedule):
+        # With gamma = 1e200 two rejections take delta below the smallest
+        # subnormal, to 0.0, where a zero floor does not stop the run.
+        problem, oracle = affine_map_problem()
+        config = small_config(
+            max_iters=40, seed=3, gamma=1e200, delta_min=0.0, llr_schedule=llr_schedule
+        )
+        state, history = solve(np.array([0.0]), problem, oracle, config)
+        assert state.termination == "radius_floor"
+        assert len(history) < config.max_iters
+        assert all(rec.delta > 0 for rec in history)
+        assert state.delta == history[-1].delta_next == 0.0
+
     @pytest.mark.parametrize("delta_min", [-1e-8, math.nan])
     def test_negative_delta_min_rejected(self, delta_min):
         with pytest.raises(ConfigurationError, match="delta_min"):
@@ -422,9 +440,9 @@ class TestSampleSchedule:
         assert sched.count(0.3) == math.ceil(0.3**-4)
         assert sched.count(0.01) == 5000
 
-    @pytest.mark.parametrize("delta", [2.0**-256, 2.0**-1074, np.float64(2.0**-256)])
+    @pytest.mark.parametrize("delta", [2.0**-256, 2.0**-1074, np.float64(2.0**-256), 0.0])
     def test_adaptive_count_at_tiny_radius_is_maximum(self, delta):
-        # delta ** -4 is past the float range here.
+        # delta ** -4 is past the float range here, or undefined at 0.
         assert SampleSchedule(fixed=None).count(delta) == 5000
 
     def test_config_validation(self):
