@@ -212,6 +212,20 @@ def expit(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
+def softplus(z):
+    """log(1 + e^z) of a float array as ``max(z, 0) + log1p(e^-|z|)``, within
+    2 ulp of numpy's ``logaddexp(0, z)``, which evaluates the same identity one
+    element at a time through the scalar libm; here numpy's vectorized exp and
+    log1p run in place on one temporary. Returns a new array; ``z`` is not
+    changed."""
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
+
+
 def _f_value(x, lambda1, alpha):
     q = alpha * x**2
     return lambda1 * float(np.sum(q / (1.0 + q)))
@@ -244,9 +258,10 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     class DROEvaluation:
         """The loss and gradients at one (x, w) as means over the draws (see
         ``core.Evaluation``): the margins -b * (a(x) x) are computed once, their
-        logaddexp and expit on first use, and the coefficients of grad1 and
-        grad3 once per y. Each mean equals, bit for bit, the mean of the
-        per-draw loss or gradient (``dro_reference_evaluators`` in the tests).
+        softplus (within 2 ulp of numpy's ``logaddexp(0, margins)``) and expit
+        on first use, and the coefficients of grad1 and grad3 once per y. Each
+        mean equals, bit for bit, the mean of the per-draw loss or gradient
+        (``dro_reference_evaluators`` in the tests).
 
         Noiseless draws at one x are copies of one row, passed as a view with
         stride 0 (see ``sampler``). They are evaluated on that row, and each
@@ -264,7 +279,7 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
             self.margins *= neg_b
             self.coef_y = None, None  # (y bytes, coef) of the last y
 
-        losses = cached_property(lambda self: np.logaddexp(0.0, self.margins))
+        losses = cached_property(lambda self: softplus(self.margins))
         losses_n = cached_property(lambda self: self.losses / N)
         sig = cached_property(lambda self: expit(self.margins))
 

@@ -155,12 +155,24 @@ def surrogate_value_and_xgrad(
     return float(evaluation.loss(y)), evaluation.grad1(y) + model.b1 @ evaluation.grad3(y)
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector (Frobenius of a matrix), finite whenever
+    every entry is: a sum of squares that overflows, past entries of about
+    1.3e154, is taken again over the entries divided by the largest."""
+    with np.errstate(over="ignore"):
+        result = float(np.linalg.norm(v))
+    if result == math.inf and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        result = scale * float(np.linalg.norm(v / scale))
+    return result
+
+
 def trial_step(grad: np.ndarray, delta: float) -> np.ndarray:
     """Radius-length step along the negative gradient, whose norm must be finite and nonzero."""
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
     grad = np.asarray(grad, dtype=float)
-    return -delta * grad / float(np.linalg.norm(grad))
+    return -delta * grad / norm(grad)
 
 
 def check_sufficient_descent(
@@ -229,7 +241,7 @@ def iterate(
     l_old, g = surrogate_value_and_xgrad(model, rep_old.evaluation, rep_old.maximizer)
     y_old = rep_old.maximizer
     del rep_old  # its binding holds arrays of the size of the scenarios
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = norm(g)
 
     oracle_phi = math.nan
     oracle_grad = math.nan
@@ -282,7 +294,7 @@ def iterate(
             n_llr=n_llr,
             n_value=n_value,
             n_value_half=n_value,
-            b1_frobenius=float(np.linalg.norm(model.b1, "fro")),
+            b1_frobenius=norm(model.b1),
             oracle_phi=oracle_phi,
             oracle_grad_norm=oracle_grad,
             oracle_samples=oracle_samples,
@@ -309,7 +321,7 @@ def solve(
         x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center(), history=[]
     )
     for _ in range(config.max_iters):
-        floor = config.delta_min * max(1.0, float(np.linalg.norm(state.x)))
+        floor = config.delta_min * max(1.0, norm(state.x))
         if state.delta < floor or state.delta == 0.0:  # 0 also with delta_min = 0
             return replace(state, termination="radius_floor"), state.history
         state = iterate(state, problem, oracle, config, rng, diagnostics)

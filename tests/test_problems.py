@@ -25,6 +25,7 @@ from ddtr.problems import (
     expit,
     generate_synthetic_credit,
     load_credit_csv,
+    softplus,
     subsample,
     synthetic_instance,
     synthetic_primal,
@@ -432,6 +433,27 @@ class TestBinding:
                     rows_of_copies = closures[name](x, y, copies)
                     assert same_bits(got, np.mean(rows_of_copies, axis=0)), (trial, i, name)
 
+    def test_dro_binding_at_benchmark_size_matches_logaddexp(self):
+        # 300 scenarios of N = 200 rows, the size of the benchmark's surrogate
+        # binding, against the loss and grad2 written with np.logaddexp.
+        dro = replace(generate_synthetic_credit(200, 5, 3), noise_sigma=0.5)
+        inst = dro_instance(dro)
+        N, b, lam2 = dro.n_rows, dro.labels, dro.lambda2
+        rng = make_rng(3)
+        for trial in range(3):
+            x = rng.normal(size=5) * 2.0 * (trial + 1)
+            w = inst.oracle.sample(x, 300, rng)
+            bound = inst.problem.bind(x, w)
+            losses = np.logaddexp(0.0, -b[None, :] * (w.reshape(-1, N, 5) @ x))  # (300, N)
+            q = dro.alpha * x**2
+            f_value = dro.lambda1 * np.sum(q / (1.0 + q))
+            for y in [Simplex(N).project(rng.normal(size=N)), Simplex(N).center()]:
+                reg = 0.5 * lam2 * np.sum((N * y - 1.0) ** 2)
+                want_loss = np.mean(losses @ y / N) + f_value - reg
+                want_grad2 = np.mean(losses / N, axis=0) - lam2 * N * (N * y - 1.0)
+                np.testing.assert_allclose(bound.loss(y), want_loss, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(bound.grad2(y), want_grad2, rtol=1e-14, atol=0)
+
     def test_default_binding_matches_callables_bitwise(self):
         problem = quadratic_problem([1.0, 2.5, 4.0], Box(np.full(3, -2.0), np.full(3, 2.0)))
         callables = {name: getattr(problem, name) for name in EVALUATORS}
@@ -682,3 +704,25 @@ class TestExpit:
             assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
         assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
         assert got[0] == 0.0 and got[16000] == 1.0
+
+
+class TestSoftplus:
+    def test_within_2_ulp_of_logaddexp_without_warnings(self):
+        magnitudes = np.geomspace(1e-300, 800.0, 200001)
+        z = np.concatenate([-magnitudes[::-1], [0.0, -0.0], magnitudes])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = softplus(z)
+        want = np.logaddexp(0.0, z)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    def test_exact_at_zero_and_the_ends(self):
+        assert softplus(np.array([0.0, -800.0, 800.0])).tolist() == [math.log(2.0), 0.0, 800.0]
+
+    def test_returns_a_new_array_and_keeps_its_input(self):
+        z = np.random.default_rng(0).normal(size=(3, 4)) * 10.0
+        kept = z.copy()
+        got = softplus(z)
+        assert not np.shares_memory(got, z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert z.tobytes() == kept.tobytes()

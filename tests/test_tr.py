@@ -42,6 +42,26 @@ def small_config(**kw):
     return TRConfig(**defaults)
 
 
+def x_free_problem(grad1_value):
+    """A loss of y alone whose grad1 is the constant ``grad1_value`` and grad3
+    is 0: the surrogate x-gradient is that constant, and a step never
+    changes the surrogate value."""
+    problem = ProblemSpec(
+        n=1,
+        m=1,
+        d=1,
+        loss=lambda x, y, w: np.full(w.shape[0], -y[0] ** 2),
+        grad1=lambda x, y, w: np.full((w.shape[0], 1), grad1_value),
+        grad2=lambda x, y, w: np.full((w.shape[0], 1), -2.0 * y[0]),
+        grad3=lambda x, y, w: np.zeros((w.shape[0], 1)),
+        inner_domain=Box(np.array([-1.0]), np.array([1.0])),
+        mu=2.0,
+        ell=2.0,
+    )
+    oracle = DistributionOracle(d=1, sampler=lambda x, count, rng: rng.standard_normal((count, 1)))
+    return problem, oracle
+
+
 def fitted_model(fn, center, radius=0.5, count=40, sigma=0.0, seed=3):
     samples = generate_poised_set(
         scalar_oracle(fn, sigma=sigma), center, radius, count, 100.0, make_rng(seed)
@@ -149,6 +169,11 @@ class TestTrialStep:
     def test_axis_direction(self):
         s = trial_step(np.array([0.0, 5.0]), 2.0)
         assert np.allclose(s, [0.0, -2.0])
+
+    def test_huge_finite_gradient(self):
+        # The square of 1e200 overflows; the norm must not.
+        assert trial_step(np.array([1e200]), 1.0).tolist() == [-1.0]
+        assert np.allclose(trial_step(np.array([3e200, -4e200]), 2.0), [-1.2, 1.6])
 
 
 class TestCheckSufficientDescent:
@@ -262,21 +287,7 @@ class TestIterate:
     def test_degenerate_gradient_exit(self):
         # The loss ignores x and w, so grad1 = grad3 = 0 and the surrogate
         # x-gradient vanishes: the iteration stops before any trial step.
-        problem = ProblemSpec(
-            n=1,
-            m=1,
-            d=1,
-            loss=lambda x, y, w: np.full(w.shape[0], -y[0] ** 2),
-            grad1=lambda x, y, w: np.zeros((w.shape[0], 1)),
-            grad2=lambda x, y, w: np.full((w.shape[0], 1), -2.0 * y[0]),
-            grad3=lambda x, y, w: np.zeros((w.shape[0], 1)),
-            inner_domain=Box(np.array([-1.0]), np.array([1.0])),
-            mu=2.0,
-            ell=2.0,
-        )
-        oracle = DistributionOracle(
-            d=1, sampler=lambda x, count, rng: rng.standard_normal((count, 1))
-        )
+        problem, oracle = x_free_problem(0.0)
         config = small_config()
         x, y_warm = np.array([0.3]), np.array([0.7])
         state = TRState(x=x, delta=0.5, k=0, y_warm=y_warm, history=[])
@@ -291,6 +302,19 @@ class TestIterate:
         assert rec.delta_next == 0.5 / config.gamma == after.delta
         assert after.x.tobytes() == x.tobytes() == rec.x_after.tobytes()
         assert after.y_warm.tobytes() == y_warm.tobytes()
+
+    def test_huge_finite_gradient_gives_a_trial_step(self):
+        # A finite surrogate x-gradient whose square overflows has a finite
+        # norm: the iteration takes its trial step (the loss ignores x, so
+        # the step then fails the descent test).
+        problem, oracle = x_free_problem(1e200)
+        config = small_config()
+        state = TRState(x=np.array([0.3]), delta=0.5, k=0, y_warm=np.array([0.0]), history=[])
+        rec = iterate(state, problem, oracle, config, make_rng(1)).history[-1]
+        assert rec.grad_norm_surrogate == 1e200
+        assert rec.descent_lhs == 0.0
+        assert rec.descent_rhs == config.kappa_dcp * 1e200 * 0.5
+        assert not rec.descent_ok and not rec.accepted and rec.n_value == 0
 
 
 class TestSolve:
@@ -307,21 +331,7 @@ class TestSolve:
     def test_non_finite_gradient_rejects_iterations(self, value):
         # A surrogate x-gradient of infinite or NaN norm gives no trial step:
         # each iteration is unsuccessful and halves the radius, and x stays.
-        problem = ProblemSpec(
-            n=1,
-            m=1,
-            d=1,
-            loss=lambda x, y, w: np.full(w.shape[0], -y[0] ** 2),
-            grad1=lambda x, y, w: np.full((w.shape[0], 1), value),
-            grad2=lambda x, y, w: np.full((w.shape[0], 1), -2.0 * y[0]),
-            grad3=lambda x, y, w: np.zeros((w.shape[0], 1)),
-            inner_domain=Box(np.array([-1.0]), np.array([1.0])),
-            mu=2.0,
-            ell=2.0,
-        )
-        oracle = DistributionOracle(
-            d=1, sampler=lambda x, count, rng: rng.standard_normal((count, 1))
-        )
+        problem, oracle = x_free_problem(value)
         state, history = solve(np.array([0.3]), problem, oracle, small_config(max_iters=4))
         assert state.termination == "max_iters" and len(history) == 4
         for k, rec in enumerate(history):

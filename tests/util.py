@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ddtr.core import Box, DistributionOracle, ProblemSpec
-from ddtr.problems import DROProblem, dro_instance, expit
+from ddtr.problems import DROProblem, dro_instance, expit, softplus
 from ddtr.tr import surrogate_value_and_xgrad
 
 
@@ -158,7 +158,7 @@ def dro_mc_reference(dro: DROProblem, x, rng, diag_samples: int = 5000) -> tuple
     f_grad = lam1 * 2.0 * alpha * x / (1.0 + alpha * x**2) ** 2
     a = oracle.sample(x, diag_samples, rng).reshape(-1, N, n)
     margins = -b[None, :] * (a @ x)
-    mean_losses = np.mean(np.logaddexp(0.0, margins), axis=0)  # (N,)
+    mean_losses = np.mean(softplus(margins), axis=0)  # (N,)
     y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
     reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
     value = float(mean_losses @ y_star / N + f_value - reg)
@@ -196,7 +196,7 @@ def dro_reference_evaluators(dro: DROProblem) -> dict:
     def loss(x, y, w):
         _, margins = margins_of(x, w)
         reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
-        return np.logaddexp(0.0, margins) @ y / N + f_value(x) - reg
+        return softplus(margins) @ y / N + f_value(x) - reg
 
     def grad1(x, y, w):
         a, margins = margins_of(x, w)
@@ -205,7 +205,7 @@ def dro_reference_evaluators(dro: DROProblem) -> dict:
 
     def grad2(x, y, w):
         _, margins = margins_of(x, w)
-        return np.logaddexp(0.0, margins) / N - (lam2 * N * (N * y - 1.0))[None, :]
+        return softplus(margins) / N - (lam2 * N * (N * y - 1.0))[None, :]
 
     def grad3(x, y, w):
         _, margins = margins_of(x, w)
