@@ -8,7 +8,7 @@ surrogate scenarios used by the driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class PoisedSampleSet:
     ``offsets`` are the exact unit-ball draws, kept so the scaled design
     ``[offsets, 1]`` stays well posed even when ``radius`` is at the floating
     point noise floor of ``center``.  ``poisedness_metric`` is that design's
-    2-norm condition number, which is scale invariant.
+    2-norm condition number, which is scale invariant.  ``fit`` reuses
+    ``factors``, the design and its QR factors, or factors a set without them.
     """
 
     points: np.ndarray  # (count, n)
@@ -38,6 +39,7 @@ class PoisedSampleSet:
     center: np.ndarray  # (n,)
     radius: float
     poisedness_metric: float
+    factors: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,10 @@ class LLRModel:
         return self.predict(x)[None, :] + self.residuals
 
 
-def _design(offsets: np.ndarray) -> np.ndarray:
-    return np.column_stack([offsets, np.ones(offsets.shape[0])])
+def _factor(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled design ``[offsets, 1]`` and its reduced QR factors."""
+    design = np.column_stack([offsets, np.ones(offsets.shape[0])])
+    return (design, *np.linalg.qr(design))
 
 
 def generate_poised_set(
@@ -97,13 +101,12 @@ def generate_poised_set(
 
     best = np.inf
     for _ in range(max_rounds + 1):
-        design = _design(offsets)
-        sv = np.linalg.svd(design, compute_uv=False)
+        factors = _, q, r = _factor(offsets)
+        sv = np.linalg.svd(r, compute_uv=False)  # the design's singular values
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
         best = min(best, cond)
         if cond <= lambda_max:
-            return PoisedSampleSet(points, responses, offsets, center, float(radius), cond)
-        q, _ = np.linalg.qr(design)
+            return PoisedSampleSet(points, responses, offsets, center, float(radius), cond, factors)
         worst = int(np.argmax(np.sum(q**2, axis=1)))
         offsets[worst] = uniform_ball_sample(np.zeros(n), 1.0, 1, rng)[0]
         points[worst] = center + radius * offsets[worst]
@@ -121,8 +124,7 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
     ``predict(x_i) + e_i = omega_i`` and have zero empirical mean.
     """
     n = samples.offsets.shape[1]
-    design = _design(samples.offsets)
-    q, r = np.linalg.qr(design)
+    design, q, r = samples.factors or _factor(samples.offsets)
     diag = np.abs(np.diag(r))
     if np.min(diag) <= 1e-13 * max(np.max(diag), 1.0):
         raise SingularFitError("rank-deficient regression design")

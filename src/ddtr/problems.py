@@ -21,6 +21,7 @@ from .core import (
     OracleDiagnostics,
     ProblemSpec,
     Simplex,
+    scenario_mean,
     uniform_ball_sample,
 )
 
@@ -208,8 +209,11 @@ class DROProblem:
 
 
 def expit(z):
+    out = np.negative(z, out=np.empty(np.shape(z)))  # one temporary, as in softplus
     with np.errstate(over="ignore"):  # exp(-z) = inf gives the exact limit 0
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def softplus(z):
@@ -296,15 +300,15 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
             # The product runs over every draw: BLAS may round a row of a
             # matrix-vector product differently by its place in the matrix.
             losses = np.ascontiguousarray(self.per_draw(self.losses))
-            return np.mean(losses @ y / N + _f_value(self.x, lam1, alpha) - reg, axis=0)
+            return scenario_mean(losses @ y / N + _f_value(self.x, lam1, alpha) - reg)
 
         def grad1(self, y):
             g1 = np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
-            return np.mean(self.per_draw(g1), axis=0)
+            return scenario_mean(self.per_draw(g1))
 
         def grad2(self, y):
             g2 = self.losses_n - (lam2 * N * (N * y - 1.0))[None, :]
-            return np.mean(self.per_draw(g2), axis=0)
+            return scenario_mean(self.per_draw(g2))
 
         def grad3(self, y):
             # Column j of the (N, n) mean is the mean of coef * x[j]: numpy adds
@@ -314,10 +318,10 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
             coef = self.coef(y)
             if N == 1 or self.a.shape[0] == 1:
                 g3 = (coef[:, :, None] * self.x[None, None, :]).reshape(-1, d)
-                return np.mean(self.per_draw(g3), axis=0)
+                return scenario_mean(self.per_draw(g3))
             g3 = np.empty((N, n))
             for j in range(n):
-                g3[:, j] = np.mean(self.per_draw(coef * self.x[j]), axis=0)
+                g3[:, j] = scenario_mean(self.per_draw(coef * self.x[j]))
             return g3.reshape(d)
 
     problem = ProblemSpec(
@@ -333,7 +337,8 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     base = dro.features
 
     def sampler(x, count, rng):
-        draws = base[None] + dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :]
+        draws = np.repeat(dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :], N, axis=1)
+        draws += base  # in place, not broadcast: that sum loops over rows of length n
         if dro.noise_sigma > 0:
             draws = draws + dro.noise_sigma * rng.standard_normal((count, N, n))
         if draws.shape[0] < count:
@@ -353,13 +358,13 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, is an isotropic quadratic
         # whose constrained maximizer is one simplex projection.
         rows = DROEvaluation(x, oracle.sample(x, 1 if noiseless else diag_samples, rng))
-        mean_losses = np.mean(rows.losses, axis=0)  # (N,)
+        mean_losses = scenario_mean(rows.losses)  # (N,)
         y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
         reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
         value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
         coef = rows.coef(y_star)  # (S, N)
-        g1 = np.mean(np.einsum("sN,sNn->sn", coef, rows.a), axis=0) + _f_grad(x, lam1, alpha)
-        g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
+        g1 = scenario_mean(np.einsum("sN,sNn->sn", coef, rows.a)) + _f_grad(x, lam1, alpha)
+        g3_rows = scenario_mean(coef)[:, None] * x[None, :]  # (N, n)
         chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
         return value, float(np.linalg.norm(g1 + chain))
 

@@ -19,6 +19,7 @@ from ddtr.core import (
     DistributionOracle,
     Simplex,
     make_rng,
+    scenario_mean,
     uniform_ball_sample,
 )
 from ddtr.llr import generate_poised_set
@@ -93,6 +94,26 @@ class TestSimplexProjection:
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p >= -1e-14)
 
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ([1e16, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([1e16, 1e16, 0.0], [0.5, 0.5, 0.0]),
+            ([0.0, -3.0, 1e200], [0.0, 0.0, 1.0]),
+        ],
+    )
+    def test_large_finite_inputs(self, y, want):
+        # Every candidate threshold rounds to <= 0 here; the projection of
+        # y - max(y), the same point, is taken instead.
+        assert Simplex(3).project(np.array(y)).tolist() == want
+
+    def test_shift_invariance(self):
+        rng = make_rng(12)
+        for _ in range(100):
+            y = rng.normal(size=5)
+            shifted = Simplex(5).project(y + 1e6)
+            assert np.allclose(shifted, Simplex(5).project(y), atol=1e-9)
+
 
 @pytest.mark.parametrize(
     "domain",
@@ -117,6 +138,25 @@ def test_projection_idempotent():
             y = rng.normal(size=3) * 4.0
             once = domain.project(y)
             assert np.allclose(domain.project(once), once, atol=1e-14)
+
+
+SCENARIO_ARRAYS = {
+    "c_ordered": make_rng(0).normal(size=(300, 7)) * np.geomspace(1e-3, 1e3, 7),
+    "stride0_1_row": np.broadcast_to(make_rng(1).normal(size=200), (1, 200)),
+    "stride0_500_rows": np.broadcast_to(make_rng(1).normal(size=200), (500, 200)),
+    "one_scenario": make_rng(2).normal(size=(1, 9)),
+    "one_column": make_rng(3).normal(size=(300, 1)),
+    "loss_vector": make_rng(4).normal(size=300) * 1e3,
+}
+
+
+@pytest.mark.parametrize("a", SCENARIO_ARRAYS.values(), ids=SCENARIO_ARRAYS.keys())
+def test_scenario_mean_is_np_mean_bit_for_bit(a):
+    if a.ndim == 2 and a.shape[1] == 200:
+        assert a.strides[0] == 0
+    got, want = scenario_mean(a), np.mean(a, axis=0)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestUniformBallSample:

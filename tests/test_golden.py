@@ -77,6 +77,25 @@ DRO_SPD = {
 }
 DRO_ASGDA = dict(DRO_SPD, solver="asgda")
 DRO_ASGDA_NOISY = dict(DRO_ASGDA, problem_params={**DRO_SMALL, "noise_sigma": 0.5})
+# The benchmark's trust-region operations (perfbench/workloads.py) at their
+# first run seed: every iteration the synth-tr and dro-tr workloads time.
+BENCH_SYNTHETIC_TR = {
+    "problem": "synthetic",
+    "solver": "tr",
+    "seeds": [1001],
+    "max_iters": 300,
+    "log_oracle_diagnostics": True,
+    "solver_params": {
+        "delta0": 1.0,
+        "delta_max": 2.0,
+        "gamma": 2.0,
+        "eta1": 0.25,
+        "eta2": 0.1,
+        "llr_count": 300,
+        "value_count": 100,
+    },
+}
+BENCH_DRO_TR = dict(DRO_TR, seeds=[1001], max_iters=25)
 
 GOLDEN = {
     "synthetic_tr": (
@@ -118,6 +137,16 @@ GOLDEN = {
         DRO_ASGDA_NOISY,
         "9fb0f40566ed53233233b9e878bd4985f7d6af6fa144ffb6e4cb981f349b6ad8",
         "27c48ae7b94d1306b8d1547734c363f2a7c412897a6ad66e645baf9cb3564279",
+    ),
+    "bench_synthetic_tr": (
+        BENCH_SYNTHETIC_TR,
+        "4105f1a06d491f29496d0b88b8b9819345fb8eb3b6a73c8d198a69fe536cbc5c",
+        "bbe3ebd908dddf76c918034e2c9a23bed3d0ec5931eea1b777354ba72fbfaa33",
+    ),
+    "bench_dro_tr": (
+        BENCH_DRO_TR,
+        "a3cd99c734a62afaa76332240a1c00f6b629fee719873a5b0b8880ad321e3cd6",
+        "dd42e33b697b5e7946cc965f2d4fdf032a9d37716f391c30827ac2b3c225d10d",
     ),
 }
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ddtr.core import ConfigurationError, DistributionOracle, PoisednessError, make_rng
-from ddtr.llr import LLRModel, fit, generate_poised_set
+from ddtr.llr import LLRModel, PoisedSampleSet, fit, generate_poised_set
+from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_instance
 
 from util import scalar_oracle
 
@@ -53,6 +54,47 @@ class TestGeneratePoisedSet:
             generate_poised_set(oracle, np.zeros(1), 1.0, 10, 1.05, make_rng(0))
         assert np.isfinite(exc.value.best_metric)
         assert exc.value.best_metric > 1.05
+
+
+def poised_cases():
+    """Sets at the benchmark sizes, and a minimal 2-d one built after redraws."""
+    synthetic = synthetic_instance().oracle
+    dro = dro_instance(generate_synthetic_credit(200, 5, 0), diag_samples=10).oracle
+    redrawn = DistributionOracle(d=1, sampler=lambda x, c, r: np.tile(x.sum(), (c, 1)))
+    return [
+        generate_poised_set(synthetic, np.array([1.5]), 0.3, 300, 100.0, make_rng(seed))
+        for seed in range(10)
+    ] + [
+        generate_poised_set(dro, np.full(5, 2.0), 1.0, 300, 100.0, make_rng(7)),
+        generate_poised_set(redrawn, np.zeros(2), 1.0, 3, 12.0, make_rng(1)),
+    ]
+
+
+class TestPoisedSetFactors:
+    """The poised set is factored once; ``fit`` reuses that factorization."""
+
+    def test_metric_is_the_design_condition_number(self):
+        for samples in poised_cases():
+            design = np.column_stack([samples.offsets, np.ones(samples.offsets.shape[0])])
+            sv = np.linalg.svd(design, compute_uv=False)
+            assert samples.poisedness_metric == pytest.approx(sv[0] / sv[-1], rel=1e-12, abs=0)
+
+    def test_fit_equals_fit_of_the_same_data_rebuilt_by_hand(self):
+        for samples in poised_cases():
+            assert len(samples.factors) == 3
+            rebuilt = PoisedSampleSet(
+                samples.points.copy(),
+                samples.responses.copy(),
+                samples.offsets.copy(),
+                samples.center.copy(),
+                samples.radius,
+                samples.poisedness_metric,
+            )
+            assert rebuilt.factors == ()
+            got, want = fit(samples), fit(rebuilt)
+            for name in ("b1", "b0", "residuals"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestFit:

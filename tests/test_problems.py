@@ -551,6 +551,24 @@ class TestDROSampler:
         assert draws.flags.writeable and draws.flags.c_contiguous
         assert draws.strides[0] == 120 * 8
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_batched_draws_at_benchmark_size(self, sigma):
+        # N = 200 rows of n = 5 features at 300 points, as the regression set
+        # of the dro-tr benchmark draws them.
+        dro = replace(generate_synthetic_credit(200, 5, 0), noise_sigma=sigma)
+        oracle = dro_instance(dro, diag_samples=10).oracle
+        points = make_rng(4).uniform(-4.0, 4.0, size=(300, 5))
+        draws = oracle.sample_at(points, make_rng(5))
+        # The poisedness redraw writes into a batch of as many draws as points.
+        assert draws.shape == (300, 1000) and draws.flags.writeable
+        formula = dro.features[None] + dro.shift_scale * np.sin(points)[:, None, :]
+        if sigma > 0:
+            formula = formula + sigma * make_rng(5).standard_normal((300, 200, 5))
+        assert same_bits(draws, formula.reshape(300, 1000))
+        rng = make_rng(5)
+        singles = np.vstack([oracle.sample(point, 1, rng) for point in points])
+        assert same_bits(draws, singles)
+
     def test_poised_set_redraws_rows_of_noiseless_draws(self, small_dro):
         # The redraw loop writes one row at a time into the batched draw, so
         # that draw must be writable; lambda_max = 5 forces three redraws here.
@@ -704,6 +722,13 @@ class TestExpit:
             assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
         assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
         assert got[0] == 0.0 and got[16000] == 1.0
+
+    def test_equals_the_out_of_place_formula_and_keeps_its_input(self):
+        z = np.random.default_rng(1).normal(size=(300, 200)) * 10.0
+        kept = z.copy()
+        got = expit(z)
+        assert same_bits(got, 1.0 / (1.0 + np.exp(-z)))
+        assert not np.shares_memory(got, z) and z.tobytes() == kept.tobytes()
 
 
 class TestSoftplus:
