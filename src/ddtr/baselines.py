@@ -42,11 +42,11 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if min(self.eta_x, self.eta_y, self.eta, self.dyn_a) <= 0:
+        if not all(v > 0 for v in (self.eta_x, self.eta_y, self.eta, self.dyn_a)):
             raise ConfigurationError("stepsizes and dyn_a must be positive")
-        if self.dyn_b < 0:
+        if not self.dyn_b >= 0:
             raise ConfigurationError("dyn_b must be nonnegative")
-        if self.batch < 1:
+        if not self.batch >= 1:
             raise ConfigurationError("batch must be >= 1")
         if not (0 < self.forget <= 1):
             raise ConfigurationError("forget must lie in (0, 1]")

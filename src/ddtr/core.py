@@ -58,6 +58,9 @@ class IngestionError(ValueError):
     """A data file could not be parsed into a usable problem instance."""
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator with an explicit 64-bit seed."""
     return np.random.Generator(np.random.Philox(seed))
@@ -121,15 +124,21 @@ class Simplex:
         # (Held/Wolfe/Crowder; see also Duchi et al. 2008).
         y = as_vector(y, self.dim, "y")
         u = np.sort(y)[::-1]
-        css = np.cumsum(u)
-        j = np.arange(1, self.dim + 1)
-        cand = u + (1.0 - css) / j
-        positive = np.nonzero(cand > 0)[0]
-        if positive.size == 0:  # all rounded to <= 0: the entries dwarf the 1 in 1 - css
-            return self.project(y - u[0])  # the same projection; now cand[0] = 1
-        rho = positive[-1]
-        theta = (1.0 - css[rho]) / (rho + 1.0)
-        return np.maximum(y + theta, 0.0)
+        bound = _FLOAT_MAX / (self.dim + 2)
+        if u[0] <= bound and u[-1] >= -bound:  # no sum below can overflow
+            css = np.cumsum(u)
+            j = np.arange(1, self.dim + 1)
+            cand = u + (1.0 - css) / j
+            positive = np.nonzero(cand > 0)[0]
+            if positive.size:  # else all rounded to <= 0: the entries dwarf the 1 in 1 - css
+                rho = positive[-1]
+                theta = (1.0 - css[rho]) / (rho + 1.0)
+                return np.maximum(y + theta, 0.0)
+        # The same projection is that of y - max(y), whose theta is <= 1, so
+        # every entry below -1 projects to 0 and may be raised to -1.
+        with np.errstate(over="ignore"):
+            shifted = y - u[0]
+        return self.project(np.maximum(shifted, -1.0))
 
     def center(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -209,36 +218,21 @@ class Evaluation:
 class DistributionOracle:
     """Black-box sampler producing i.i.d. draws from D(x) for any query x.
 
-    ``sampler(x, count, rng)`` must return a finite array of shape
+    ``sampler(x, count, rng)`` takes one point, ``x`` of shape ``(n,)``, and
+    returns ``count`` draws at it; or ``count`` points, ``x`` of shape
+    ``(count, n)``, and returns a new, writable array holding one draw per
+    row, equal bit for bit to the single-row draws ``sampler(x[i], 1, rng)``
+    taken in row order.  Either way it must return a finite array of shape
     ``(count, d)``; ``sample`` raises on any other.  Draws with an identical
     generator state are bit-identical; callers never share one generator
-    across threads.  The array may be read-only with rows that share memory,
-    such as a view with stride 0 that repeats one row; callers must not write
-    into it.  A binding may evaluate such a batch once (the ``dro`` one does).
-
-    A ``batched`` sampler also accepts ``x`` of shape ``(count, n)`` and then
-    returns a new array holding one draw per row, equal bit for bit to the
-    single-row draws ``sampler(x[i], 1, rng)`` taken in row order.
+    across threads.  The draws at one point may be read-only with rows that
+    share memory, such as a view with stride 0 that repeats one row; callers
+    must not write into it.  A binding may evaluate such a batch once (the
+    ``dro`` one does).
     """
 
     d: int
     sampler: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
-    batched: bool = False
-
-    def sample_at(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One draw at each row of ``points`` (shape ``(count, n)``), shape ``(count, d)``.
-
-        Equal to stacking ``sample(points[i], 1, rng)`` in row order; a
-        batched sampler serves all rows in one call.
-        """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise ContractViolationError(f"points must have shape (count, n), got {points.shape}")
-        if self.batched:
-            return self.sample(points, points.shape[0], rng)
-        if points.shape[0] < 1:
-            raise ConfigurationError("sample count must be >= 1")
-        return np.vstack([self.sample(point, 1, rng) for point in points])
 
     def sample(self, x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
         if count < 1:

@@ -97,7 +97,7 @@ def generate_poised_set(
 
     offsets = uniform_ball_sample(np.zeros(n), 1.0, count, rng)
     points = center + radius * offsets
-    responses = oracle.sample_at(points, rng)
+    responses = oracle.sample(points, count, rng)
 
     best = np.inf
     for _ in range(max_rounds + 1):

@@ -140,7 +140,7 @@ def synthetic_instance(params: SyntheticProblem = SyntheticProblem()) -> Instanc
         cubes = np.float_power(np.atleast_2d(x)[:, :1], 3)
         return cubes + sigma * rng.standard_normal((count, 1))
 
-    oracle = DistributionOracle(d=1, sampler=sampler, batched=True)
+    oracle = DistributionOracle(d=1, sampler=sampler)
 
     def closed_form(x, rng):  # ignores rng, so evaluate spawns no generators
         x0 = float(x[0])
@@ -347,7 +347,7 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
             draws = np.broadcast_to(draws, (count, N, n))
         return draws.reshape(count, d)
 
-    oracle = DistributionOracle(d=d, sampler=sampler, batched=True)
+    oracle = DistributionOracle(d=d, sampler=sampler)
 
     # Without noise the draws at x are copies of one row, so the diagnostic
     # is exact on that one row and draws no Monte-Carlo sample.

@@ -52,10 +52,12 @@ class SampleSchedule:
     maximum: int = 5000
 
     def __post_init__(self):
-        if self.fixed is not None and self.fixed < 1:
+        if self.fixed is not None and not self.fixed >= 1:
             raise ConfigurationError("fixed sample count must be >= 1")
         if self.fixed is None and not (1 <= self.minimum <= self.maximum):
             raise ConfigurationError("need 1 <= minimum <= maximum")
+        if self.fixed is None and (math.isnan(self.coeff) or math.isnan(self.power)):
+            raise ConfigurationError("coeff and power must not be NaN")
 
     def count(self, delta: float) -> int:
         if self.fixed is not None:
@@ -88,17 +90,17 @@ class TRConfig:
     def __post_init__(self):
         if not (0 < self.delta0 < self.delta_max):
             raise ConfigurationError("need 0 < delta0 < delta_max")
-        if self.gamma <= 1:
+        if not self.gamma > 1:
             raise ConfigurationError("gamma must exceed 1")
         if not (0 < self.eta1 < 1):
             raise ConfigurationError("eta1 must lie in (0, 1)")
-        if self.eta2 <= 0:
+        if not self.eta2 > 0:
             raise ConfigurationError("eta2 must be positive")
-        if self.kappa_dcp <= 0:
+        if not self.kappa_dcp > 0:
             raise ConfigurationError("kappa_dcp must be positive")
         if not self.lambda_max > 1:
             raise ConfigurationError("lambda_max must exceed 1")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ConfigurationError("max_iters must be nonnegative")
         if not self.delta_min >= 0:
             raise ConfigurationError("delta_min must be nonnegative")

@@ -169,7 +169,9 @@ def test_criterion_5_llr_oracle_equivalence():
         count = int(rng.integers(n + 2, 13))
 
         def sampler(x, cnt, r):
-            return np.tile(x.sum() ** 2, (cnt, d)) + r.normal(size=(cnt, d))
+            # A batch of points takes the one-point mean row by row.
+            means = np.array([[row.sum() ** 2] for row in np.atleast_2d(x)])
+            return means + r.normal(size=(cnt, d))
 
         oracle = DistributionOracle(d=d, sampler=sampler)
         samples = generate_poised_set(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,12 @@ from util import in_domain, quadratic_problem
 def affine_oracle(slope, intercept, sigma=0.0):
     slope = np.atleast_2d(np.asarray(slope, dtype=float))  # (n, d)
 
+    def mean(x):
+        return slope.T @ x + np.atleast_1d(intercept)
+
     def sampler(x, count, rng):
-        mean = slope.T @ x + np.atleast_1d(intercept)
-        draws = np.tile(mean, (count, 1))
+        # A batch of points takes the one-point mean row by row.
+        draws = np.tile(mean(x), (count, 1)) if x.ndim == 1 else np.array([mean(row) for row in x])
         if sigma > 0:
             draws = draws + sigma * rng.standard_normal(draws.shape)
         return draws
@@ -48,6 +53,12 @@ class TestConfig:
     def test_constant_stepsize(self):
         config = BaselineConfig(method="spd-constant", eta=1e-2)
         assert config.stepsize(57) == pytest.approx(1e-2)
+
+    @pytest.mark.parametrize("field", ["eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "forget"])
+    def test_config_rejects_nan(self, field):
+        # A NaN fails every comparison, so each check must be one that NaN fails.
+        with pytest.raises(ConfigurationError):
+            BaselineConfig(**{field: math.nan})
 
     @pytest.mark.parametrize("dyn_a, dyn_b", [(0.0, 10.0), (-5.0, 10.0), (1000.0, -1.0)])
     def test_dynamic_coefficients_validated(self, dyn_a, dyn_b):

@@ -8,6 +8,11 @@ from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_ins
 from util import scalar_oracle
 
 
+def coordinate_sum(x, count, rng):
+    """Noiseless draws of sum(x); a batch of points is summed row by row."""
+    return np.full((count, 1), x.sum()) if x.ndim == 1 else np.array([[row.sum()] for row in x])
+
+
 def make_set(oracle, center, radius, count, seed=0, lambda_max=100.0):
     return generate_poised_set(oracle, center, radius, count, lambda_max, make_rng(seed))
 
@@ -20,7 +25,7 @@ class TestGeneratePoisedSet:
 
     def test_minimal_count_full_rank(self):
         def sampler(x, count, rng):
-            return np.tile(x, (count, 1))
+            return np.tile(x, (count, 1)) if x.ndim == 1 else x.copy()
 
         oracle = DistributionOracle(d=2, sampler=sampler)
         samples = generate_poised_set(
@@ -42,7 +47,7 @@ class TestGeneratePoisedSet:
     def test_resampling_repairs_bad_initial_draw(self):
         # Seed 1's minimal 2-d design starts at condition ~77; redrawing the
         # worst-leverage point must bring it under the target.
-        oracle = DistributionOracle(d=1, sampler=lambda x, c, r: np.tile(x.sum(), (c, 1)))
+        oracle = DistributionOracle(d=1, sampler=coordinate_sum)
         samples = generate_poised_set(oracle, np.zeros(2), 1.0, 3, 12.0, make_rng(1))
         assert samples.poisedness_metric <= 12.0
 
@@ -60,7 +65,7 @@ def poised_cases():
     """Sets at the benchmark sizes, and a minimal 2-d one built after redraws."""
     synthetic = synthetic_instance().oracle
     dro = dro_instance(generate_synthetic_credit(200, 5, 0), diag_samples=10).oracle
-    redrawn = DistributionOracle(d=1, sampler=lambda x, c, r: np.tile(x.sum(), (c, 1)))
+    redrawn = DistributionOracle(d=1, sampler=coordinate_sum)
     return [
         generate_poised_set(synthetic, np.array([1.5]), 0.3, 300, 100.0, make_rng(seed))
         for seed in range(10)
@@ -175,10 +180,13 @@ class TestFit:
             d = int(rng.integers(1, 3))
             count = int(rng.integers(n + 2, 13))
 
+            def mean(x):
+                return np.sin(x[:d].sum()) + x.sum() ** 2
+
             def sampler(x, cnt, r):
-                return np.tile(np.sin(x[:d].sum()) + x.sum() ** 2, (cnt, d)) + r.normal(
-                    size=(cnt, d)
-                )
+                # A batch of points takes the one-point mean row by row.
+                means = np.array([[mean(row)] for row in np.atleast_2d(x)])
+                return means + r.normal(size=(cnt, d))
 
             oracle = DistributionOracle(d=d, sampler=sampler)
             samples = generate_poised_set(

@@ -537,7 +537,7 @@ class TestDROSampler:
         dro = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=sigma)
         oracle = dro_instance(dro).oracle
         points = make_rng(1).normal(size=(6, 3))
-        draws = oracle.sample_at(points, make_rng(2))
+        draws = oracle.sample(points, 6, make_rng(2))
         assert draws.flags.writeable and draws.flags.c_contiguous
         assert not np.shares_memory(draws, small_dro.features)
         rng = make_rng(2)
@@ -558,7 +558,7 @@ class TestDROSampler:
         dro = replace(generate_synthetic_credit(200, 5, 0), noise_sigma=sigma)
         oracle = dro_instance(dro, diag_samples=10).oracle
         points = make_rng(4).uniform(-4.0, 4.0, size=(300, 5))
-        draws = oracle.sample_at(points, make_rng(5))
+        draws = oracle.sample(points, 300, make_rng(5))
         # The poisedness redraw writes into a batch of as many draws as points.
         assert draws.shape == (300, 1000) and draws.flags.writeable
         formula = dro.features[None] + dro.shift_scale * np.sin(points)[:, None, :]
@@ -570,7 +570,7 @@ class TestDROSampler:
         assert same_bits(draws, singles)
 
     def test_poised_set_redraws_rows_of_noiseless_draws(self, small_dro):
-        # The redraw loop writes one row at a time into the batched draw, so
+        # The redraw loop writes one row at a time into the batch of draws, so
         # that draw must be writable; lambda_max = 5 forces three redraws here.
         oracle = dro_instance(small_dro).oracle
         with counted_sample() as sample:

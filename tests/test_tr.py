@@ -455,6 +455,20 @@ class TestSampleSchedule:
         # delta ** -4 is past the float range here, or undefined at 0.
         assert SampleSchedule(fixed=None).count(delta) == 5000
 
+    @pytest.mark.parametrize(
+        "field", ["delta0", "delta_max", "gamma", "eta1", "eta2", "kappa_dcp", "lambda_max"]
+    )
+    def test_config_rejects_nan(self, field):
+        # A NaN fails every comparison, so each check must be one that NaN fails.
+        with pytest.raises(ConfigurationError):
+            TRConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["fixed", "coeff", "power"])
+    def test_schedule_rejects_nan(self, field):
+        # A NaN coeff or power made count() raise ValueError mid-run.
+        with pytest.raises(ConfigurationError):
+            SampleSchedule(**{"fixed": None, field: math.nan})
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TRConfig(delta0=3.0, delta_max=2.0)

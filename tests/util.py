@@ -78,17 +78,22 @@ def affine_map_problem(slope=1.0, intercept=-3.0, box_half=1.0) -> tuple[Problem
         mu=2.0,
         ell=2.0,
     )
-    oracle = DistributionOracle(
-        d=1, sampler=lambda x, count, rng: np.full((count, 1), slope * x[0] + intercept)
-    )
-    return problem, oracle
+
+    def sampler(x, count, rng):
+        if x.ndim == 1:
+            return np.full((count, 1), slope * x[0] + intercept)
+        return slope * x[:, :1] + intercept  # one multiply and one add: rounds as per row
+
+    return problem, DistributionOracle(d=1, sampler=sampler)
 
 
 def scalar_oracle(fn, sigma=0.0) -> DistributionOracle:
-    """1-d oracle drawing fn(x) + sigma * noise."""
+    """1-d oracle drawing fn(x) + sigma * noise; a batch of points applies
+    the scalar fn row by row, so each row rounds as a one-point draw does."""
 
     def sampler(x, count, rng):
-        return fn(x[0]) + sigma * rng.standard_normal((count, 1))
+        means = np.array([[fn(row[0])] for row in np.atleast_2d(x)])
+        return means + sigma * rng.standard_normal((count, 1))
 
     return DistributionOracle(d=1, sampler=sampler)
 
