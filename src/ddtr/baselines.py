@@ -22,6 +22,8 @@ from .core import (
 )
 
 METHODS = ("asgda", "spd-constant", "spd-dynamic")
+RIDGE = 1e-8  # Tikhonov term of the online regression's solve
+DIVERGENCE_NORM = 1e8  # a run whose iterate norm passes this has diverged
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,6 @@ class BaselineConfig:
     max_iters: int = 5000
     seed: int = 0
     forget: float = 0.99  # exponential forgetting for the online regression
-    ridge: float = 1e-8
-    divergence_norm: float = 1e8
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -84,9 +84,9 @@ class OnlineAffineModel:
             zw=forget * self.zw + z[:, None] * draws.sum(axis=0)[None, :],
         )
 
-    def coefficients(self, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.zz.shape[0] - 1
-        theta = np.linalg.solve(self.zz + ridge * np.eye(n + 1), self.zw)
+        theta = np.linalg.solve(self.zz + RIDGE * np.eye(n + 1), self.zw)
         return theta[:n], theta[n]  # A (n, d), c (d,)
 
 
@@ -107,17 +107,15 @@ class BaselineRecord:
     k: int
     stepsize: float
     grad_norm_est: float
-    diverged: bool
     oracle_phi: float
     oracle_grad_norm: float
-    oracle_samples: int
     x_after: np.ndarray
 
 
-def _diverged(x: np.ndarray, y: np.ndarray, threshold: float) -> bool:
+def _diverged(x: np.ndarray, y: np.ndarray) -> bool:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return True
-    return float(np.linalg.norm(np.concatenate([x, y]))) > threshold
+    return float(np.linalg.norm(np.concatenate([x, y]))) > DIVERGENCE_NORM
 
 
 def spd_step(
@@ -140,7 +138,7 @@ def spd_step(
         x=x_new,
         y=y_new,
         k=state.k + 1,
-        diverged=_diverged(x_new, y_new, config.divergence_norm),
+        diverged=_diverged(x_new, y_new),
     )
 
 
@@ -154,7 +152,7 @@ def asgda_step(
     """One adaptive descent-ascent step: chain-rule-corrected x-gradient under
     the current global affine estimate of the map, then a model update."""
     draws = oracle.sample(state.x, config.batch, rng)
-    a_hat, _ = state.model.coefficients(config.ridge)
+    a_hat, _ = state.model.coefficients()
     evaluation = problem.bind(state.x, draws)
     gx = evaluation.grad1(state.y) + a_hat @ evaluation.grad3(state.y)
     gy = evaluation.grad2(state.y)
@@ -167,7 +165,7 @@ def asgda_step(
         y=y_new,
         k=state.k + 1,
         model=model,
-        diverged=_diverged(x_new, y_new, config.divergence_norm),
+        diverged=_diverged(x_new, y_new),
     )
 
 
@@ -209,19 +207,15 @@ def run_baseline(
         grad_norm = float(np.linalg.norm((state.x - prev_x) / eta))
         oracle_phi = math.nan
         oracle_grad = math.nan
-        oracle_samples = 0
         if diagnostics is not None and not state.diverged:
             oracle_phi, oracle_grad = diagnostics.evaluate(prev_x, diag_rng)
-            oracle_samples = diagnostics.sample_count
         state.history.append(
             BaselineRecord(
                 k=state.k - 1,
                 stepsize=eta,
                 grad_norm_est=grad_norm,
-                diverged=state.diverged,
                 oracle_phi=oracle_phi,
                 oracle_grad_norm=oracle_grad,
-                oracle_samples=oracle_samples,
                 x_after=state.x,
             )
         )

@@ -275,15 +275,16 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
             diverged=bool(state.diverged),
             termination="diverged" if state.diverged else "max_iters",
         )
-    if instance.diagnostics is not None and not entry["diverged"]:
-        # A seed sequence of its own: every solver generator is spawned from
-        # make_rng(seed), so none of their draws repeat here.
-        diag_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
-        final_x = np.asarray(entry["final_x"])
-        phi, grad_norm = instance.diagnostics.evaluate(final_x, diag_rng)
-        entry["final_oracle_phi"] = phi
-        entry["final_oracle_grad_norm"] = grad_norm
-        entry["oracle_samples"] = instance.diagnostics.sample_count
+    if instance.diagnostics is not None:
+        if not entry["diverged"]:
+            # A seed sequence of its own: every solver generator is spawned from
+            # make_rng(seed), so none of their draws repeat here.
+            diag_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
+            final_x = np.asarray(entry["final_x"])
+            phi, grad_norm = instance.diagnostics.evaluate(final_x, diag_rng)
+            entry["final_oracle_phi"] = phi
+            entry["final_oracle_grad_norm"] = grad_norm
+        entry["oracle_samples"] = instance.diagnostics.sample_count  # behind each oracle_* value
     entry["wall_time_s"] = time.perf_counter() - t0
     return entry
 

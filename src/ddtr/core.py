@@ -58,9 +58,6 @@ class IngestionError(ValueError):
     """A data file could not be parsed into a usable problem instance."""
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator with an explicit 64-bit seed."""
     return np.random.Generator(np.random.Philox(seed))
@@ -124,16 +121,15 @@ class Simplex:
         # (Held/Wolfe/Crowder; see also Duchi et al. 2008).
         y = as_vector(y, self.dim, "y")
         u = np.sort(y)[::-1]
-        bound = _FLOAT_MAX / (self.dim + 2)
-        if u[0] <= bound and u[-1] >= -bound:  # no sum below can overflow
+        # The threshold (1 - css) / j loses about eps * max|y| to rounding, so
+        # the sums are taken only over entries within [-1, 1].
+        if u[0] <= 1.0 and u[-1] >= -1.0:
             css = np.cumsum(u)
             j = np.arange(1, self.dim + 1)
             cand = u + (1.0 - css) / j
-            positive = np.nonzero(cand > 0)[0]
-            if positive.size:  # else all rounded to <= 0: the entries dwarf the 1 in 1 - css
-                rho = positive[-1]
-                theta = (1.0 - css[rho]) / (rho + 1.0)
-                return np.maximum(y + theta, 0.0)
+            rho = np.nonzero(cand > 0)[0][-1]  # cand[0] is about 1
+            theta = (1.0 - css[rho]) / (rho + 1.0)
+            return np.maximum(y + theta, 0.0)
         # The same projection is that of y - max(y), whose theta is <= 1, so
         # every entry below -1 projects to 0 and may be raised to -1.
         with np.errstate(over="ignore"):

@@ -98,6 +98,8 @@ class TRConfig:
             raise ConfigurationError("eta2 must be positive")
         if not self.kappa_dcp > 0:
             raise ConfigurationError("kappa_dcp must be positive")
+        if not self.inner_eps_coeff > 0:
+            raise ConfigurationError("inner_eps_coeff must be positive")
         if not self.lambda_max > 1:
             raise ConfigurationError("lambda_max must exceed 1")
         if not self.max_iters >= 0:
@@ -126,11 +128,9 @@ class IterationRecord:
     descent_ok: bool
     n_llr: int
     n_value: int
-    n_value_half: int
     b1_frobenius: float
     oracle_phi: float
     oracle_grad_norm: float
-    oracle_samples: int
     x_before: np.ndarray
     x_after: np.ndarray
 
@@ -247,10 +247,8 @@ def iterate(
 
     oracle_phi = math.nan
     oracle_grad = math.nan
-    oracle_samples = 0
     if diagnostics is not None:
         oracle_phi, oracle_grad = diagnostics.evaluate(x, diag_rng)
-        oracle_samples = diagnostics.sample_count
 
     # Defaults of an iteration that ends before the value estimates: it is
     # unsuccessful, so x and the inner warm start stay where they are.
@@ -295,11 +293,9 @@ def iterate(
             descent_ok=descent_ok,
             n_llr=n_llr,
             n_value=n_value,
-            n_value_half=n_value,
             b1_frobenius=norm(model.b1),
             oracle_phi=oracle_phi,
             oracle_grad_norm=oracle_grad,
-            oracle_samples=oracle_samples,
             x_before=x,
             x_after=x_next,
         )

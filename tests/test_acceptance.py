@@ -138,6 +138,7 @@ def test_criterion_3_baseline_divergence():
 def test_criterion_4_dro_decrease():
     dro = generate_synthetic_credit(200, 5, 0)
     inst = dro_instance(dro, diag_samples=5000)
+    assert inst.diagnostics.sample_count == 0  # exact without noise
     outcomes = []
     for seed in (1, 2, 3):
         x0, _ = inst.draw_start(make_rng(seed))
@@ -148,7 +149,6 @@ def test_criterion_4_dro_decrease():
             seed=seed,
         )
         state, history = solve(x0, inst.problem, inst.oracle, config, inst.diagnostics)
-        assert all(r.oracle_samples == 0 for r in history)  # exact without noise
         phi0, grad0 = history[0].oracle_phi, history[0].oracle_grad_norm
         phi_final, grad_final = inst.diagnostics.evaluate(state.x, make_rng(seed + 10_000))
         outcomes.append((seed, (phi0 - phi_final) / phi0, grad_final / grad0))

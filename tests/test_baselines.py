@@ -100,15 +100,14 @@ class TestSPD:
             )
             assert state.diverged
             assert len(history) < 5000
-            assert history[-1].diverged
 
     def test_divergence_threshold(self):
         from ddtr.baselines import _diverged
 
-        assert _diverged(np.array([1e9]), np.zeros(1), 1e8)
-        assert not _diverged(np.array([1e7]), np.zeros(1), 1e8)
-        assert _diverged(np.array([np.nan]), np.zeros(1), 1e8)
-        assert _diverged(np.array([0.0]), np.array([np.inf]), 1e8)
+        assert _diverged(np.array([1e9]), np.zeros(1))
+        assert not _diverged(np.array([1e7]), np.zeros(1))
+        assert _diverged(np.array([np.nan]), np.zeros(1))
+        assert _diverged(np.array([0.0]), np.array([np.inf]))
 
 
 class TestASGDA:
@@ -124,7 +123,7 @@ class TestASGDA:
             x = rng.normal(size=2)
             draws = oracle.sample(x, 8, rng)
             model = model.update(x, draws, forget=0.99)
-        a_hat, c_hat = model.coefficients(ridge=1e-8)
+        a_hat, c_hat = model.coefficients()
         assert np.allclose(a_hat, slope, atol=1e-6)
         assert np.allclose(c_hat, intercept, atol=1e-6)
 
@@ -143,7 +142,7 @@ class TestASGDA:
         rng = make_rng(1)
         for _ in range(50):
             state = asgda_step(state, problem, oracle, config, rng)
-        a_hat, _ = state.model.coefficients(config.ridge)
+        a_hat, _ = state.model.coefficients()
         assert a_hat[0, 0] == pytest.approx(2.0, abs=1e-6)
 
         x, y = state.x.copy(), state.y.copy()

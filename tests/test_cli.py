@@ -28,12 +28,10 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.js
 TR_HEADER = [
     "k", "delta", "delta_next", "rho", "grad_norm_surrogate", "v_k", "v_k_half",
     "accepted", "descent_lhs", "descent_rhs", "descent_ok", "n_llr", "n_value",
-    "n_value_half", "b1_frobenius", "oracle_phi", "oracle_grad_norm",
-    "oracle_samples", "x_before", "x_after",
+    "b1_frobenius", "oracle_phi", "oracle_grad_norm", "x_before", "x_after",
 ]
 BASELINE_HEADER = [
-    "k", "stepsize", "grad_norm_est", "diverged", "oracle_phi", "oracle_grad_norm",
-    "oracle_samples", "x_after",
+    "k", "stepsize", "grad_norm_est", "oracle_phi", "oracle_grad_norm", "x_after",
 ]
 
 # The accepted config keys of README's "Config format", written out in the
@@ -55,7 +53,7 @@ TR_KEYS = [
     "value_count",
 ]
 BASELINE_KEYS = [
-    "eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget", "ridge", "divergence_norm",
+    "eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget",
 ]
 
 
@@ -293,6 +291,9 @@ class TestRun:
         summary = json.loads((tmp_path / "spd" / "summary.json").read_text())
         assert summary["runs"][0]["diverged"] is True
         assert summary["runs"][0]["termination"] == "diverged"
+        # No diagnostics at a diverged final x, but the CSV's draw count is kept.
+        assert summary["runs"][0]["oracle_samples"] == 0
+        assert "final_oracle_phi" not in summary["runs"][0]
         with open(next((tmp_path / "spd").glob("*.csv"))) as fh:
             header = fh.readline().strip().split(",")
         assert header == BASELINE_HEADER
@@ -358,7 +359,7 @@ class TestRun:
         assert entry["oracle_samples"] == 0  # exact without noise
         with open(tmp_path / "dro" / "dro_tr_seed1.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 and rows[0]["oracle_samples"] == "0"
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("solver", ["tr", "spd-constant"])
     def test_final_diagnostic_has_its_own_stream(self, tmp_path, monkeypatch, solver):
@@ -661,6 +662,14 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "eta1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["ridge", "divergence_norm"])
+    def test_baseline_constant_is_not_a_key(self, tmp_path, capsys, key):
+        # baselines.RIDGE and DIVERGENCE_NORM are constants, like the trust
+        # region's numerical floors.
+        doc = dict(tiny_tr_doc(tmp_path / "x"), solver="asgda", solver_params={key: 1.0})
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert f"unknown solver_params key {key!r}" in capsys.readouterr().err
 
     def test_bad_dro_term_exits_2_before_any_seed_runs(self, tmp_path, capsys):
         doc = dict(

@@ -112,6 +112,36 @@ class TestSimplexProjection:
         # the same point, is taken instead.
         assert Simplex(3).project(np.array(y)).tolist() == want
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [1e12] * 3,
+            [2e14] * 3,
+            [1e15] * 7,
+            [1.1650677907562518e16],
+            [3.63e15, -0.0, -7.26e15, -2.90e16, 7.26e15, 3.63e15, -1.81e16, 7.26e15],
+        ],
+    )
+    def test_large_tied_inputs_stay_on_the_simplex(self, y):
+        # The threshold (1 - css) / j of the sorted sums loses about
+        # eps * max|y| to rounding, which is far from negligible long before
+        # 2^53; a sum off 1 or a negative entry is a point off the simplex.
+        p = Simplex(len(y)).project(np.array(y))
+        assert abs(p.sum() - 1.0) <= 0.5 * len(y) * np.finfo(float).eps
+        assert np.all(p >= 0.0)
+
+    def test_tied_inputs_of_every_magnitude_stay_on_the_simplex(self):
+        rng = make_rng(13)
+        eps = np.finfo(float).eps
+        for magnitude in 10.0 ** rng.uniform(-3, 300, size=2000):
+            dim = int(rng.integers(1, 9))
+            # Entries at +-magnitude and +-magnitude / 2, so most inputs hold ties.
+            y = magnitude * rng.choice([-1.0, -0.5, 0.5, 1.0], size=dim)
+            y[rng.integers(dim)] = magnitude  # at least one entry at the top
+            p = Simplex(dim).project(y)
+            assert abs(p.sum() - 1.0) <= 0.5 * dim * eps, y
+            assert np.all(p >= 0.0), y
+
     def test_shift_invariance(self):
         rng = make_rng(12)
         for _ in range(100):

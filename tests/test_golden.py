@@ -100,53 +100,53 @@ BENCH_DRO_TR = dict(DRO_TR, seeds=[1001], max_iters=25)
 GOLDEN = {
     "synthetic_tr": (
         SYNTHETIC_TR,
-        "8533ced123e6a46779445abc0e870b27eff6becbd3fd2cf6fc23fb48681b2357",
-        "178134e0681c7384c82de47316de173668ccdcce8c266d8159f2b793d50b1cfc",
+        "36381065a4fd77f42bec2b7fa7d69baee0a027e851ab814d37ba553ffa22f8f6",
+        "f3c347e5b6c2c8b30877f2cf4a1c1e3e2887c0a6529cf317253582667c60a369",
     ),
     "dro_tr": (
         DRO_TR,
-        "5fee8bad70a8525c609b8692943a46245db6c7fd0ae1733a58a0a47fb1d3b8b4",
-        "0f990398baf4bd1786a4b71ddb9a9e3eec17640dc1505921e5f9dec868f7a46b",
+        "42bbd266efbbba3a92d49e9215d213e1b40fccbba522611e4cefc3fcf00f0f55",
+        "38b3cfde1d847eddca13c65fd50a1c75d1f2a812116a502b8951e14c90068f12",
     ),
     "synthetic_spd": (
         SYNTHETIC_SPD,
-        "debfae92d129d73d113a08c4292220c46312ee5446eda26e9e3fd4f03a0372a9",
-        "814eb86e34292839704aa41b11acfc2af71afcda3ed805c46bc4b7c721c481aa",
+        "845ac2666757a3004af4810e7504b894773640820fd0946afd5ce20d9aa8e7f8",
+        "cd75ac594dcc38b7b2aa53db5c3de7237d8d8ee2311741be5fa9557a85591818",
     ),
     "synthetic_asgda": (
         SYNTHETIC_ASGDA,
-        "a79a483beecb8717c9035c86b364b7a83323e0fa79e565fd15ae56629d204842",
-        "ee85e953255e459646020f48451961266c92998d2adbfcd85313ca26a4ae8c84",
+        "74fc3341e95eb9278a979a509e4a1967a28fa1a3836854c23959cfd5bb73f9c8",
+        "c6851992117e01d1fa37128c4a99875c74ca0876e610e8212dcf0c506be4644c",
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,
-        "99624007cfba4dd3e794d8a78cb47027ad34bf7341dbead89c3397fcc2ecd7d4",
-        "978abf8ae39b435ae34a672046a4bf084ee61921f1f3d7feeca84b3bfb94c943",
+        "aa87a1351eea25d81c3d76c070d90d7965efe8337491593580ebd00c67fd9c22",
+        "bba662f151b8b6d3153c1aa8ac4a28e4bf3ec51a122af1a72dccfc46245f3b66",
     ),
     "dro_spd": (
         DRO_SPD,
-        "076459ff42b732f6a0853e29c257b8941ab937949d55bd374a5e0578b423f3be",
-        "c0e00fd12174a4e7cdceea9427defaab929f00eb9673beb62b07d7d58baa3a0b",
+        "c495cd1caf78dfe5b537bcf494883745b22b407f69d87695d8b6c536140b4074",
+        "736e3c2c8429790832405d396f139b045704523ef93ea315a3c65cfc34cef764",
     ),
     "dro_asgda": (
         DRO_ASGDA,
-        "a10037d17f71b93cb9313f8bd73eb849ee11c211f9d5b775d8b7f1a0968078ed",
-        "97c814da18e685d81d381a27c7cfa44c4eb32b214850d22669aa0dd03c1489a2",
+        "17bfc76ed466959978fad9722cb9ca5b1a547d6cad812dcf40a684b4bd45e59e",
+        "f255d11601f141456d243476c1d37478452420c45c91c52777f81aa0bcc39774",
     ),
     "dro_asgda_noisy": (
         DRO_ASGDA_NOISY,
-        "9fb0f40566ed53233233b9e878bd4985f7d6af6fa144ffb6e4cb981f349b6ad8",
-        "27c48ae7b94d1306b8d1547734c363f2a7c412897a6ad66e645baf9cb3564279",
+        "a78554a212c6d70f0f57b5a913721d7806bf1889182dc9aa92f8ad5edb20dc2c",
+        "604b33db3f683c4ecdc5d3903f8895ca4ffe8cdba3b0f6096e013d9afd0d61ef",
     ),
     "bench_synthetic_tr": (
         BENCH_SYNTHETIC_TR,
-        "4105f1a06d491f29496d0b88b8b9819345fb8eb3b6a73c8d198a69fe536cbc5c",
-        "bbe3ebd908dddf76c918034e2c9a23bed3d0ec5931eea1b777354ba72fbfaa33",
+        "ca8916bdec5d99d52b7481e762d2bd4b5c158672c37f2c3b7df357c9591928b7",
+        "a2fa90fe984fe9499b375867ead114acdc63cf682a84f88b2b7c1b436ad59b6b",
     ),
     "bench_dro_tr": (
         BENCH_DRO_TR,
-        "a3cd99c734a62afaa76332240a1c00f6b629fee719873a5b0b8880ad321e3cd6",
-        "dd42e33b697b5e7946cc965f2d4fdf032a9d37716f391c30827ac2b3c225d10d",
+        "8779897be6ea0737a9ffe8039670d606433059367394df091c2e3ecb0a60e4ae",
+        "aa26e4ea546f06368d185449f5f4401e412ff42deeb81536e7325e1184fa1eb7",
     ),
 }
 

@@ -298,7 +298,7 @@ class TestIterate:
         assert math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
         assert math.isnan(rec.descent_lhs)
         assert not rec.descent_ok and not rec.accepted
-        assert rec.n_value == 0 and rec.n_value_half == 0
+        assert rec.n_value == 0
         assert rec.delta_next == 0.5 / config.gamma == after.delta
         assert after.x.tobytes() == x.tobytes() == rec.x_after.tobytes()
         assert after.y_warm.tobytes() == y_warm.tobytes()
@@ -456,12 +456,19 @@ class TestSampleSchedule:
         assert SampleSchedule(fixed=None).count(delta) == 5000
 
     @pytest.mark.parametrize(
-        "field", ["delta0", "delta_max", "gamma", "eta1", "eta2", "kappa_dcp", "lambda_max"]
+        "field",
+        ["delta0", "delta_max", "gamma", "eta1", "eta2", "kappa_dcp", "inner_eps_coeff", "lambda_max"],
     )
     def test_config_rejects_nan(self, field):
         # A NaN fails every comparison, so each check must be one that NaN fails.
         with pytest.raises(ConfigurationError):
             TRConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_config_rejects_nonpositive_inner_eps_coeff(self, value):
+        # Else a negative coefficient falls silently to the 1e-12 floor.
+        with pytest.raises(ConfigurationError, match="inner_eps_coeff"):
+            TRConfig(inner_eps_coeff=value)
 
     @pytest.mark.parametrize("field", ["fixed", "coeff", "power"])
     def test_schedule_rejects_nan(self, field):
