@@ -19,6 +19,7 @@ from .core import (
     ProblemSpec,
     as_vector,
     make_rng,
+    pin_malloc_thresholds,
 )
 
 METHODS = ("asgda", "spd-constant", "spd-dynamic")
@@ -48,6 +49,8 @@ class BaselineConfig:
             raise ConfigurationError("dyn_b must be nonnegative")
         if not self.batch >= 1:
             raise ConfigurationError("batch must be >= 1")
+        if not self.max_iters >= 0:
+            raise ConfigurationError("max_iters must be nonnegative")
         if not (0 < self.forget <= 1):
             raise ConfigurationError("forget must lie in (0, 1]")
 
@@ -191,6 +194,7 @@ def run_baseline(
     Divergence (iterate norm above the threshold, or a non-finite value) is
     recorded on the state and stops the run; it is not an exception.
     """
+    pin_malloc_thresholds()
     rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
     y0 = problem.inner_domain.center() if y0 is None else as_vector(y0, problem.m, "y0")

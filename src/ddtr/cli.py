@@ -10,16 +10,16 @@ also when seeds execute in parallel worker processes.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
-import ctypes
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from functools import cache, partial
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -41,11 +41,11 @@ class RunConfig:
     problem: str
     solver: str
     seeds: list[int]
-    output_dir: str
-    max_iters: int
-    log_oracle_diagnostics: bool
-    problem_params: dict
-    solver_params: dict
+    output_dir: str = "runs"
+    max_iters: int = 300
+    log_oracle_diagnostics: bool = True
+    problem_params: dict = field(default_factory=dict)
+    solver_params: dict = field(default_factory=dict)
 
 
 def _types(cls, *excluded) -> dict:
@@ -62,7 +62,8 @@ _DRO_SOURCE_KEYS = {
     "csv_path": str, "label_column": str, "feature_columns": list[str], "n_rows": int,
     "n_features": int, "data_seed": int, "diag_samples": int,
 }
-TOP_KEYS = _types(RunConfig).keys()
+_TOP_TYPES = _types(RunConfig)
+TOP_KEYS = _TOP_TYPES.keys()
 PROBLEM_KEYS = {
     "synthetic": _types(problems.SyntheticProblem) | _START_KEYS,
     "dro": _DRO_TERMS | _DRO_SOURCE_KEYS | _START_KEYS,
@@ -98,53 +99,38 @@ def _fits(value, hint) -> bool:
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a config document, reporting every offending key and value at once."""
     errors = [f"unknown key {key!r}" for key in sorted(set(doc) - TOP_KEYS)]
-    problem = doc.get("problem")
+    problem, solver, seeds = doc.get("problem"), doc.get("solver"), doc.get("seeds")
     if problem not in PROBLEMS:
         errors.append(f"'problem' must be one of {PROBLEMS}, got {problem!r}")
-    solver = doc.get("solver")
     if solver not in SOLVERS:
         errors.append(f"'solver' must be one of {SOLVERS}, got {solver!r}")
-    seeds = doc.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        errors.append("'seeds' must be a nonempty list of integers")
-    max_iters = doc.get("max_iters", 300)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 0:
-        errors.append(f"'max_iters' must be a nonnegative integer, got {max_iters!r}")
-    log_diagnostics = doc.get("log_oracle_diagnostics", True)
-    if not isinstance(log_diagnostics, bool):
-        errors.append(f"'log_oracle_diagnostics' must be true or false, got {log_diagnostics!r}")
+    if not (_fits(seeds, _TOP_TYPES["seeds"]) and seeds and min(seeds) >= 0):
+        errors.append(f"'seeds' must be a nonempty list of integers >= 0, got {seeds!r}")
+    for key in sorted(doc.keys() & TOP_KEYS - {"problem", "solver", "seeds"}):
+        if not _fits(doc[key], _TOP_TYPES[key]):
+            errors.append(f"{key!r} must be {_TOP_TYPES[key].__name__}, got {doc[key]!r}")
     for section, allowed in (
         ("problem_params", PROBLEM_KEYS.get(problem)), ("solver_params", SOLVER_KEYS.get(solver))
     ):
         params = doc.get(section, {})
-        if not isinstance(params, dict):
-            errors.append(f"{section!r} must be an object, got {params!r}")
-        elif allowed is not None:
-            for key, value in sorted(params.items()):
-                hint = allowed.get(key)
-                if hint is None:
-                    errors.append(f"unknown {section} key {key!r}")
-                elif key in ("label_column", "feature_columns") and "csv_path" not in params:
-                    errors.append(f"{section} key {key!r} needs a 'csv_path'")
-                elif not _fits(value, hint):
-                    name = hint.__name__ if isinstance(hint, type) else str(hint)
-                    errors.append(f"{section} key {key!r} must be {name}, got {value!r}")
+        if allowed is None or not isinstance(params, dict):
+            continue  # reported above
+        for key, value in sorted(params.items()):
+            hint = allowed.get(key)
+            if hint is None:
+                errors.append(f"unknown {section} key {key!r}")
+            elif key in ("label_column", "feature_columns") and "csv_path" not in params:
+                errors.append(f"{section} key {key!r} needs a 'csv_path'")
+            elif not _fits(value, hint):
+                name = hint.__name__ if isinstance(hint, type) else str(hint)
+                errors.append(f"{section} key {key!r} must be {name}, got {value!r}")
     if errors:
         raise ConfigurationError("invalid config: " + "; ".join(errors))
-    config = RunConfig(
-        problem=problem,
-        solver=solver,
-        seeds=list(seeds),
-        output_dir=str(doc.get("output_dir", "runs")),
-        max_iters=max_iters,
-        log_oracle_diagnostics=log_diagnostics,
-        problem_params=dict(doc.get("problem_params", {})),
-        solver_params=dict(doc.get("solver_params", {})),
-    )
+    config = RunConfig(**copy.deepcopy(doc))  # not aliasing the caller's lists and dicts
     try:
         # Building what the config describes runs the checks of every value,
         # so a config that does not build fails here, before any seed runs.
-        (build_tr_config if solver == "tr" else build_baseline_config)(config, seeds[0])
+        (build_tr_config if solver == "tr" else build_baseline_config)(config, config.seeds[0])
         build_instance(config)
     except ValueError as exc:
         raise ConfigurationError(f"invalid config: {exc}") from None
@@ -168,7 +154,7 @@ def build_instance(config: RunConfig) -> problems.Instance:
         instance = problems.synthetic_instance(problems.SyntheticProblem(**params))
     else:
         terms = {key: params.pop(key) for key in _DRO_TERMS.keys() & set(params)}
-        diag_samples = params.pop("diag_samples", 5000)
+        diag = {key: params.pop(key) for key in {"diag_samples"} & set(params)}
         csv_path = params.pop("csv_path", None)
         n_rows = params.pop("n_rows", 200)
         n_features = params.pop("n_features", 5)
@@ -183,7 +169,7 @@ def build_instance(config: RunConfig) -> problems.Instance:
             dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed)
         # The terms go on after the subsample, which recomputes the default
         # lambda2 for the new N: an explicit lambda2 is kept.
-        instance = problems.dro_instance(replace(dro, **terms), diag_samples=diag_samples)
+        instance = problems.dro_instance(replace(dro, **terms), **diag)
     return replace(instance, **start)
 
 
@@ -224,24 +210,8 @@ def _write_csv(path: Path, columns: list[str], records) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in columns])
 
 
-@cache
-def _pin_malloc_thresholds() -> None:
-    """Pin glibc's malloc thresholds, once per process. Left dynamic, they follow
-    the largest block freed so far, and the arrays of a few MB that each iteration
-    frees are then often given back to the OS and faulted in again. Where libc
-    has no ``mallopt``, this does nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD, from glibc's malloc.h
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-
-
 def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     """Execute a single seeded run and write its CSV; returns a summary entry."""
-    _pin_malloc_thresholds()
     instance = build_instance(config)
     diagnostics = instance.diagnostics if config.log_oracle_diagnostics else None
     start_rng = make_rng(seed)
@@ -321,20 +291,18 @@ class SchemaError(ValueError):
 
 
 def _load_metric_rows(path: Path, metric: Optional[str]) -> tuple[str, dict[int, float]]:
+    """A metric column by k. With no metric given, the first preferred column
+    that has a finite cell, or else the first one the CSV has."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty CSV")
         if "k" not in reader.fieldnames:
             raise SchemaError(f"{path}: missing column 'k'")
-        if metric is None:
-            for candidate in _METRIC_PREFERENCE:
-                if candidate in reader.fieldnames:
-                    metric = candidate
-                    break
-            else:
-                raise SchemaError(f"{path}: no known metric column in {reader.fieldnames}")
-        elif metric not in reader.fieldnames:
+        names = [metric] if metric else [c for c in _METRIC_PREFERENCE if c in reader.fieldnames]
+        if not names:
+            raise SchemaError(f"{path}: no known metric column in {reader.fieldnames}")
+        if names[0] not in reader.fieldnames:
             raise SchemaError(f"{path}: missing column {metric!r}")
         def cell(row, column, kind):
             try:
@@ -342,8 +310,9 @@ def _load_metric_rows(path: Path, metric: Optional[str]) -> tuple[str, dict[int,
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{reader.line_num}: column {column!r}: {exc}") from None
 
-        rows = {cell(row, "k", int): cell(row, metric, float) for row in reader}
-        return metric, rows
+        rows = {cell(row, "k", int): [cell(row, name, float) for name in names] for row in reader}
+    j = next((j for j in range(len(names)) if any(math.isfinite(v[j]) for v in rows.values())), 0)
+    return names[j], {k: v[j] for k, v in rows.items()}
 
 
 def summarize(

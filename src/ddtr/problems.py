@@ -421,6 +421,8 @@ def load_credit_csv(
             missing = [c for c in feature_columns if c not in header]
             if missing:
                 raise IngestionError(f"{path}: feature columns not in header: {missing}")
+            if label_column in feature_columns or len(set(feature_columns)) < len(feature_columns):
+                raise IngestionError(f"{path}: feature columns repeat or include the label")
             feat_idx = [header.index(c) for c in feature_columns]
         if not feat_idx:
             raise IngestionError(f"{path}: no feature columns")

@@ -28,6 +28,7 @@ from .core import (
     ProblemSpec,
     as_vector,
     make_rng,
+    pin_malloc_thresholds,
 )
 from .inner import maximize_over_scenarios
 
@@ -313,6 +314,7 @@ def solve(
     """Iterate until the radius falls below its floor or to 0, or for
     ``config.max_iters`` iterations; return the final state, whose
     ``termination`` says which, plus the history."""
+    pin_malloc_thresholds()
     rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
     state = TRState(

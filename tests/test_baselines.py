@@ -67,6 +67,12 @@ class TestConfig:
             BaselineConfig(method="spd-dynamic", dyn_a=dyn_a, dyn_b=dyn_b)
 
 
+    def test_negative_max_iters_rejected(self):
+        # It built and ran 0 steps; TRConfig rejects it too.
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            BaselineConfig(max_iters=-1)
+
+
 class TestSPD:
     def test_dual_ascent_contracts_to_interior_maximizer(self):
         # Pure -|y|^2 objective: gradient ascent in y pulls toward 0.

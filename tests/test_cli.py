@@ -3,6 +3,9 @@ import ctypes
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,6 +126,10 @@ class TestParseRunConfig:
             ("max_iters", 3.7),
             ("max_iters", True),
             ("max_iters", -1),
+            ("seeds", [True]),
+            ("seeds", [-1]),
+            ("output_dir", None),
+            ("output_dir", 5),
             ("log_oracle_diagnostics", "false"),
             ("log_oracle_diagnostics", 1),
             ("problem_params", [1, 2]),
@@ -133,6 +140,18 @@ class TestParseRunConfig:
         doc = dict(tiny_tr_doc("out"), **{key: value})
         with pytest.raises(ConfigurationError, match=key):
             parse_run_config(doc)
+
+    def test_baseline_negative_max_iters_rejected(self):
+        doc = dict(tiny_tr_doc("out"), solver="asgda", solver_params={}, max_iters=-1)
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            parse_run_config(doc)
+
+    def test_config_does_not_alias_the_document(self):
+        doc = tiny_tr_doc("out")
+        config = parse_run_config(doc)
+        doc["seeds"].append(9)
+        doc["solver_params"]["llr_count"] = 1
+        assert config.seeds == [1, 2, 3] and config.solver_params["llr_count"] == 30
 
     def test_wrong_types_all_reported(self):
         doc = dict(
@@ -553,6 +572,31 @@ def test_dro_run_reuses_heap_pages(tmp_path):
     assert faults < 1000
 
 
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_library_dro_run_reuses_heap_pages():
+    # tr.solve pins the thresholds itself, so a library caller that never goes
+    # through run_one gets them too. A fresh process, so that no earlier pin
+    # in this one hides a missing call; unpinned, the same case takes
+    # thousands of faults.
+    pytest.importorskip("resource")
+    code = (
+        "import json, resource, sys; from ddtr import cli, tr; "
+        "config = cli.parse_run_config(json.loads(sys.argv[1])); "
+        "instance = cli.build_instance(config); "
+        "x0, _ = instance.draw_start(cli.make_rng(1)); "
+        "run = lambda: tr.solve(x0, instance.problem, instance.oracle, "
+        "cli.build_tr_config(config, 1), instance.diagnostics); "
+        "run(); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; run(); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(DRO_TR)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert int(done.stdout) < 1000
+
+
 class TestSummarize:
     def make_runs(self, tmp_path, seeds, name="runs"):
         out = tmp_path / name
@@ -614,6 +658,17 @@ class TestSummarize:
         assert main(["summarize", str(good), str(bad), "--output", str(target)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad / 'weird.csv'}:2:")
         assert not target.exists()
+
+    def test_metric_falls_back_without_oracle_diagnostics(self, tmp_path, capsys):
+        # Every TR CSV has an oracle_grad_norm column; without diagnostics it
+        # is all NaN, and the surrogate gradient norm is summarized instead.
+        out = tmp_path / "plain"
+        doc = dict(tiny_tr_doc(out, seeds=(1, 2)), log_oracle_diagnostics=False)
+        run(parse_run_config(doc))
+        summarize([str(out)])
+        rows = self.parse(capsys.readouterr().out)
+        assert [int(row["k"]) for row in rows] == [0, 1, 2, 3]
+        assert {row["metric"] for row in rows} == {"grad_norm_surrogate"}
 
     def test_missing_metric_names_file(self, tmp_path):
         out = tmp_path / "bad"

@@ -675,6 +675,13 @@ class TestLoadCreditCsv:
         dro = load_credit_csv(path, feature_columns=["income", "age"])
         assert dro.n_features == 2
 
+    @pytest.mark.parametrize("columns", [["SeriousDlqin2yrs", "age"], ["age", "age"]])
+    def test_label_or_repeated_feature_column_rejected(self, tmp_path, columns):
+        # The label as a feature leaks it into the fit; a repeat duplicates a column.
+        path = self.write(tmp_path, "0,100,30,0.2\n1,50,40,0.9\n")
+        with pytest.raises(IngestionError, match="feature columns"):
+            load_credit_csv(path, feature_columns=columns)
+
 
 class TestGenerateSyntheticCredit:
     def test_deterministic(self):
