@@ -98,9 +98,10 @@ class BaselineState:
     x: np.ndarray
     y: np.ndarray
     k: int
-    diverged: bool
     model: Optional[OnlineAffineModel]
     history: list = field(default_factory=list)
+    # Why ``run_baseline`` stopped: "diverged" or "max_iters".
+    termination: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,6 @@ def spd_step(
         x=x_new,
         y=y_new,
         k=state.k + 1,
-        diverged=_diverged(x_new, y_new),
     )
 
 
@@ -168,14 +168,13 @@ def asgda_step(
         y=y_new,
         k=state.k + 1,
         model=model,
-        diverged=_diverged(x_new, y_new),
     )
 
 
 def _safe_project(problem: ProblemSpec, y: np.ndarray) -> np.ndarray:
     # Projection requires finite input; once the dual iterate blows up the
     # run is over anyway, so substitute the domain center to let the
-    # divergence flag surface through the primal iterate.
+    # divergence check see it through the primal iterate.
     if not np.all(np.isfinite(y)):
         return problem.inner_domain.center()
     return problem.inner_domain.project(y)
@@ -189,10 +188,11 @@ def run_baseline(
     config: BaselineConfig,
     diagnostics: Optional[OracleDiagnostics] = None,
 ) -> tuple[BaselineState, list[BaselineRecord]]:
-    """Iterate the chosen baseline until divergence or the iteration budget.
+    """Iterate the chosen baseline until divergence or the iteration budget;
+    return the final state, whose ``termination`` says which, plus the history.
 
-    Divergence (iterate norm above the threshold, or a non-finite value) is
-    recorded on the state and stops the run; it is not an exception.
+    Divergence (iterate norm above the threshold, or a non-finite value) stops
+    the run; it is not an exception.
     """
     pin_malloc_thresholds()
     rng = make_rng(config.seed)
@@ -200,7 +200,7 @@ def run_baseline(
     y0 = problem.inner_domain.center() if y0 is None else as_vector(y0, problem.m, "y0")
     y0 = problem.inner_domain.project(y0)
     model = OnlineAffineModel.empty(problem.n, problem.d) if config.method == "asgda" else None
-    state = BaselineState(x=x0, y=y0, k=0, diverged=False, model=model, history=[])
+    state = BaselineState(x=x0, y=y0, k=0, model=model, history=[])
     step = asgda_step if config.method == "asgda" else spd_step
 
     for _ in range(config.max_iters):
@@ -208,10 +208,11 @@ def run_baseline(
         prev_x = state.x
         eta = config.stepsize(state.k)
         state = step(state, problem, oracle, config, step_rng)
+        diverged = _diverged(state.x, state.y)
         grad_norm = float(np.linalg.norm((state.x - prev_x) / eta))
         oracle_phi = math.nan
         oracle_grad = math.nan
-        if diagnostics is not None and not state.diverged:
+        if diagnostics is not None and not diverged:
             oracle_phi, oracle_grad = diagnostics.evaluate(prev_x, diag_rng)
         state.history.append(
             BaselineRecord(
@@ -223,6 +224,6 @@ def run_baseline(
                 x_after=state.x,
             )
         )
-        if state.diverged:
-            break
-    return state, state.history
+        if diverged:
+            return replace(state, termination="diverged"), state.history
+    return replace(state, termination="max_iters"), state.history

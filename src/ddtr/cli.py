@@ -32,8 +32,8 @@ OUTPUT_ROOT_ENV = "DDTR_OUTPUT_ROOT"
 PROBLEMS = ("synthetic", "dro")
 SOLVERS = ("tr", *baselines.METHODS)
 
-TR_COLUMNS = [f.name for f in fields(tr.IterationRecord)]
-BASELINE_COLUMNS = [f.name for f in fields(baselines.BaselineRecord)]
+COLUMNS = dict.fromkeys(baselines.METHODS, [f.name for f in fields(baselines.BaselineRecord)])
+COLUMNS["tr"] = [f.name for f in fields(tr.IterationRecord)]
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,10 @@ def parse_run_config(doc: dict) -> RunConfig:
         # Building what the config describes runs the checks of every value,
         # so a config that does not build fails here, before any seed runs.
         (build_tr_config if solver == "tr" else build_baseline_config)(config, config.seeds[0])
-        build_instance(config)
+        n = build_instance(config).problem.n
+        n_llr = config.solver_params.get("llr_count", n + 1)  # the fit's rule needs the instance
+        if n_llr < n + 1:
+            raise ConfigurationError(f"'llr_count' must be >= n + 1 = {n + 1}, got {n_llr}")
     except ValueError as exc:
         raise ConfigurationError(f"invalid config: {exc}") from None
     return config
@@ -223,35 +226,23 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
         state, history = tr.solve(
             x0, instance.problem, instance.oracle, build_tr_config(config, seed), diagnostics
         )
-        _write_csv(csv_path, TR_COLUMNS, history)
-        entry.update(
-            final_x=[float(v) for v in state.x],
-            final_delta=state.delta,
-            iterations=len(history),
-            final_grad_norm_surrogate=history[-1].grad_norm_surrogate if history else math.nan,
-            diverged=False,
-            termination=state.termination,
-        )
     else:
         state, history = baselines.run_baseline(
             x0, y0, instance.problem, instance.oracle,
             build_baseline_config(config, seed), diagnostics,
         )
-        _write_csv(csv_path, BASELINE_COLUMNS, history)
-        entry.update(
-            final_x=[float(v) for v in state.x],
-            iterations=len(history),
-            final_grad_norm_est=history[-1].grad_norm_est if history else math.nan,
-            diverged=bool(state.diverged),
-            termination="diverged" if state.diverged else "max_iters",
-        )
+    _write_csv(csv_path, COLUMNS[config.solver], history)
+    entry.update(
+        final_x=[float(v) for v in state.x],
+        iterations=len(history),
+        termination=state.termination,
+    )
     if instance.diagnostics is not None:
-        if not entry["diverged"]:
+        if state.termination != "diverged":
             # A seed sequence of its own: every solver generator is spawned from
             # make_rng(seed), so none of their draws repeat here.
             diag_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
-            final_x = np.asarray(entry["final_x"])
-            phi, grad_norm = instance.diagnostics.evaluate(final_x, diag_rng)
+            phi, grad_norm = instance.diagnostics.evaluate(state.x, diag_rng)
             entry["final_oracle_phi"] = phi
             entry["final_oracle_grad_norm"] = grad_norm
         entry["oracle_samples"] = instance.diagnostics.sample_count  # behind each oracle_* value

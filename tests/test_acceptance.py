@@ -127,7 +127,7 @@ def test_criterion_3_baseline_divergence():
             state, history = run_baseline(
                 draw_x0(seed), np.array([10.0]), inst.problem, inst.oracle, config
             )
-            outcomes.append((method, seed, state.diverged, len(history)))
+            outcomes.append((method, seed, state.termination == "diverged", len(history)))
     ok = all(diverged for (_, _, diverged, _) in outcomes)
     worst = max(steps for (_, _, _, steps) in outcomes)
     report(3, "baseline divergence", ok, f"all {len(outcomes)} runs diverged, worst {worst} steps")

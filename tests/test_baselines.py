@@ -7,6 +7,7 @@ from ddtr.baselines import (
     BaselineConfig,
     BaselineState,
     OnlineAffineModel,
+    _diverged,
     asgda_step,
     run_baseline,
     spd_step,
@@ -80,7 +81,7 @@ class TestSPD:
         oracle = affine_oracle(np.zeros((1, 2)), np.zeros(2))
         config = BaselineConfig(method="spd-constant", eta=0.2, batch=4, seed=0)
         state = BaselineState(
-            x=np.zeros(1), y=np.array([3.0, -2.5]), k=0, diverged=False, model=None
+            x=np.zeros(1), y=np.array([3.0, -2.5]), k=0, model=None
         )
         for _ in range(60):
             state = spd_step(state, problem, oracle, config, make_rng(state.k))
@@ -91,7 +92,7 @@ class TestSPD:
         oracle = affine_oracle(np.zeros((1, 3)), np.array([5.0, 0.0, 0.0]))
         config = BaselineConfig(method="spd-constant", eta=0.5, batch=2, seed=0)
         state = BaselineState(
-            x=np.zeros(1), y=np.full(3, 1 / 3), k=0, diverged=False, model=None
+            x=np.zeros(1), y=np.full(3, 1 / 3), k=0, model=None
         )
         for _ in range(20):
             state = spd_step(state, problem, oracle, config, make_rng(state.k))
@@ -104,12 +105,10 @@ class TestSPD:
             state, history = run_baseline(
                 np.array([10.0]), np.array([10.0]), inst.problem, inst.oracle, config
             )
-            assert state.diverged
+            assert state.termination == "diverged"
             assert len(history) < 5000
 
     def test_divergence_threshold(self):
-        from ddtr.baselines import _diverged
-
         assert _diverged(np.array([1e9]), np.zeros(1))
         assert not _diverged(np.array([1e7]), np.zeros(1))
         assert _diverged(np.array([np.nan]), np.zeros(1))
@@ -142,7 +141,7 @@ class TestASGDA:
         problem = synthetic_instance().problem
         config = BaselineConfig(method="asgda", eta_x=1e-3, eta_y=1e-1, batch=4, seed=0)
         state = BaselineState(
-            x=np.array([2.0]), y=np.array([1.0]), k=0, diverged=False,
+            x=np.array([2.0]), y=np.array([1.0]), k=0,
             model=OnlineAffineModel.empty(1, 1),
         )
         rng = make_rng(1)
@@ -167,21 +166,21 @@ class TestASGDA:
         state, history = run_baseline(
             np.array([10.0]), np.array([10.0]), inst.problem, inst.oracle, config
         )
-        assert state.diverged
+        assert state.termination == "diverged"
         assert len(history) < 5000
 
     def test_y_stays_in_domain(self):
         inst = synthetic_instance()
         config = BaselineConfig(method="asgda", batch=32, max_iters=40, seed=3)
         state = BaselineState(
-            x=np.array([1.0]), y=np.array([10.0]), k=0, diverged=False,
+            x=np.array([1.0]), y=np.array([10.0]), k=0,
             model=OnlineAffineModel.empty(1, 1),
         )
         rng = make_rng(5)
         for _ in range(40):
             state = asgda_step(state, inst.problem, inst.oracle, config, rng)
             assert in_domain(inst.problem.inner_domain, state.y)
-            if state.diverged:
+            if _diverged(state.x, state.y):
                 break
 
 
@@ -198,7 +197,8 @@ class TestRunBaseline:
     def test_records_oracle_diagnostics(self):
         inst = synthetic_instance()
         config = BaselineConfig(method="spd-constant", eta=1e-5, batch=8, max_iters=5, seed=0)
-        _, history = run_baseline(
+        state, history = run_baseline(
             np.array([1.0]), None, inst.problem, inst.oracle, config, inst.diagnostics
         )
         assert all(np.isfinite(r.oracle_phi) for r in history)
+        assert state.termination == "max_iters" and len(history) == 5

@@ -59,6 +59,16 @@ BASELINE_KEYS = [
     "eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget",
 ]
 
+# The keys of a summary.json entry that README's "CLI" lists: those of every
+# run, the diagnostics at a final x that did not diverge, and those of a seed
+# whose run raised.
+RUN_KEYS = [
+    "seed", "csv", "x0", "final_x", "iterations", "termination", "oracle_samples",
+    "wall_time_s",
+]
+FINAL_ORACLE_KEYS = ["final_oracle_phi", "final_oracle_grad_norm"]
+ERROR_KEYS = ["seed", "error"]
+
 
 def tiny_tr_doc(out_dir, seeds=(1, 2, 3), max_iters=4):
     return {
@@ -271,7 +281,7 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["runs"]) == 3
         for entry in summary["runs"]:
-            assert not entry["diverged"]
+            assert entry["termination"] != "diverged"
             assert math.isfinite(entry["final_oracle_grad_norm"])
             assert "wall_time_s" in entry
         with open(csvs[0]) as fh:
@@ -308,7 +318,6 @@ class TestRun:
         }
         assert run(parse_run_config(doc)) == 0
         summary = json.loads((tmp_path / "spd" / "summary.json").read_text())
-        assert summary["runs"][0]["diverged"] is True
         assert summary["runs"][0]["termination"] == "diverged"
         # No diagnostics at a diverged final x, but the CSV's draw count is kept.
         assert summary["runs"][0]["oracle_samples"] == 0
@@ -344,12 +353,50 @@ class TestRun:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_recorded_without_aborting_siblings(self, tmp_path, workers):
-        doc = tiny_tr_doc(tmp_path / "err", seeds=(1, 2))
-        doc["solver_params"]["llr_count"] = 1  # below n + 1: the run must fail
-        assert run(parse_run_config(doc), workers=workers) == 1
+        config = self.config_whose_data_goes(tmp_path, tmp_path / "err", seeds=(1, 2))
+        assert run(config, workers=workers) == 1
         summary = json.loads((tmp_path / "err" / "summary.json").read_text())
         assert all("error" in entry for entry in summary["runs"])
         assert len(summary["runs"]) == 2
+
+    def config_whose_data_goes(self, tmp_path, out, seeds):
+        """A dro config that parses, after which its data file goes, so that
+        each seed's run raises."""
+        doc = dict(
+            tiny_tr_doc(out, seeds=seeds, max_iters=2), problem="dro",
+            problem_params={"csv_path": str(self.write_rows(tmp_path, 30))},
+        )
+        config = parse_run_config(doc)
+        (tmp_path / "credit.csv").unlink()
+        return config
+
+    def test_summary_key_sets_match_readme(self, tmp_path):
+        spd = {
+            "problem": "synthetic", "solver": "spd-constant", "seeds": [1],
+            "solver_params": {"eta": 0.001, "batch": 500},
+        }
+        configs = {
+            "tr": parse_run_config(tiny_tr_doc(tmp_path / "tr", seeds=(1,), max_iters=2)),
+            "max_iters": parse_run_config(
+                dict(spd, output_dir=str(tmp_path / "max_iters"), max_iters=2)
+            ),
+            "diverged": parse_run_config(
+                dict(spd, output_dir=str(tmp_path / "diverged"), max_iters=50)
+            ),
+            "error": self.config_whose_data_goes(tmp_path, tmp_path / "error", seeds=(1,)),
+        }
+        entries = {}
+        for name, config in configs.items():
+            run(config)
+            (entries[name],) = json.loads((tmp_path / name / "summary.json").read_text())["runs"]
+        assert entries["max_iters"]["termination"] == "max_iters"
+        assert entries["diverged"]["termination"] == "diverged"
+        assert {name: set(entry) for name, entry in entries.items()} == {
+            "tr": set(RUN_KEYS + FINAL_ORACLE_KEYS),
+            "max_iters": set(RUN_KEYS + FINAL_ORACLE_KEYS),
+            "diverged": set(RUN_KEYS),
+            "error": set(ERROR_KEYS),
+        }
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DDTR_OUTPUT_ROOT", str(tmp_path))
@@ -495,6 +542,28 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "n_rows must be an integer >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "problem, params, count, n",
+        [("dro", {"n_features": 5}, 4, 5), ("synthetic", {}, 1, 1)],
+        ids=["dro", "synthetic"],
+    )
+    def test_llr_count_below_n_plus_1_exits_2_before_any_seed_runs(
+        self, tmp_path, capsys, problem, params, count, n
+    ):
+        # The regression needs n + 1 points, and n is the built instance's.
+        # Before the parse checked it, every seed failed with exit status 1.
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out", seeds=(1, 2)), problem=problem, problem_params=params
+        )
+        doc["solver_params"]["llr_count"] = count
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:")
+        assert f"'llr_count' must be >= n + 1 = {n + 1}, got {count}" in err
+        assert not (tmp_path / "out").exists()
+        doc["solver_params"]["llr_count"] = n + 1
+        assert parse_run_config(doc).solver_params["llr_count"] == n + 1
 
     @pytest.mark.parametrize("params, rows", [({}, 30), ({"n_rows": 30}, 30)])
     def test_file_rows_kept_up_to_n_rows(self, tmp_path, params, rows):
