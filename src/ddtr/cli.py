@@ -98,6 +98,8 @@ def _fits(value, hint) -> bool:
 
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a config document, reporting every offending key and value at once."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"invalid config: a config is a JSON object, got {doc!r}")
     errors = [f"unknown key {key!r}" for key in sorted(set(doc) - TOP_KEYS)]
     problem, solver, seeds = doc.get("problem"), doc.get("solver"), doc.get("seeds")
     if problem not in PROBLEMS:
@@ -106,6 +108,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         errors.append(f"'solver' must be one of {SOLVERS}, got {solver!r}")
     if not (_fits(seeds, _TOP_TYPES["seeds"]) and seeds and min(seeds) >= 0):
         errors.append(f"'seeds' must be a nonempty list of integers >= 0, got {seeds!r}")
+    elif len(set(seeds)) < len(seeds):  # a repeat would run twice into one CSV
+        errors.append(f"'seeds' must be distinct, got {seeds!r}")
     for key in sorted(doc.keys() & TOP_KEYS - {"problem", "solver", "seeds"}):
         if not _fits(doc[key], _TOP_TYPES[key]):
             errors.append(f"{key!r} must be {_TOP_TYPES[key].__name__}, got {doc[key]!r}")
@@ -363,19 +367,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
+            overrides = {}
             if args.seed_override:
                 try:
-                    doc["seeds"] = [int(s) for s in args.seed_override.split(",")]
+                    overrides["seeds"] = [int(s) for s in args.seed_override.split(",")]
                 except ValueError:
                     raise ConfigurationError(
                         f"--seed-override must be comma-separated integers, "
                         f"got {args.seed_override!r}"
                     ) from None
             if args.max_iters is not None:
-                doc["max_iters"] = args.max_iters
+                overrides["max_iters"] = args.max_iters
             if args.output_dir is not None:
-                doc["output_dir"] = args.output_dir
-            config = parse_run_config(doc)
+                overrides["output_dir"] = args.output_dir
+            # A document that is no object takes no override; parse_run_config rejects it.
+            config = parse_run_config(doc | overrides if isinstance(doc, dict) else doc)
             return run(config, workers=max(1, args.workers))
         if args.command == "summarize":
             summarize(args.dirs, metric=args.metric, output=args.output)

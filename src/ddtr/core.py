@@ -11,8 +11,8 @@ Conventions used throughout the package:
 * every caller evaluates a problem through ``ProblemSpec.bind``, which binds
   one ``(x, omegas)``; the binding's ``loss(y)`` ... ``grad3(y)`` return the
   scenario means of the per-draw loss and gradients, of shapes ``()``,
-  ``(n,)``, ``(m,)`` and ``(d,)``, equal bit for bit to ``np.mean`` of the
-  per-draw array over axis 0;
+  ``(n,)``, ``(m,)`` and ``(d,)``: ``np.mean`` of the per-draw array over
+  axis 0, bit for bit for ``Evaluation``, to within rounding if ``fused``;
 * every stochastic operation takes an explicit ``numpy.random.Generator``
   backed by the counter-based Philox bit generator, so reruns with the
   same seed are bit-identical and generators can be split deterministically.
@@ -207,9 +207,9 @@ class ProblemSpec:
 class Evaluation:
     """The default binding: a problem's per-draw callables at one ``(x, omegas)``,
     averaged over the scenarios. A ``fused`` binding's methods must return what
-    these would return for its problem's per-draw loss and gradients, bit for bit,
-    at any ``y`` in any order. A binding may hold arrays derived from ``omegas``,
-    which must not be mutated while it is in use."""
+    these would return for its problem's per-draw loss and gradients to within
+    rounding, each a function of ``y`` alone, with the same bits in any call order.
+    A binding may hold arrays derived from ``omegas``: do not mutate them in use."""
 
     def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas: np.ndarray):
         self.problem, self.x, self.omegas = problem, x, omegas

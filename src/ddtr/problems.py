@@ -256,73 +256,49 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         raise ConfigurationError(f"lambda2 must be positive, got {dro.lambda2}")
     N, n = dro.n_rows, dro.n_features
     d = N * n
-    b, neg_b = dro.labels, -dro.labels
+    neg_b = -dro.labels
     lam1, lam2, alpha = dro.lambda1, dro.lambda2, dro.alpha
 
     class DROEvaluation:
         """The loss and gradients at one (x, w) as means over the draws (see
-        ``core.Evaluation``): the margins -b * (a(x) x) are computed once, their
-        softplus (within 2 ulp of numpy's ``logaddexp(0, margins)``) and expit
-        on first use, and the coefficients of grad1 and grad3 once per y. Each
-        mean equals, bit for bit, the mean of the per-draw loss or gradient
-        (``dro_reference_evaluators`` in the tests).
+        ``core.Evaluation``). The margins -b * (a(x) x) are computed once, and
+        the loss is linear in y given them: each method is a product with y of
+        one of three means over the draws that do not depend on y, each taken
+        on first use. They are of softplus(margins) (within 2 ulp of numpy's
+        ``logaddexp(0, margins)``), of expit(margins) and of expit(margins) * a,
+        each over N.
 
         Noiseless draws at one x are copies of one row, passed as a view with
-        stride 0 (see ``sampler``). They are evaluated on that row, and each
-        mean is taken over a stride-0 view with one row per draw; numpy
-        reduces such a view over its rows in the order it reduces C-ordered
-        copies, so the means are the copies' bit for bit.
+        stride 0 (see ``sampler``). They are evaluated on that row, whose
+        means are the row's own.
         """
 
         def __init__(self, x, w):
-            self.count = w.shape[0]
             if w.strides[0] == 0:
                 w = w[:1]
             self.x, self.a = x, w.reshape(-1, N, n)  # (S, N, n), S = 1 for copies
             self.margins = self.a @ x  # (S, N)
             self.margins *= neg_b
-            self.coef_y = None, None  # (y bytes, coef) of the last y
 
-        losses = cached_property(lambda self: softplus(self.margins))
-        losses_n = cached_property(lambda self: self.losses / N)
         sig = cached_property(lambda self: expit(self.margins))
-
-        def per_draw(self, rows):
-            return np.broadcast_to(rows, (self.count,) + rows.shape[1:])
-
-        def coef(self, y):  # (S, N)
-            if self.coef_y[0] != y.tobytes():
-                self.coef_y = y.tobytes(), (-b * y)[None, :] * self.sig / N
-            return self.coef_y[1]
+        m_loss = cached_property(lambda self: scenario_mean(softplus(self.margins)) / N)  # (N,)
+        m_sig = cached_property(lambda self: scenario_mean(self.sig) / N)  # (N,)
+        m_siga = cached_property(  # (N, n)
+            lambda self: np.einsum("sN,sNn->Nn", self.sig, self.a) / (self.a.shape[0] * N)
+        )
 
         def loss(self, y):
             reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))
-            # The product runs over every draw: BLAS may round a row of a
-            # matrix-vector product differently by its place in the matrix.
-            losses = np.ascontiguousarray(self.per_draw(self.losses))
-            return scenario_mean(losses @ y / N + _f_value(self.x, lam1, alpha) - reg)
+            return self.m_loss @ y + _f_value(self.x, lam1, alpha) - reg
 
         def grad1(self, y):
-            g1 = np.einsum("sN,sNn->sn", self.coef(y), self.a) + _f_grad(self.x, lam1, alpha)
-            return scenario_mean(self.per_draw(g1))
+            return (neg_b * y) @ self.m_siga + _f_grad(self.x, lam1, alpha)
 
         def grad2(self, y):
-            g2 = self.losses_n - (lam2 * N * (N * y - 1.0))[None, :]
-            return scenario_mean(self.per_draw(g2))
+            return self.m_loss - lam2 * N * (N * y - 1.0)
 
         def grad3(self, y):
-            # Column j of the (N, n) mean is the mean of coef * x[j]: numpy adds
-            # an (S, N) array over axis 0 row by row, as it adds the (S, N * n)
-            # one, so that array is never built. One row (a batch of copies) is
-            # cheaper whole, and with N = 1 numpy would add pairwise.
-            coef = self.coef(y)
-            if N == 1 or self.a.shape[0] == 1:
-                g3 = (coef[:, :, None] * self.x[None, None, :]).reshape(-1, d)
-                return scenario_mean(self.per_draw(g3))
-            g3 = np.empty((N, n))
-            for j in range(n):
-                g3[:, j] = scenario_mean(self.per_draw(coef * self.x[j]))
-            return g3.reshape(d)
+            return ((neg_b * y * self.m_sig)[:, None] * self.x).reshape(d)
 
     problem = ProblemSpec(
         n=n,
@@ -355,18 +331,12 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
 
     def mc_evaluate(x, rng):
         # Primal value and gradient norm over the drawn rows. The y-part of the objective,
-        # mean_losses^T y / N - (lam2 N^2 / 2) ||y - uniform||^2, is an isotropic quadratic
-        # whose constrained maximizer is one simplex projection.
+        # m_loss^T y - (lam2 N^2 / 2) ||y - uniform||^2, is an isotropic quadratic whose
+        # constrained maximizer is one simplex projection.
         rows = DROEvaluation(x, oracle.sample(x, 1 if noiseless else diag_samples, rng))
-        mean_losses = scenario_mean(rows.losses)  # (N,)
-        y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
-        reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
-        value = float(mean_losses @ y_star / N + _f_value(x, lam1, alpha) - reg)
-        coef = rows.coef(y_star)  # (S, N)
-        g1 = scenario_mean(np.einsum("sN,sNn->sn", coef, rows.a)) + _f_grad(x, lam1, alpha)
-        g3_rows = scenario_mean(coef)[:, None] * x[None, :]  # (N, n)
-        chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
-        return value, float(np.linalg.norm(g1 + chain))
+        y_star = problem.inner_domain.project(1.0 / N + rows.m_loss / (lam2 * N**2))
+        chain = dro.shift_scale * np.cos(x) * rows.grad3(y_star).reshape(N, n).sum(0)
+        return float(rows.loss(y_star)), float(np.linalg.norm(rows.grad1(y_star) + chain))
 
     diagnostics = OracleDiagnostics(
         value=lambda x, rng: mc_evaluate(x, rng)[0],

@@ -115,6 +115,15 @@ class TestParseRunConfig:
         with pytest.raises(ConfigurationError):
             parse_run_config(doc)
 
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="'seeds' must be distinct"):
+            parse_run_config(tiny_tr_doc("out", seeds=(1, 1, 2)))
+
+    @pytest.mark.parametrize("doc", [[1, 2], None, "synthetic", 3])
+    def test_document_that_is_no_object_rejected(self, doc):
+        with pytest.raises(ConfigurationError, match="invalid config: a config is a JSON object"):
+            parse_run_config(doc)
+
     def test_key_sets_match_readme(self):
         # PROBLEM_KEYS and SOLVER_KEYS map each key to the type of its value.
         assert cli.TOP_KEYS == set(TOP_KEYS)
@@ -809,6 +818,23 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_iters" in err
+
+    @pytest.mark.parametrize("doc", [[1, 2], None])
+    @pytest.mark.parametrize("flags", [[], ["--seed-override", "3"], ["--max-iters", "2"]])
+    def test_document_that_is_no_object_exits_2(self, tmp_path, capsys, doc, flags):
+        assert main(["run", str(write_config(tmp_path, doc)), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:") and "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "seeds, flags", [((1, 1, 2), []), ((1, 2), ["--seed-override", "3,3"])]
+    )
+    def test_repeated_seeds_exit_2_before_any_seed_runs(self, tmp_path, capsys, seeds, flags):
+        path = write_config(tmp_path, tiny_tr_doc(tmp_path / "x", seeds=seeds))
+        assert main(["run", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:") and "'seeds' must be distinct" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,,2"])
     def test_bad_seed_override_exits_2_with_error_line(self, tmp_path, capsys, seeds):

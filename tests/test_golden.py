@@ -105,8 +105,8 @@ GOLDEN = {
     ),
     "dro_tr": (
         DRO_TR,
-        "42bbd266efbbba3a92d49e9215d213e1b40fccbba522611e4cefc3fcf00f0f55",
-        "38b3cfde1d847eddca13c65fd50a1c75d1f2a812116a502b8951e14c90068f12",
+        "cc0d1f180e724fd8475dc22742bb836090ba39498f5a5fbf1f4b8cdc3224ef0e",
+        "0f7604d1086a4eb7ea99c1c4760a3dcbc4fc4d938730b6c6af2f795cb5f6973b",
     ),
     "synthetic_spd": (
         SYNTHETIC_SPD,
@@ -120,23 +120,23 @@ GOLDEN = {
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,
-        "aa87a1351eea25d81c3d76c070d90d7965efe8337491593580ebd00c67fd9c22",
-        "bba662f151b8b6d3153c1aa8ac4a28e4bf3ec51a122af1a72dccfc46245f3b66",
+        "650ffb79ab7c1c058faacbc6d3647feff572a9586fab6a6741e1615daa43c985",
+        "8d1c494fb2cbdb4fd300023eda261da25515dbc23ce7573ddedb5f46a0ae9734",
     ),
     "dro_spd": (
         DRO_SPD,
-        "c495cd1caf78dfe5b537bcf494883745b22b407f69d87695d8b6c536140b4074",
+        "22afcd6c8eae68a40cf252cb52deeb644f2e79a6777a45398b594718da2bd751",
         "736e3c2c8429790832405d396f139b045704523ef93ea315a3c65cfc34cef764",
     ),
     "dro_asgda": (
         DRO_ASGDA,
-        "17bfc76ed466959978fad9722cb9ca5b1a547d6cad812dcf40a684b4bd45e59e",
+        "1e987bbe761e569c41247c228580cca88f05cc2b5a3f16b5692421a0de3a54a0",
         "f255d11601f141456d243476c1d37478452420c45c91c52777f81aa0bcc39774",
     ),
     "dro_asgda_noisy": (
         DRO_ASGDA_NOISY,
-        "a78554a212c6d70f0f57b5a913721d7806bf1889182dc9aa92f8ad5edb20dc2c",
-        "604b33db3f683c4ecdc5d3903f8895ca4ffe8cdba3b0f6096e013d9afd0d61ef",
+        "4667aed00a9325ed98f2e5b58605aec9069b3588750bb6708d91c3c562af5e80",
+        "181939269be643c1353941840562fa4b3cffe5ca580a76eac5f4eb53330b158b",
     ),
     "bench_synthetic_tr": (
         BENCH_SYNTHETIC_TR,
@@ -145,8 +145,8 @@ GOLDEN = {
     ),
     "bench_dro_tr": (
         BENCH_DRO_TR,
-        "8779897be6ea0737a9ffe8039670d606433059367394df091c2e3ecb0a60e4ae",
-        "aa26e4ea546f06368d185449f5f4401e412ff42deeb81536e7325e1184fa1eb7",
+        "0efc37f97d4b45a84dedadcdae1af7cd2811c76fb5f81e52842d96cc8ba0d671",
+        "dbda0225e18d6584347027824610879d55cb6d2c84a511e09bbf2d5fa922c771",
     ),
 }
 

@@ -296,9 +296,9 @@ class TestDRODiagnosticsRepeatedX:
 
 class TestDRODiagnosticsOneRow:
     """Without noise the draws are copies of one row, and the diagnostic is
-    exact on that row: bitwise the estimator over one drawn row, whatever
-    ``diag_samples`` is, and the estimator over ``diag_samples`` copies up to
-    the rounding of their mean."""
+    exact on that row: bitwise the diagnostic over one drawn row, whatever
+    ``diag_samples`` is, and the reference estimator over one row or over
+    ``diag_samples`` copies up to rounding."""
 
     @staticmethod
     def points():
@@ -308,9 +308,12 @@ class TestDRODiagnosticsOneRow:
     @pytest.mark.parametrize("diag_samples", [1, 7, 5000])
     def test_bitwise_equal_to_one_drawn_row(self, small_dro, diag_samples):
         diag = dro_instance(small_dro, diag_samples=diag_samples).diagnostics
+        one_row = dro_instance(small_dro, diag_samples=1).diagnostics
         for i, x in enumerate(self.points()):
             got = diag.value_and_grad_norm(x, make_rng(i))
-            assert got == dro_mc_reference(small_dro, x, make_rng(i), 1)
+            assert got == one_row.value_and_grad_norm(x, make_rng(i))
+            want = dro_mc_reference(small_dro, x, make_rng(i), 1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("diag_samples", [1, 7, 5000])
     def test_close_to_drawn_rows(self, small_dro, diag_samples):
@@ -348,15 +351,20 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def check_binding(bound, x, w, ys, references) -> None:
+def check_binding(bound, x, w, ys, references, rtol=None) -> None:
     """Each method of one binding, at every y and in two call orders, equals
-    the scenario mean of every reference callable of ``(x, y, w)`` bit for bit
-    (for loss, the 1-D mean)."""
+    the scenario mean of every reference callable of ``(x, y, w)`` (for loss,
+    the 1-D mean): bit for bit, or with ``rtol`` to that relative tolerance."""
     for i, y in enumerate(ys):
         for name in EVALUATORS if i % 2 == 0 else EVALUATORS[::-1]:
             got = getattr(bound, name)(y)
             for reference in references:
-                assert same_bits(got, np.mean(reference[name](x, y, w), axis=0)), (i, name)
+                want = np.mean(reference[name](x, y, w), axis=0)
+                if rtol is None:
+                    assert same_bits(got, want), (i, name)
+                else:
+                    assert np.shape(got) == np.shape(want), (i, name)
+                    np.testing.assert_allclose(got, want, rtol=rtol, atol=0, err_msg=f"{i} {name}")
 
 
 def dro_with_rows(rows, features, seed, noise_sigma=0.0):
@@ -371,9 +379,10 @@ def dro_with_rows(rows, features, seed, noise_sigma=0.0):
 
 class TestBinding:
     """``ProblemSpec.bind`` gives, at any number of y, the scenario means of
-    the per-draw loss and gradients."""
+    the per-draw loss and gradients: the default binding bit for bit, the
+    DRO one to within rounding, and each a function of y alone."""
 
-    def test_dro_fused_binding_matches_reference_bitwise(self, small_dro):
+    def test_dro_fused_binding_matches_reference(self, small_dro):
         noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
         inst = dro_instance(noisy)
         rng = make_rng(8)
@@ -384,15 +393,13 @@ class TestBinding:
             assert not isinstance(bound, Evaluation)
             ys = [Simplex(40).project(rng.normal(size=40)) for _ in range(4)]
             ys += [Simplex(40).center(), ys[0]]
-            check_binding(bound, x, w, ys, [dro_reference_evaluators(noisy)])
+            check_binding(bound, x, w, ys, [dro_reference_evaluators(noisy)], rtol=1e-12)
 
     @pytest.mark.parametrize("rows, features", [(200, 5), (7, 2), (1, 5)])
     @pytest.mark.parametrize("count", [1, 2, 300, 301])
-    def test_dro_binding_of_drawn_rows_matches_reference_bitwise(self, rows, features, count):
+    def test_dro_binding_of_drawn_rows_matches_reference(self, rows, features, count):
         # The benchmark shape (N = 200, n = 5) with its regression set size,
-        # 300. grad3 is averaged one feature column at a time, which adds the
-        # rows in the order of the (S, N * n) mean for N >= 2; N = 1 takes the
-        # (S, n) mean, since an (S, 1) mean adds pairwise.
+        # 300, and the shapes N = 1 and n <= 2 at the edges of the products.
         dro = dro_with_rows(rows, features, count, noise_sigma=0.5)
         inst = dro_instance(dro)
         rng = make_rng(count)
@@ -401,19 +408,17 @@ class TestBinding:
             w = inst.oracle.sample(x, count, rng)
             ys = [Simplex(rows).project(rng.normal(size=rows)) for _ in range(3)]
             ys += [Simplex(rows).center(), ys[0]]
-            check_binding(inst.problem.bind(x, w), x, w, ys, [dro_reference_evaluators(dro)])
+            references = [dro_reference_evaluators(dro)]
+            check_binding(inst.problem.bind(x, w), x, w, ys, references, rtol=1e-12)
 
     @pytest.mark.parametrize("rows, features", [(40, 3), (7, 2), (200, 5), (1, 5)])
     @pytest.mark.parametrize("count", [1, 2, 100, 500])
-    def test_dro_binding_of_noiseless_copies_matches_copied_draws_bitwise(
-        self, rows, features, count
-    ):
+    def test_dro_binding_of_noiseless_copies_is_its_rows_binding(self, rows, features, count):
         # Noiseless draws at one x are a stride-0 view of one row, which the
-        # binding evaluates once and averages over a stride-0 view. Its means
-        # must equal the reference's on a C-ordered copy of the draws, bit for
-        # bit, and so must the means of the binding on that copy.
-        # np.array(draws) is no reference: it lays a stride-0 axis out in
-        # Fortran order.
+        # binding evaluates once: bit for bit as it binds that row, and to
+        # within rounding the reference's means over a C-ordered copy of the
+        # draws. np.array(draws) is no copy to compare with: it lays a
+        # stride-0 axis out in Fortran order.
         dro = dro_with_rows(rows, features, 0)
         inst = dro_instance(dro)
         closures = dro_reference_evaluators(dro)
@@ -424,14 +429,34 @@ class TestBinding:
             copies = np.ascontiguousarray(w)
             assert count == 1 or w.strides[0] == 0
             assert same_bits(w.sum(axis=0), copies.sum(axis=0))  # the asgda model update
-            bound, reference = inst.problem.bind(x, w), inst.problem.bind(x, copies)
+            bound, one_row = inst.problem.bind(x, w), inst.problem.bind(x, w[:1])
             ys = [Simplex(rows).project(rng.normal(size=rows)) for _ in range(3)]
             for i, y in enumerate(ys + [Simplex(rows).center()]):
                 for name in EVALUATORS if (i + trial) % 2 == 0 else EVALUATORS[::-1]:
-                    got, want = getattr(bound, name)(y), getattr(reference, name)(y)
-                    assert same_bits(got, want), (trial, i, name)
-                    rows_of_copies = closures[name](x, y, copies)
-                    assert same_bits(got, np.mean(rows_of_copies, axis=0)), (trial, i, name)
+                    got = getattr(bound, name)(y)
+                    assert same_bits(got, getattr(one_row, name)(y)), (trial, i, name)
+                    want = np.mean(closures[name](x, y, copies), axis=0)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_dro_binding_bits_do_not_depend_on_call_order(self, noise_sigma):
+        # Two bindings of one draw set, called at the same ys with their
+        # methods in opposite orders, return the same bits.
+        dro = replace(generate_synthetic_credit(200, 5, 4), noise_sigma=noise_sigma)
+        inst = dro_instance(dro)
+        rng = make_rng(4)
+        x = rng.normal(size=5) * 2.0
+        w = inst.oracle.sample(x, 300, rng)
+        ys = [Simplex(200).project(rng.normal(size=200)) for _ in range(3)]
+        ys += [Simplex(200).center(), ys[0]]
+        forward, backward = inst.problem.bind(x, w), inst.problem.bind(x, w)
+        got = {name: [] for name in EVALUATORS}
+        for y in ys:
+            for name in EVALUATORS:
+                got[name].append(getattr(forward, name)(y))
+        for name in EVALUATORS[::-1]:
+            for y, want in zip(ys, got[name]):
+                assert same_bits(getattr(backward, name)(y), want), name
 
     def test_dro_binding_at_benchmark_size_matches_logaddexp(self):
         # 300 scenarios of N = 200 rows, the size of the benchmark's surrogate

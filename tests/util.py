@@ -183,7 +183,8 @@ def surrogate_at(problem: ProblemSpec, model, x, y):
 def dro_reference_evaluators(dro: DROProblem) -> dict:
     """The DRO loss and gradients as four straight-line functions of
     ``(x, y, w)``, each computing its margins afresh: a reference for the
-    shared-margin evaluation of ``dro_instance``, which must match it bit for bit."""
+    shared-margin evaluation of ``dro_instance``, whose means must match these
+    per-draw arrays' ``np.mean`` to within rounding."""
     N, n = dro.n_rows, dro.n_features
     b, lam1, lam2, alpha = dro.labels, dro.lambda1, dro.lambda2, dro.alpha
 
