@@ -77,15 +77,15 @@ SOLVER_KEYS["tr"] = dict(_types(tr.TRConfig, "seed", "max_iters"), llr_count=int
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a type: an int fits a float, a bool only a
     bool, a NaN or an infinity nothing, and an object a dataclass whose
-    fields its values fit. The one such dataclass is a SampleSchedule, whose
-    ``fixed`` is ``*_count``."""
+    fields its values fit. The one such dataclass is a SampleSchedule, which
+    ``*_count`` spells for a fixed count as ``minimum = maximum``."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
         return any(_fits(value, arm) for arm in args)
     if origin is list:
         return isinstance(value, list) and all(_fits(v, *args) for v in value)
     if is_dataclass(hint):
-        types = _types(hint, "fixed")
+        types = _types(hint)
         return isinstance(value, dict) and all(
             key in types and _fits(v, types[key]) for key, v in value.items()
         )
@@ -134,11 +134,13 @@ def parse_run_config(doc: dict) -> RunConfig:
     try:
         # Building what the config describes runs the checks of every value,
         # so a config that does not build fails here, before any seed runs.
-        (build_tr_config if solver == "tr" else build_baseline_config)(config, config.seeds[0])
+        built = (build_tr_config if solver == "tr" else build_baseline_config)(config, seeds[0])
         n = build_instance(config).problem.n
-        n_llr = config.solver_params.get("llr_count", n + 1)  # the fit's rule needs the instance
-        if n_llr < n + 1:
-            raise ConfigurationError(f"'llr_count' must be >= n + 1 = {n + 1}, got {n_llr}")
+        # The fit needs n + 1 points, and an iteration asks for min(n + 5, maximum) or more.
+        if solver == "tr" and (n_llr := built.llr_schedule.maximum) < n + 1:
+            raise ConfigurationError(
+                f"'llr_count' or the 'llr_schedule' maximum must be >= n + 1 = {n + 1}, got {n_llr}"
+            )
     except ValueError as exc:
         raise ConfigurationError(f"invalid config: {exc}") from None
     return config
@@ -184,10 +186,10 @@ def build_tr_config(config: RunConfig, seed: int) -> tr.TRConfig:
     params = dict(config.solver_params)
     for name in ("llr", "value"):
         count, schedule = f"{name}_count", f"{name}_schedule"
-        if count in params:
-            params[schedule] = tr.SampleSchedule(fixed=int(params.pop(count)))
-        elif schedule in params:
-            params[schedule] = tr.SampleSchedule(fixed=None, **params[schedule])
+        if count in params:  # a fixed count is a schedule whose bounds meet
+            params[schedule] = dict.fromkeys(("minimum", "maximum"), params.pop(count))
+        if schedule in params:
+            params[schedule] = tr.SampleSchedule(**params[schedule])
     return tr.TRConfig(max_iters=config.max_iters, seed=seed, **params)
 
 

@@ -33,7 +33,6 @@ from .core import (
 class InnerSolveReport:
     maximizer: np.ndarray
     iterations: int
-    final_step_norm: float
     evaluation: Evaluation  # the problem bound to (x, scenarios) in every step
 
 
@@ -75,8 +74,8 @@ def maximize_over_scenarios(
         step_norm = float(np.linalg.norm(y_next - y))
         y = y_next
         if cert_factor * step_norm <= epsilon:
-            return InnerSolveReport(y, t, step_norm, evaluation)
+            return InnerSolveReport(y, t, evaluation)
     raise InnerConvergenceError(
         f"inner maximizer failed to certify tolerance {epsilon} in {max_iters} iterations",
-        report=InnerSolveReport(y, max_iters, step_norm, evaluation),
+        report=InnerSolveReport(y, max_iters, evaluation),
     )

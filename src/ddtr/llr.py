@@ -49,8 +49,6 @@ class LLRModel:
     b1: np.ndarray  # (n, d)
     b0: np.ndarray  # (d,)
     residuals: np.ndarray  # (count, d)
-    center: np.ndarray  # (n,)
-    radius: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = as_vector(x, self.b1.shape[0], "x")
@@ -134,4 +132,4 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
     np.subtract(samples.responses, residuals, out=residuals)
     b1 = coef[:n] / samples.radius
     b0 = coef[n] - b1.T @ samples.center
-    return LLRModel(b1=b1, b0=b0, residuals=residuals, center=samples.center, radius=samples.radius)
+    return LLRModel(b1=b1, b0=b0, residuals=residuals)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -413,6 +414,8 @@ def load_credit_csv(
                 raw_label = float(row[label_idx])
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            if not all(map(math.isfinite, feats)):  # inf or 1e999 would give NaN features
+                raise IngestionError(f"{path}:{lineno}: non-finite feature value")
             if raw_label not in (0.0, 1.0):
                 raise IngestionError(
                     f"{path}:{lineno}: label must be 0 or 1, got {raw_label}"

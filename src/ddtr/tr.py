@@ -14,7 +14,7 @@ below the relative floor ``delta_min * max(1, ||x||)`` or underflows to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,30 +39,25 @@ PRED_FLOOR = 1e-14  # least predicted reduction that gives a ratio test
 
 @dataclass(frozen=True)
 class SampleSchedule:
-    """Per-iteration sample count, either fixed or growing as the radius shrinks.
+    """Per-iteration sample count ``ceil(coeff * max(delta**-power, 1))``
+    clamped to [minimum, maximum], growing as the radius shrinks.
 
-    With ``fixed`` set, that count is used verbatim (the regime of the
-    reported experiments).  Otherwise the count is
-    ``ceil(coeff * max(delta**-power, 1))`` clamped to [minimum, maximum].
+    A fixed count N, the regime of the reported experiments, is
+    ``minimum = maximum = N``.
     """
 
-    fixed: Optional[int] = 300
     coeff: float = 1.0
     power: float = 4.0
     minimum: int = 10
     maximum: int = 5000
 
     def __post_init__(self):
-        if self.fixed is not None and not self.fixed >= 1:
-            raise ConfigurationError("fixed sample count must be >= 1")
-        if self.fixed is None and not (1 <= self.minimum <= self.maximum):
-            raise ConfigurationError("need 1 <= minimum <= maximum")
-        if self.fixed is None and (math.isnan(self.coeff) or math.isnan(self.power)):
+        if not (1 <= self.minimum <= self.maximum):
+            raise ConfigurationError("sample count needs 1 <= minimum <= maximum")
+        if math.isnan(self.coeff) or math.isnan(self.power):
             raise ConfigurationError("coeff and power must not be NaN")
 
     def count(self, delta: float) -> int:
-        if self.fixed is not None:
-            return self.fixed
         try:
             raw = math.ceil(self.coeff * max(float(delta) ** -self.power, 1.0))
         except (OverflowError, ZeroDivisionError):  # past the float range, or delta = 0
@@ -78,8 +73,8 @@ class TRConfig:
     eta1: float = 0.25
     eta2: float = 0.1
     kappa_dcp: float = 1e-3
-    llr_schedule: SampleSchedule = field(default_factory=lambda: SampleSchedule(fixed=300))
-    value_schedule: SampleSchedule = field(default_factory=lambda: SampleSchedule(fixed=100))
+    llr_schedule: SampleSchedule = SampleSchedule(minimum=300, maximum=300)
+    value_schedule: SampleSchedule = SampleSchedule(minimum=100, maximum=100)
     inner_eps_coeff: float = 0.1
     lambda_max: float = 100.0
     max_iters: int = 300
@@ -192,19 +187,14 @@ def estimate_value(
     inner_eps: float,
     y_warm: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """Sample-average estimate of the primal value at x.
-
-    Draws ``count`` fresh samples, maximizes their average in y to tolerance
-    ``inner_eps``, and returns the average loss at that maximizer along with
-    the maximizer itself (for warm starting).
-    """
-    if count < 1:
-        raise ConfigurationError("value-estimate sample count must be >= 1")
+) -> float:
+    """Sample-average estimate of the primal value at x: the average loss of
+    ``count`` fresh draws at their maximizer in y, found from ``y_warm`` to
+    tolerance ``inner_eps``."""
     x = as_vector(x, problem.n, "x")
     draws = oracle.sample(x, count, rng)
     report = maximize_over_scenarios(problem, x, draws, y_warm, inner_eps)
-    return float(report.evaluation.loss(report.maximizer)), report.maximizer
+    return float(report.evaluation.loss(report.maximizer))
 
 
 def acceptance_update(
@@ -231,9 +221,8 @@ def iterate(
     llr_rng, vk_rng, vh_rng, diag_rng = rng.spawn(4)
     x, delta, k = state.x, state.delta, state.k
 
-    n_llr = config.llr_schedule.count(delta)
-    if config.llr_schedule.fixed is None:
-        n_llr = max(n_llr, problem.n + 5)
+    # At least n + 5 points, or all the schedule allows: a fixed count as given.
+    n_llr = max(config.llr_schedule.count(delta), min(problem.n + 5, config.llr_schedule.maximum))
     # The sample set is freed after the fit; the model keeps its residuals.
     model = llr.fit(llr.generate_poised_set(oracle, x, delta, n_llr, config.lambda_max, llr_rng))
 
@@ -273,8 +262,8 @@ def iterate(
         descent_ok = check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp)
         if descent_ok:
             n_value = config.value_schedule.count(delta)
-            v_k, _ = estimate_value(problem, oracle, x, n_value, eps, y_old, vk_rng)
-            v_half, _ = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
+            v_k = estimate_value(problem, oracle, x, n_value, eps, y_old, vk_rng)
+            v_half = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
             rho = -math.inf if abs(pred) < PRED_FLOOR else (v_k - v_half) / pred
 
     accepted, delta_next = acceptance_update(rho, grad_norm, delta, config)

@@ -46,8 +46,8 @@ def run_synthetic(seed: int, llr_count: int, max_iters: int = 300):
         gamma=2.0,
         eta1=0.25,
         eta2=0.1,
-        llr_schedule=SampleSchedule(fixed=llr_count),
-        value_schedule=SampleSchedule(fixed=100),
+        llr_schedule=SampleSchedule(minimum=llr_count, maximum=llr_count),
+        value_schedule=SampleSchedule(minimum=100, maximum=100),
         max_iters=max_iters,
         seed=seed,
     )
@@ -144,8 +144,8 @@ def test_criterion_4_dro_decrease():
     for seed in (1, 2, 3):
         x0, _ = inst.draw_start(make_rng(seed))
         config = TRConfig(
-            llr_schedule=SampleSchedule(fixed=300),
-            value_schedule=SampleSchedule(fixed=100),
+            llr_schedule=SampleSchedule(minimum=300, maximum=300),
+            value_schedule=SampleSchedule(minimum=100, maximum=100),
             max_iters=100,
             seed=seed,
         )
@@ -263,8 +263,8 @@ def state_machine_run(**config):
     acceptance rule holds exactly and a rejected step keeps x bit for bit."""
     inst = synthetic_instance()
     run_config = TRConfig(
-        llr_schedule=SampleSchedule(fixed=40),
-        value_schedule=SampleSchedule(fixed=40),
+        llr_schedule=SampleSchedule(minimum=40, maximum=40),
+        value_schedule=SampleSchedule(minimum=40, maximum=40),
         max_iters=150,
         seed=3,
         **config,

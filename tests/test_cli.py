@@ -553,26 +553,51 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "problem, params, count, n",
-        [("dro", {"n_features": 5}, 4, 5), ("synthetic", {}, 1, 1)],
-        ids=["dro", "synthetic"],
+        "problem, params, count, n, spell",
+        [
+            ("dro", {"n_features": 5}, 4, 5, lambda c: {"llr_count": c}),
+            ("synthetic", {}, 1, 1, lambda c: {"llr_count": c}),
+            # A growing schedule asks for min(n + 5, maximum) points or more.
+            ("dro", {"n_features": 5}, 5, 5,
+             lambda c: {"llr_schedule": {"minimum": 1, "maximum": c}}),
+            ("synthetic", {}, 1, 1, lambda c: {"llr_schedule": {"minimum": 1, "maximum": c}}),
+        ],
+        ids=["dro", "synthetic", "dro-schedule", "synthetic-schedule"],
     )
     def test_llr_count_below_n_plus_1_exits_2_before_any_seed_runs(
-        self, tmp_path, capsys, problem, params, count, n
+        self, tmp_path, capsys, problem, params, count, n, spell
     ):
         # The regression needs n + 1 points, and n is the built instance's.
-        # Before the parse checked it, every seed failed with exit status 1.
+        # Before the parse checked it, every seed failed with exit status 1,
+        # and a growing schedule's maximum went unchecked.
         doc = dict(
             tiny_tr_doc(tmp_path / "out", seeds=(1, 2)), problem=problem, problem_params=params
         )
-        doc["solver_params"]["llr_count"] = count
+        doc["solver_params"] = {"value_count": 30, **spell(count)}
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config:")
-        assert f"'llr_count' must be >= n + 1 = {n + 1}, got {count}" in err
+        assert (
+            f"'llr_count' or the 'llr_schedule' maximum must be >= n + 1 = {n + 1}, got {count}"
+            in err
+        )
         assert not (tmp_path / "out").exists()
-        doc["solver_params"]["llr_count"] = n + 1
-        assert parse_run_config(doc).solver_params["llr_count"] == n + 1
+        doc["solver_params"].update(spell(n + 1))
+        assert parse_run_config(doc).solver_params == doc["solver_params"]
+
+    def test_non_finite_csv_cell_exits_2_before_any_seed_runs(self, tmp_path, capsys):
+        # Before the loader checked it, standardizing gave NaN features and
+        # every seed failed on a non-finite oracle draw.
+        path = self.write_rows(tmp_path, 40)
+        lines = path.read_text().splitlines()
+        lines[5] = "1,1e999,0.5"
+        path.write_text("\n".join(lines) + "\n")
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out"), problem="dro", problem_params={"csv_path": str(path)}
+        )
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "credit.csv:6: non-finite feature value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params, rows", [({}, 30), ({"n_rows": 30}, 30)])
     def test_file_rows_kept_up_to_n_rows(self, tmp_path, params, rows):

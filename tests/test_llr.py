@@ -208,8 +208,6 @@ class TestPredictAndScenarios:
             b1=np.zeros((2, 1)),
             b0=np.array([c]),
             residuals=np.zeros((4, 1)),
-            center=np.zeros(2),
-            radius=1.0,
         )
 
     def test_constant_model(self):
@@ -222,8 +220,6 @@ class TestPredictAndScenarios:
             b1=np.array([[3.0]]),
             b0=np.array([2.0]),
             residuals=np.zeros((3, 1)),
-            center=np.zeros(1),
-            radius=1.0,
         )
         assert model.predict(np.array([4.0]))[0] == pytest.approx(14.0)
 

@@ -529,8 +529,8 @@ class TestBenchmarkWrappedFields:
         w = inst.oracle.sample(x, 2, make_rng(0))
         assert type(wrapped.problem.bind(x, w)) is type(inst.problem.bind(x, w))
         config = TRConfig(
-            llr_schedule=SampleSchedule(fixed=40),
-            value_schedule=SampleSchedule(fixed=40),
+            llr_schedule=SampleSchedule(minimum=40, maximum=40),
+            value_schedule=SampleSchedule(minimum=40, maximum=40),
             max_iters=3,
             seed=1,
         )
@@ -688,6 +688,14 @@ class TestLoadCreditCsv:
     def test_bad_label_rejected(self, tmp_path):
         path = self.write(tmp_path, "2,100,30,0.2\n")
         with pytest.raises(IngestionError, match="label"):
+            load_credit_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1e999", "inf", "-Infinity"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        # float() reads these; standardizing them gave NaN features, and every
+        # seed of a run then failed on a non-finite oracle draw.
+        path = self.write(tmp_path, f"0,100,30,0.2\n1,{cell},40,0.9\n0,80,25,0.1\n")
+        with pytest.raises(IngestionError, match=r"credit\.csv:3: non-finite"):
             load_credit_csv(path)
 
     def test_all_rows_dropped(self, tmp_path):

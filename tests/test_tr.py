@@ -33,8 +33,8 @@ from util import affine_map_problem, directional_fd, scalar_oracle, surrogate_at
 
 def small_config(**kw):
     defaults = dict(
-        llr_schedule=SampleSchedule(fixed=40),
-        value_schedule=SampleSchedule(fixed=40),
+        llr_schedule=SampleSchedule(minimum=40, maximum=40),
+        value_schedule=SampleSchedule(minimum=40, maximum=40),
         max_iters=20,
         seed=0,
     )
@@ -96,8 +96,6 @@ class TestSurrogateValueAndXGrad:
             b1=np.zeros((1, 1)),
             b0=np.array([5.0]),
             residuals=np.array([[-1.0], [1.0], [0.0]]),
-            center=np.zeros(1),
-            radius=1.0,
         )
         x, y = np.array([2.0]), np.array([0.5])
         value, grad = surrogate_at(inst.problem, model, x, y)
@@ -122,14 +120,15 @@ class TestSurrogateValueAndXGrad:
         inst = synthetic_instance()
         rng = make_rng(29)
         for trial in range(20):
+            center = rng.normal(size=1)
             model = fitted_model(
                 lambda x: np.sin(x) * x**2,
-                rng.normal(size=1),
+                center,
                 radius=float(rng.uniform(0.2, 1.5)),
                 sigma=0.5,
                 seed=trial,
             )
-            x = model.center + rng.normal(size=1) * 0.3
+            x = center + rng.normal(size=1) * 0.3
             y = rng.normal(size=1) * 3.0
             _, grad = surrogate_at(inst.problem, model, x, y)
             fd = directional_fd(
@@ -193,15 +192,14 @@ class TestEstimateValue:
     def test_deterministic_value_is_exact(self):
         # Deterministic map and a loss whose maximum in y equals w^2 exactly.
         problem, oracle = affine_map_problem(slope=1.0, intercept=-3.0)
-        value, maximizer = estimate_value(
+        value = estimate_value(
             problem, oracle, np.array([5.0]), 10, 1e-8, np.zeros(1), make_rng(0)
         )
         assert value == pytest.approx(4.0, abs=1e-12)
-        assert abs(maximizer[0]) <= 1e-8
 
     def test_synthetic_near_stationary_value(self):
         inst = synthetic_instance()
-        value, _ = estimate_value(
+        value = estimate_value(
             inst.problem, inst.oracle, np.array([1.0]), 10_000, 1e-6,
             np.zeros(1), make_rng(1),
         )
@@ -344,7 +342,9 @@ class TestSolve:
         # Noiseless map w = x - 3 with loss w^2 - y^2: the primal function is
         # (x - 3)^2, so iterates should approach x = 3.
         problem, oracle = affine_map_problem(slope=1.0, intercept=-3.0)
-        config = small_config(max_iters=100, seed=4, llr_schedule=SampleSchedule(fixed=12))
+        config = small_config(
+            max_iters=100, seed=4, llr_schedule=SampleSchedule(minimum=12, maximum=12)
+        )
         state, history = solve(np.array([0.0]), problem, oracle, config)
         assert abs(state.x[0] - 3.0) < 0.05
 
@@ -391,7 +391,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "llr_schedule",
-        [SampleSchedule(fixed=40), SampleSchedule(fixed=None)],
+        [SampleSchedule(minimum=40, maximum=40), SampleSchedule()],
         ids=["fixed", "adaptive"],
     )
     def test_radius_underflow_ends_the_run(self, llr_schedule):
@@ -419,8 +419,8 @@ class TestSolve:
         for seed in range(1, 6):
             x0 = 10.0 + 0.3 * make_rng(seed).uniform(-1, 1)
             config = TRConfig(
-                llr_schedule=SampleSchedule(fixed=300),
-                value_schedule=SampleSchedule(fixed=100),
+                llr_schedule=SampleSchedule(minimum=300, maximum=300),
+                value_schedule=SampleSchedule(minimum=100, maximum=100),
                 max_iters=300,
                 seed=seed,
             )
@@ -431,7 +431,10 @@ class TestSolve:
 
 class TestSampleSchedule:
     def test_fixed(self):
-        assert SampleSchedule(fixed=300).count(0.01) == 300
+        # A fixed count is bounds that meet, at any radius: also past the
+        # float range of delta ** -4, and at 0.
+        for delta in [2.0, 1.0, 0.3, 0.01, 2.0**-256, 2.0**-1074, 0.0]:
+            assert SampleSchedule(minimum=300, maximum=300).count(delta) == 300
 
     def test_adaptive_regression_count_floors_at_dimension(self):
         # With an adaptive schedule the regression count never drops below
@@ -439,13 +442,23 @@ class TestSampleSchedule:
         inst = synthetic_instance()
         config = small_config(
             max_iters=1,
-            llr_schedule=SampleSchedule(fixed=None, coeff=1.0, power=4.0, minimum=2),
+            llr_schedule=SampleSchedule(coeff=1.0, power=4.0, minimum=2),
         )
         _, history = solve(np.array([2.0]), inst.problem, inst.oracle, config)
         assert history[0].n_llr == inst.problem.n + 5
 
+    @pytest.mark.parametrize("maximum", [2, 5])
+    def test_adaptive_regression_count_capped_at_maximum(self, maximum):
+        # Below n + 5 the schedule's maximum wins; the fit needs only n + 1 = 2.
+        inst = synthetic_instance()
+        config = small_config(
+            max_iters=3, llr_schedule=SampleSchedule(minimum=1, maximum=maximum)
+        )
+        _, history = solve(np.array([2.0]), inst.problem, inst.oracle, config)
+        assert [rec.n_llr for rec in history] == [maximum] * 3
+
     def test_adaptive_growth_and_clamp(self):
-        sched = SampleSchedule(fixed=None, coeff=1.0, power=4.0, minimum=10, maximum=5000)
+        sched = SampleSchedule(coeff=1.0, power=4.0, minimum=10, maximum=5000)
         assert sched.count(1.0) == 10
         assert sched.count(0.3) == math.ceil(0.3**-4)
         assert sched.count(0.01) == 5000
@@ -453,7 +466,7 @@ class TestSampleSchedule:
     @pytest.mark.parametrize("delta", [2.0**-256, 2.0**-1074, np.float64(2.0**-256), 0.0])
     def test_adaptive_count_at_tiny_radius_is_maximum(self, delta):
         # delta ** -4 is past the float range here, or undefined at 0.
-        assert SampleSchedule(fixed=None).count(delta) == 5000
+        assert SampleSchedule().count(delta) == 5000
 
     @pytest.mark.parametrize(
         "field",
@@ -470,11 +483,16 @@ class TestSampleSchedule:
         with pytest.raises(ConfigurationError, match="inner_eps_coeff"):
             TRConfig(inner_eps_coeff=value)
 
-    @pytest.mark.parametrize("field", ["fixed", "coeff", "power"])
-    def test_schedule_rejects_nan(self, field):
-        # A NaN coeff or power made count() raise ValueError mid-run.
+    @pytest.mark.parametrize(
+        "fields",
+        [{"minimum": math.nan, "maximum": math.nan}, {"coeff": math.nan}, {"power": math.nan}],
+        ids=["fixed", "coeff", "power"],
+    )
+    def test_schedule_rejects_nan(self, fields):
+        # A NaN coeff or power made count() raise ValueError mid-run; a fixed
+        # count is minimum = maximum.
         with pytest.raises(ConfigurationError):
-            SampleSchedule(**{"fixed": None, field: math.nan})
+            SampleSchedule(**fields)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
