@@ -7,7 +7,7 @@ not faithful reimplementations of the cited originals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,9 +30,8 @@ DIVERGENCE_NORM = 1e8  # a run whose iterate norm passes this has diverged
 @dataclass(frozen=True)
 class BaselineConfig:
     method: str = "spd-constant"
-    eta_x: float = 1e-3  # asgda stepsizes
-    eta_y: float = 1e-1
-    eta: float = 1e-3  # spd constant stepsize
+    eta_y: float = 1e-1  # asgda y-stepsize
+    eta: float = 1e-3  # x-stepsize of spd-constant and asgda, spd-constant's y-stepsize
     dyn_a: float = 1000.0  # spd dynamic stepsize 1 / (a + b k)
     dyn_b: float = 10.0
     batch: int = 500
@@ -43,7 +42,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not all(v > 0 for v in (self.eta_x, self.eta_y, self.eta, self.dyn_a)):
+        if not all(v > 0 for v in (self.eta_y, self.eta, self.dyn_a)):
             raise ConfigurationError("stepsizes and dyn_a must be positive")
         if not self.dyn_b >= 0:
             raise ConfigurationError("dyn_b must be nonnegative")
@@ -56,8 +55,6 @@ class BaselineConfig:
 
     def stepsize(self, k: int) -> float:
         """The x-stepsize of step k."""
-        if self.method == "asgda":
-            return self.eta_x
         if self.method == "spd-dynamic":
             return 1.0 / (self.dyn_a + self.dyn_b * k)
         return self.eta
@@ -99,7 +96,6 @@ class BaselineState:
     y: np.ndarray
     k: int
     model: Optional[OnlineAffineModel]
-    history: list = field(default_factory=list)
     # Why ``run_baseline`` stopped: "diverged" or "max_iters".
     termination: Optional[str] = None
 
@@ -172,11 +168,10 @@ def asgda_step(
 
 
 def _safe_project(problem: ProblemSpec, y: np.ndarray) -> np.ndarray:
-    # Projection requires finite input; once the dual iterate blows up the
-    # run is over anyway, so substitute the domain center to let the
-    # divergence check see it through the primal iterate.
+    # Projection requires finite input; a non-finite dual iterate is kept as
+    # it is, so the divergence check ends the run.
     if not np.all(np.isfinite(y)):
-        return problem.inner_domain.center()
+        return y
     return problem.inner_domain.project(y)
 
 
@@ -200,7 +195,8 @@ def run_baseline(
     y0 = problem.inner_domain.center() if y0 is None else as_vector(y0, problem.m, "y0")
     y0 = problem.inner_domain.project(y0)
     model = OnlineAffineModel.empty(problem.n, problem.d) if config.method == "asgda" else None
-    state = BaselineState(x=x0, y=y0, k=0, model=model, history=[])
+    state = BaselineState(x=x0, y=y0, k=0, model=model)
+    history = []
     step = asgda_step if config.method == "asgda" else spd_step
 
     for _ in range(config.max_iters):
@@ -214,7 +210,7 @@ def run_baseline(
         oracle_grad = math.nan
         if diagnostics is not None and not diverged:
             oracle_phi, oracle_grad = diagnostics.evaluate(prev_x, diag_rng)
-        state.history.append(
+        history.append(
             BaselineRecord(
                 k=state.k - 1,
                 stepsize=eta,
@@ -225,5 +221,5 @@ def run_baseline(
             )
         )
         if diverged:
-            return replace(state, termination="diverged"), state.history
-    return replace(state, termination="max_iters"), state.history
+            return replace(state, termination="diverged"), history
+    return replace(state, termination="max_iters"), history

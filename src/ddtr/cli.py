@@ -187,6 +187,8 @@ def build_tr_config(config: RunConfig, seed: int) -> tr.TRConfig:
     for name in ("llr", "value"):
         count, schedule = f"{name}_count", f"{name}_schedule"
         if count in params:  # a fixed count is a schedule whose bounds meet
+            if schedule in params:
+                raise ConfigurationError(f"give {count!r} or {schedule!r}, not both")
             params[schedule] = dict.fromkeys(("minimum", "maximum"), params.pop(count))
         if schedule in params:
             params[schedule] = tr.SampleSchedule(**params[schedule])
@@ -327,7 +329,10 @@ def summarize(
         chosen = metric
         per_run = []
         for path in paths:
-            chosen_here, by_k = _load_metric_rows(path, chosen)
+            try:
+                chosen_here, by_k = _load_metric_rows(path, chosen)
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: {exc}") from None
             if chosen is None:
                 chosen = chosen_here
             per_run.append(by_k)
@@ -368,7 +373,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "run":
             with open(args.config, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                try:
+                    doc = json.load(fh)
+                except ValueError as exc:  # not UTF-8, or not JSON
+                    raise ConfigurationError(f"{args.config}: {exc}") from None
             overrides = {}
             if args.seed_override:
                 try:
@@ -388,7 +396,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "summarize":
             summarize(args.dirs, metric=args.metric, output=args.output)
             return 0
-    except (ConfigurationError, SchemaError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

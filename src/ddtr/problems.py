@@ -6,6 +6,7 @@ features shift with the classifier.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -374,54 +375,54 @@ def load_credit_csv(
     zero mean and unit variance per column.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
         raise IngestionError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise IngestionError(f"{path}: label column {label_column!r} not in header")
-        label_idx = header.index(label_column)
-        if feature_columns is None:
-            feat_idx = [i for i in range(len(header)) if i != label_idx]
-        else:
-            missing = [c for c in feature_columns if c not in header]
-            if missing:
-                raise IngestionError(f"{path}: feature columns not in header: {missing}")
-            if label_column in feature_columns or len(set(feature_columns)) < len(feature_columns):
-                raise IngestionError(f"{path}: feature columns repeat or include the label")
-            feat_idx = [header.index(c) for c in feature_columns]
-        if not feat_idx:
-            raise IngestionError(f"{path}: no feature columns")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise IngestionError(f"{path}: label column {label_column!r} not in header")
+    label_idx = header.index(label_column)
+    if feature_columns is None:
+        feat_idx = [i for i in range(len(header)) if i != label_idx]
+    else:
+        missing = [c for c in feature_columns if c not in header]
+        if missing:
+            raise IngestionError(f"{path}: feature columns not in header: {missing}")
+        if label_column in feature_columns or len(set(feature_columns)) < len(feature_columns):
+            raise IngestionError(f"{path}: feature columns repeat or include the label")
+        feat_idx = [header.index(c) for c in feature_columns]
+    if not feat_idx:
+        raise IngestionError(f"{path}: no feature columns")
 
-        rows, labels, dropped = [], [], 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            cells = [row[i].strip() for i in feat_idx] + [row[label_idx].strip()]
-            if any(c.lower() in _MISSING for c in cells):
-                dropped += 1
-                log.warning("%s:%d: dropping row with missing value", path, lineno)
-                continue
-            try:
-                feats = [float(row[i]) for i in feat_idx]
-                raw_label = float(row[label_idx])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-            if not all(map(math.isfinite, feats)):  # inf or 1e999 would give NaN features
-                raise IngestionError(f"{path}:{lineno}: non-finite feature value")
-            if raw_label not in (0.0, 1.0):
-                raise IngestionError(
-                    f"{path}:{lineno}: label must be 0 or 1, got {raw_label}"
-                )
-            rows.append(feats)
-            labels.append(2.0 * raw_label - 1.0)
+    rows, labels, dropped = [], [], 0
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise IngestionError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        cells = [row[i].strip() for i in feat_idx] + [row[label_idx].strip()]
+        if any(c.lower() in _MISSING for c in cells):
+            dropped += 1
+            log.warning("%s:%d: dropping row with missing value", path, lineno)
+            continue
+        try:
+            feats = [float(row[i]) for i in feat_idx]
+            raw_label = float(row[label_idx])
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+        if not all(map(math.isfinite, feats)):  # inf or 1e999 would give NaN features
+            raise IngestionError(f"{path}:{lineno}: non-finite feature value")
+        if raw_label not in (0.0, 1.0):
+            raise IngestionError(
+                f"{path}:{lineno}: label must be 0 or 1, got {raw_label}"
+            )
+        rows.append(feats)
+        labels.append(2.0 * raw_label - 1.0)
 
     if not rows:
         raise IngestionError(f"{path}: no usable rows (dropped {dropped})")

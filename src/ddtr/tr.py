@@ -137,7 +137,6 @@ class TRState:
     delta: float
     k: int
     y_warm: np.ndarray
-    history: list[IterationRecord]
     # Why ``solve`` stopped: "radius_floor" or "max_iters".
     termination: Optional[str] = None
 
@@ -216,8 +215,8 @@ def iterate(
     config: TRConfig,
     rng: np.random.Generator,
     diagnostics: Optional[OracleDiagnostics] = None,
-) -> TRState:
-    """Run one full trust-region iteration and append its record."""
+) -> tuple[TRState, IterationRecord]:
+    """Run one full trust-region iteration; return the next state and the iteration's record."""
     llr_rng, vk_rng, vh_rng, diag_rng = rng.spawn(4)
     x, delta, k = state.x, state.delta, state.k
 
@@ -268,29 +267,27 @@ def iterate(
 
     accepted, delta_next = acceptance_update(rho, grad_norm, delta, config)
     x_next, y_next = (x_trial, y_trial) if accepted else (x, state.y_warm)
-    state.history.append(
-        IterationRecord(
-            k=k,
-            delta=delta,
-            delta_next=delta_next,
-            rho=rho,
-            grad_norm_surrogate=grad_norm,
-            v_k=v_k,
-            v_k_half=v_half,
-            accepted=accepted,
-            descent_lhs=descent_lhs,
-            descent_rhs=config.kappa_dcp * grad_norm * min(delta, 1.0),
-            descent_ok=descent_ok,
-            n_llr=n_llr,
-            n_value=n_value,
-            b1_frobenius=norm(model.b1),
-            oracle_phi=oracle_phi,
-            oracle_grad_norm=oracle_grad,
-            x_before=x,
-            x_after=x_next,
-        )
+    record = IterationRecord(
+        k=k,
+        delta=delta,
+        delta_next=delta_next,
+        rho=rho,
+        grad_norm_surrogate=grad_norm,
+        v_k=v_k,
+        v_k_half=v_half,
+        accepted=accepted,
+        descent_lhs=descent_lhs,
+        descent_rhs=config.kappa_dcp * grad_norm * min(delta, 1.0),
+        descent_ok=descent_ok,
+        n_llr=n_llr,
+        n_value=n_value,
+        b1_frobenius=norm(model.b1),
+        oracle_phi=oracle_phi,
+        oracle_grad_norm=oracle_grad,
+        x_before=x,
+        x_after=x_next,
     )
-    return replace(state, x=x_next, delta=delta_next, k=k + 1, y_warm=y_next)
+    return replace(state, x=x_next, delta=delta_next, k=k + 1, y_warm=y_next), record
 
 
 def solve(
@@ -306,12 +303,12 @@ def solve(
     pin_malloc_thresholds()
     rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
-    state = TRState(
-        x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center(), history=[]
-    )
+    state = TRState(x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center())
+    history = []
     for _ in range(config.max_iters):
         floor = config.delta_min * max(1.0, norm(state.x))
         if state.delta < floor or state.delta == 0.0:  # 0 also with delta_min = 0
-            return replace(state, termination="radius_floor"), state.history
-        state = iterate(state, problem, oracle, config, rng, diagnostics)
-    return replace(state, termination="max_iters"), state.history
+            return replace(state, termination="radius_floor"), history
+        state, record = iterate(state, problem, oracle, config, rng, diagnostics)
+        history.append(record)
+    return replace(state, termination="max_iters"), history

@@ -116,7 +116,7 @@ def test_criterion_3_baseline_divergence():
     inst = synthetic_instance()
     outcomes = []
     for method, params in (
-        ("asgda", dict(eta_x=1e-3, eta_y=1e-1)),
+        ("asgda", dict(eta=1e-3, eta_y=1e-1)),
         ("spd-constant", dict(eta=1e-3)),
         ("spd-dynamic", dict(dyn_a=1000.0, dyn_b=10.0)),
     ):

@@ -55,7 +55,7 @@ class TestConfig:
         config = BaselineConfig(method="spd-constant", eta=1e-2)
         assert config.stepsize(57) == pytest.approx(1e-2)
 
-    @pytest.mark.parametrize("field", ["eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "forget"])
+    @pytest.mark.parametrize("field", ["eta_y", "eta", "dyn_a", "dyn_b", "forget"])
     def test_config_rejects_nan(self, field):
         # A NaN fails every comparison, so each check must be one that NaN fails.
         with pytest.raises(ConfigurationError):
@@ -114,6 +114,23 @@ class TestSPD:
         assert _diverged(np.array([np.nan]), np.zeros(1))
         assert _diverged(np.array([0.0]), np.array([np.inf]))
 
+    def test_non_finite_dual_ends_the_run(self):
+        # x climbs by eta a step, and grad2 is infinite once x > 1: the dual
+        # step from x = 1.05 is not finite, and that row is the run's last.
+        def per_draw(value):
+            return lambda x, y, w: np.full((w.shape[0], 1), value(x))
+
+        problem = ProblemSpec(
+            n=1, m=1, d=1, inner_domain=Box(np.full(1, -1.0), np.full(1, 1.0)), mu=1.0, ell=1.0,
+            loss=lambda x, y, w: np.zeros(w.shape[0]), grad1=per_draw(lambda x: -1.0),
+            grad2=per_draw(lambda x: math.inf if x[0] > 1 else 0.0), grad3=per_draw(lambda x: 0.0),
+        )
+        oracle = affine_oracle(np.zeros((1, 1)), np.zeros(1))
+        config = BaselineConfig(method="spd-constant", eta=0.1, batch=2, max_iters=20, seed=0)
+        state, history = run_baseline(np.array([0.45]), None, problem, oracle, config)
+        assert state.termination == "diverged"
+        assert len(history) == 7 and not np.all(np.isfinite(state.y))
+
 
 class TestASGDA:
     def test_online_model_recovers_affine_truth(self):
@@ -139,7 +156,7 @@ class TestASGDA:
         intercept = np.array([-6.0])
         oracle = affine_oracle(slope, intercept)
         problem = synthetic_instance().problem
-        config = BaselineConfig(method="asgda", eta_x=1e-3, eta_y=1e-1, batch=4, seed=0)
+        config = BaselineConfig(method="asgda", eta=1e-3, eta_y=1e-1, batch=4, seed=0)
         state = BaselineState(
             x=np.array([2.0]), y=np.array([1.0]), k=0,
             model=OnlineAffineModel.empty(1, 1),
@@ -154,20 +171,32 @@ class TestASGDA:
         w = slope.T @ x + intercept
         g1 = 2.0 * x[0] - 2.0 * w[0]
         g3 = -2.0 * (x[0] + y[0])
-        expected_x = x[0] - config.eta_x * (g1 + 2.0 * g3)
+        expected_x = x[0] - config.eta * (g1 + 2.0 * g3)
         state = asgda_step(state, problem, oracle, config, rng)
         assert state.x[0] == pytest.approx(expected_x, abs=1e-5)
 
     def test_diverges_on_synthetic_from_ten(self):
         inst = synthetic_instance()
         config = BaselineConfig(
-            method="asgda", eta_x=1e-3, eta_y=1e-1, batch=500, max_iters=5000, seed=2
+            method="asgda", eta=1e-3, eta_y=1e-1, batch=500, max_iters=5000, seed=2
         )
         state, history = run_baseline(
             np.array([10.0]), np.array([10.0]), inst.problem, inst.oracle, config
         )
         assert state.termination == "diverged"
         assert len(history) < 5000
+
+    def test_eta_sets_the_x_step(self):
+        inst = synthetic_instance()
+        runs = [
+            run_baseline(
+                np.array([1.0]), None, inst.problem, inst.oracle,
+                BaselineConfig(method="asgda", batch=32, max_iters=5, seed=3, **params),
+            )[1]
+            for params in ({}, {"eta": 0.5})
+        ]
+        assert [r.stepsize for r in runs[1]] == [0.5] * 5
+        assert runs[0][-1].x_after.tobytes() != runs[1][-1].x_after.tobytes()
 
     def test_y_stays_in_domain(self):
         inst = synthetic_instance()

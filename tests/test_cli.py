@@ -56,7 +56,7 @@ TR_KEYS = [
     "value_count",
 ]
 BASELINE_KEYS = [
-    "eta_x", "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget",
+    "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget",
 ]
 
 # The keys of a summary.json entry that README's "CLI" lists: those of every
@@ -599,6 +599,31 @@ class TestRun:
         assert "credit.csv:6: non-finite feature value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["llr", "value"])
+    def test_count_and_schedule_together_exit_2_before_any_seed_runs(
+        self, tmp_path, capsys, name
+    ):
+        # Before the parse checked it, the count silently won.
+        doc = tiny_tr_doc(tmp_path / "out", seeds=(1, 2))
+        doc["solver_params"][f"{name}_schedule"] = {"minimum": 50, "maximum": 900}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:")
+        assert f"'{name}_count'" in err and f"'{name}_schedule'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_path_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        # The message was the codec's alone.
+        path = self.write_rows(tmp_path, 40)
+        path.write_bytes(path.read_bytes().replace(b"f2", b"f\xff"))
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out"), problem="dro", problem_params={"csv_path": str(path)}
+        )
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:") and str(path) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("params, rows", [({}, 30), ({"n_rows": 30}, 30)])
     def test_file_rows_kept_up_to_n_rows(self, tmp_path, params, rows):
         # Without n_rows a file of at most 200 rows is used whole, as with an
@@ -773,6 +798,16 @@ class TestSummarize:
         assert [int(row["k"]) for row in rows] == [0, 1, 2, 3]
         assert {row["metric"] for row in rows} == {"grad_norm_surrogate"}
 
+    def test_csv_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        # It ended in a UnicodeDecodeError traceback with exit status 1.
+        out = tmp_path / "bad"
+        out.mkdir()
+        (out / "weird.csv").write_bytes(b"k,grad_norm_est\n0,1.5\xff\n")
+        assert main(["summarize", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'weird.csv'}: ")
+        assert captured.out == ""
+
     def test_missing_metric_names_file(self, tmp_path):
         out = tmp_path / "bad"
         out.mkdir()
@@ -887,6 +922,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config:") and next(iter(params)) in err
         assert not (tmp_path / "x").exists()
+
+    def test_config_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        # It ended in a UnicodeDecodeError traceback with exit status 1.
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(tiny_tr_doc(tmp_path / "out")).encode() + b"\xff")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2

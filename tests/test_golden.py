@@ -51,8 +51,13 @@ SYNTHETIC_ASGDA = {
     "seeds": [1],
     "max_iters": 50,
     "problem_params": {"x0_center": [2.0]},
-    "solver_params": {"eta_x": 0.001, "eta_y": 0.1, "batch": 500},
+    "solver_params": {"eta": 0.001, "eta_y": 0.1, "batch": 500},
 }
+# spd-dynamic's stepsize 1 / (1000 + 10 k) from the same start, also for all 50 rows.
+SYNTHETIC_SPD_DYNAMIC = dict(
+    SYNTHETIC_SPD, solver="spd-dynamic",
+    solver_params={"dyn_a": 1000.0, "dyn_b": 10.0, "batch": 500},
+)
 # Small DRO runs (N = 40, eight iterations) for the routes the cases above
 # miss: noisy draws through the trust region, and both baselines, whose
 # evaluators see one draw batch per step.
@@ -117,6 +122,11 @@ GOLDEN = {
         SYNTHETIC_ASGDA,
         "74fc3341e95eb9278a979a509e4a1967a28fa1a3836854c23959cfd5bb73f9c8",
         "c6851992117e01d1fa37128c4a99875c74ca0876e610e8212dcf0c506be4644c",
+    ),
+    "synthetic_spd_dynamic": (
+        SYNTHETIC_SPD_DYNAMIC,
+        "8a109fb1fdf6a2963ab4173db0eade1ca452650a67bae613e7dcea717bef7f7e",
+        "9f8ffc6072e24af541cf41d07ca36978ccead52eaa9ab1a27d50dadb25355e50",
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,

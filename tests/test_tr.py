@@ -288,9 +288,8 @@ class TestIterate:
         problem, oracle = x_free_problem(0.0)
         config = small_config()
         x, y_warm = np.array([0.3]), np.array([0.7])
-        state = TRState(x=x, delta=0.5, k=0, y_warm=y_warm, history=[])
-        after = iterate(state, problem, oracle, config, make_rng(1))
-        rec = after.history[-1]
+        state = TRState(x=x, delta=0.5, k=0, y_warm=y_warm)
+        after, rec = iterate(state, problem, oracle, config, make_rng(1))
         assert rec.grad_norm_surrogate < GRAD_FLOOR
         assert rec.rho == -math.inf
         assert math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
@@ -307,8 +306,8 @@ class TestIterate:
         # the step then fails the descent test).
         problem, oracle = x_free_problem(1e200)
         config = small_config()
-        state = TRState(x=np.array([0.3]), delta=0.5, k=0, y_warm=np.array([0.0]), history=[])
-        rec = iterate(state, problem, oracle, config, make_rng(1)).history[-1]
+        state = TRState(x=np.array([0.3]), delta=0.5, k=0, y_warm=np.array([0.0]))
+        _, rec = iterate(state, problem, oracle, config, make_rng(1))
         assert rec.grad_norm_surrogate == 1e200
         assert rec.descent_lhs == 0.0
         assert rec.descent_rhs == config.kappa_dcp * 1e200 * 0.5
