@@ -22,7 +22,13 @@ from .core import (
     pin_malloc_thresholds,
 )
 
-METHODS = ("asgda", "spd-constant", "spd-dynamic")
+# The BaselineConfig fields each method reads, and so the keys a run config may give it.
+METHOD_KEYS = {
+    "asgda": ("eta", "eta_y", "forget", "batch"),
+    "spd-constant": ("eta", "batch"),
+    "spd-dynamic": ("dyn_a", "dyn_b", "batch"),
+}
+METHODS = tuple(METHOD_KEYS)
 RIDGE = 1e-8  # Tikhonov term of the online regression's solve
 DIVERGENCE_NORM = 1e8  # a run whose iterate norm passes this has diverged
 

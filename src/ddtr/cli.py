@@ -68,9 +68,11 @@ PROBLEM_KEYS = {
     "synthetic": _types(problems.SyntheticProblem) | _START_KEYS,
     "dro": _DRO_TERMS | _DRO_SOURCE_KEYS | _START_KEYS,
 }
-SOLVER_KEYS = dict.fromkeys(
-    baselines.METHODS, _types(baselines.BaselineConfig, "seed", "max_iters", "method")
-)
+_BASELINE_TYPES = _types(baselines.BaselineConfig)
+SOLVER_KEYS = {
+    method: {key: _BASELINE_TYPES[key] for key in keys}
+    for method, keys in baselines.METHOD_KEYS.items()
+}
 SOLVER_KEYS["tr"] = dict(_types(tr.TRConfig, "seed", "max_iters"), llr_count=int, value_count=int)
 
 
@@ -113,8 +115,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     for key in sorted(doc.keys() & TOP_KEYS - {"problem", "solver", "seeds"}):
         if not _fits(doc[key], _TOP_TYPES[key]):
             errors.append(f"{key!r} must be {_TOP_TYPES[key].__name__}, got {doc[key]!r}")
-    for section, allowed in (
-        ("problem_params", PROBLEM_KEYS.get(problem)), ("solver_params", SOLVER_KEYS.get(solver))
+    for section, owner, allowed in (
+        ("problem_params", problem, PROBLEM_KEYS.get(problem)),
+        ("solver_params", solver, SOLVER_KEYS.get(solver)),
     ):
         params = doc.get(section, {})
         if allowed is None or not isinstance(params, dict):
@@ -122,7 +125,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         for key, value in sorted(params.items()):
             hint = allowed.get(key)
             if hint is None:
-                errors.append(f"unknown {section} key {key!r}")
+                errors.append(f"unknown {section} key {key!r} for {owner!r}")
             elif key in ("label_column", "feature_columns") and "csv_path" not in params:
                 errors.append(f"{section} key {key!r} needs a 'csv_path'")
             elif not _fits(value, hint):
@@ -351,6 +354,89 @@ def summarize(
             csv.writer(fh).writerows(rows)
 
 
+# CSV columns and summary.json keys that must be equal; the others are measured.
+DECISIONS = ("k", "accepted", "descent_ok", "n_llr", "n_value", "seed", "termination", "iterations")
+
+
+def _rel_diff(a: str, b: str) -> float:
+    """The largest relative difference of two numbers or ``;``-joined vectors;
+    NaN matches NaN. Text that is no number, or vectors of unequal length, differ by inf."""
+    try:
+        pairs = [(float(u), float(v)) for u, v in zip(a.split(";"), b.split(";"), strict=True)]
+    except ValueError:
+        return math.inf
+    worst = 0.0
+    for u, v in pairs:
+        if u != v and not (math.isnan(u) and math.isnan(v)):
+            diff = abs(u - v) / max(abs(u), abs(v))
+            worst = max(worst, diff if math.isfinite(diff) else math.inf)
+    return worst
+
+
+def _run_tables(directory: Path) -> dict[str, list[dict]]:
+    """A run directory's CSVs by name, as rows of text cells, and its
+    summary.json entries in seed order, as rows of ``summary.*`` cells
+    without ``wall_time_s``."""
+    tables = {}
+    try:
+        for path in sorted(directory.glob("*.csv")):
+            if path.name != "aggregate.csv":
+                with open(path, newline="", encoding="utf-8") as fh:
+                    tables[path.name] = list(csv.DictReader(fh))
+        if (path := directory / "summary.json").exists():
+            runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+            tables[path.name] = [
+                {f"summary.{key}": _fmt(np.asarray(value) if isinstance(value, list) else value)
+                 for key, value in entry.items() if key != "wall_time_s"}
+                for entry in sorted(runs, key=lambda entry: entry["seed"])
+            ]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, or no entries
+        raise SchemaError(f"{path}: {exc!r}") from None
+    return tables
+
+
+def compare(dir_a: str, dir_b: str) -> bool:
+    """Print how the runs in two output directories of one config differ:
+    the CSVs paired by name and the summary.json entries by seed, compared
+    row by row. Decision columns and keys must be equal; every other one
+    gets its largest relative difference and, in a CSV, the first k at which
+    it differs. Returns whether the runs are identical."""
+    a, b = Path(dir_a), Path(dir_b)
+    tables_a, tables_b = _run_tables(a), _run_tables(b)
+    if not any(name.endswith(".csv") for name in tables_a.keys() | tables_b.keys()):
+        raise SchemaError(f"{a}, {b}: no run CSVs found")
+    notes = [f"{name}: only in {a}" for name in sorted(tables_a.keys() - tables_b.keys())]
+    notes += [f"{name}: only in {b}" for name in sorted(tables_b.keys() - tables_a.keys())]
+    diffs = {}  # column: [largest relative difference, first k at which it differs]
+    for name in sorted(tables_a.keys() & tables_b.keys()):
+        rows_a, rows_b = tables_a[name], tables_b[name]
+        if len(rows_a) != len(rows_b):
+            notes.append(f"{name}: {len(rows_a)} rows in {a}, {len(rows_b)} in {b}")
+        for row_a, row_b in zip(rows_a, rows_b):
+            for column in dict.fromkeys([*row_a, *row_b]):
+                x, y = row_a.get(column), row_b.get(column)
+                decision = column.rpartition(".")[2] in DECISIONS or None in (x, y)
+                diff = 0.0 if x == y else math.inf if decision else _rel_diff(x, y)
+                entry = diffs.setdefault(column, [0.0, None])
+                entry[0] = max(entry[0], diff)
+                if diff and "k" in row_a and (entry[1] is None or int(row_a["k"]) < entry[1]):
+                    entry[1] = int(row_a["k"])
+
+    decisions = [c for c, (diff, _) in diffs.items() if diff and c.rpartition(".")[2] in DECISIONS]
+    firsts = [k for _, k in diffs.values() if k is not None]
+    print(f"{a} against {b}: {len(tables_a.keys() & tables_b.keys())} paired files")
+    for line in notes or ["rows: identical"]:
+        print(line)
+    print("decisions:", f"{', '.join(decisions)} differ" if decisions else "identical")
+    print(f"{'column':<30} {'max_rel_diff':>12} {'first_k':>8}")
+    for column, (diff, k) in diffs.items():
+        print(f"{column:<30} {diff:>12.3g} {'-' if k is None else k:>8}")
+    print("first differing k:", min(firsts) if firsts else "-")
+    identical = not notes and not any(diff for diff, _ in diffs.values())
+    print("identical" if identical else "differ")
+    return identical
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ddtr", description="Trust-region minimax experiment runner"
@@ -368,6 +454,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sum.add_argument("dirs", nargs="+", help="run directories")
     p_sum.add_argument("--metric", help="metric column (default: auto-detect)")
     p_sum.add_argument("--output", help="write the aggregate CSV here instead of stdout")
+
+    p_cmp = sub.add_parser("compare", help="compare the runs of two output directories")
+    p_cmp.add_argument("dirs", nargs=2, metavar="DIR", help="two run directories")
 
     args = parser.parse_args(argv)
     try:
@@ -396,6 +485,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "summarize":
             summarize(args.dirs, metric=args.metric, output=args.output)
             return 0
+        if args.command == "compare":
+            return 0 if compare(*args.dirs) else 1
     except (ConfigurationError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,13 @@ Conventions used throughout the package:
   return arrays of shape ``(S,)``, ``(S, n)``, ``(S, m)`` and ``(S, d)``
   respectively;
 * every caller evaluates a problem through ``ProblemSpec.bind``, which binds
-  one ``(x, omegas)``; the binding's ``loss(y)`` ... ``grad3(y)`` return the
-  scenario means of the per-draw loss and gradients, of shapes ``()``,
-  ``(n,)``, ``(m,)`` and ``(d,)``: ``np.mean`` of the per-draw array over
-  axis 0, bit for bit for ``Evaluation``, to within rounding if ``fused``;
+  one ``(x, omegas)``; ``omegas`` is an ``(S, d)`` array of draws or a
+  scenario set of that ``shape`` that ``np.asarray`` builds, such as the
+  surrogate's ``llr.SurrogateScenarios``. The binding's ``loss(y)`` ...
+  ``grad3(y)`` return the scenario means of the per-draw loss and gradients,
+  of shapes ``()``, ``(n,)``, ``(m,)`` and ``(d,)``: ``np.mean`` of the
+  per-draw array over axis 0, bit for bit for ``Evaluation``, to within
+  rounding if ``fused``;
 * every stochastic operation takes an explicit ``numpy.random.Generator``
   backed by the counter-based Philox bit generator, so reruns with the
   same seed are bit-identical and generators can be split deterministically.
@@ -187,8 +190,9 @@ class ProblemSpec:
     grad3: Optional[Callable[..., np.ndarray]] = None
     fused: Optional[Callable[[np.ndarray, np.ndarray], Evaluation]] = None
 
-    def bind(self, x: np.ndarray, omegas: np.ndarray) -> Evaluation:
-        """The loss and gradients at one ``(x, omegas)`` as functions of ``y``."""
+    def bind(self, x: np.ndarray, omegas) -> Evaluation:
+        """The loss and gradients at one ``(x, omegas)`` as functions of ``y``;
+        ``omegas`` is an array of draws or a scenario set (module docstring)."""
         return Evaluation(self, x, omegas) if self.fused is None else self.fused(x, omegas)
 
     def __post_init__(self):
@@ -209,10 +213,11 @@ class Evaluation:
     averaged over the scenarios. A ``fused`` binding's methods must return what
     these would return for its problem's per-draw loss and gradients to within
     rounding, each a function of ``y`` alone, with the same bits in any call order.
-    A binding may hold arrays derived from ``omegas``: do not mutate them in use."""
+    A binding may hold arrays derived from ``omegas``: do not mutate them in use.
+    This one builds a scenario set's rows, once."""
 
-    def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas: np.ndarray):
-        self.problem, self.x, self.omegas = problem, x, omegas
+    def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas):
+        self.problem, self.x, self.omegas = problem, x, np.asarray(omegas)
 
     def loss(self, y: np.ndarray) -> np.ndarray:
         return scenario_mean(self.problem.loss(self.x, y, self.omegas))

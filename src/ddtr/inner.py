@@ -33,20 +33,21 @@ from .core import (
 class InnerSolveReport:
     maximizer: np.ndarray
     iterations: int
-    evaluation: Evaluation  # the problem bound to (x, scenarios) in every step
+    evaluation: Evaluation  # the binding of (x, scenarios) that every step called
 
 
 def maximize_over_scenarios(
     problem: ProblemSpec,
     x: np.ndarray,
-    scenarios: np.ndarray,
+    scenarios,
     y_init: np.ndarray,
     epsilon: float,
     max_iters: int = 100_000,
 ) -> InnerSolveReport:
     """Maximize the scenario-average loss over the inner domain.
 
-    Returns a point within ``epsilon`` of the exact maximizer of
+    ``scenarios`` is an ``(S, d)`` array or scenario set (see ``core``), bound
+    once. Returns a point within ``epsilon`` of the exact maximizer of
     ``mean_j l(x, y, scenarios[j])``; raises ``InnerConvergenceError`` (with
     the partial report attached) if the certificate does not fire within
     ``max_iters`` iterations.
@@ -55,10 +56,10 @@ def maximize_over_scenarios(
         raise ConfigurationError("epsilon must be positive")
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
-    scenarios = np.atleast_2d(np.asarray(scenarios, dtype=float))
-    if scenarios.shape[0] < 1 or scenarios.shape[1] != problem.d:
+    shape = np.shape(scenarios)  # reads a scenario set's shape without building it
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != problem.d:
         raise ContractViolationError(
-            f"scenarios must have shape (S, {problem.d}) with S >= 1, got {scenarios.shape}"
+            f"scenarios must have shape (S, {problem.d}) with S >= 1, got {shape}"
         )
     x = as_vector(x, problem.n, "x")
     domain = problem.inner_domain

@@ -3,7 +3,7 @@
 Responses ``omega_i`` drawn at points ``x_i = center + radius * u_i`` (with
 ``u_i`` uniform in the unit ball) are fit with an affine model
 ``omega ~ b1^T x + b0``; the residual empirical distribution defines the
-surrogate scenarios used by the driver.
+surrogate scenarios used by the driver, which a model hands out unbuilt.
 """
 
 from __future__ import annotations
@@ -44,23 +44,60 @@ class PoisedSampleSet:
 
 @dataclass(frozen=True)
 class LLRModel:
-    """Fitted slope/intercept plus the residual set defining the surrogate."""
+    """Fitted slope/intercept plus the regression data defining the surrogate.
+
+    ``design`` and ``coef`` are the scaled design and its least-squares
+    solution, from which ``residuals`` are formed on each access; the model
+    keeps the sample set's ``responses`` and ``points``, not a copy."""
 
     b1: np.ndarray  # (n, d)
     b0: np.ndarray  # (d,)
-    residuals: np.ndarray  # (count, d)
+    responses: np.ndarray  # (count, d)
+    points: np.ndarray  # (count, n)
+    design: np.ndarray  # (count, n + 1)
+    coef: np.ndarray  # (n + 1, d)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """The residuals ``e_i = omega_i - predict(x_i)``, shape (count, d), a new array."""
+        fitted = self.design @ self.coef
+        return np.subtract(self.responses, fitted, out=fitted)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = as_vector(x, self.b1.shape[0], "x")
         return self.b1.T @ x + self.b0
 
-    def surrogate_scenarios(self, x: np.ndarray) -> np.ndarray:
-        """The scenario values ``predict(x) + e_i``, shape (count, d).
+    def surrogate_scenarios(self, x: np.ndarray) -> SurrogateScenarios:
+        """The scenario values ``predict(x) + e_i``, shape (count, d), unbuilt.
 
         Averaging the loss over these rows realizes the surrogate expectation
         exactly: the residual empirical distribution is finite.
         """
-        return self.predict(x)[None, :] + self.residuals
+        return SurrogateScenarios(self, as_vector(x, self.b1.shape[0], "x"))
+
+
+@dataclass(frozen=True)
+class SurrogateScenarios:
+    """A model's surrogate scenarios at ``x``, held as their factors.
+
+    Row i is ``predict(x) + e_i``, which in exact arithmetic is
+    ``responses[i] + b1.T @ (x - points[i])``: ``b0`` cancels. A fused binding
+    may read ``x`` and the model's ``responses``, ``points`` and ``b1`` instead
+    of the rows; ``np.asarray`` builds them as ``predict(x) + e_i``.
+    """
+
+    model: LLRModel
+    x: np.ndarray  # (n,)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.model.responses.shape
+
+    def __array__(self, dtype=None, copy=None):
+        model = self.model
+        rows = model.residuals
+        rows += model.b1.T @ self.x + model.b0  # predict(x) + e_i bit for bit: addition commutes
+        return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
 def _factor(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,8 +165,6 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
         raise SingularFitError("rank-deficient regression design")
     # Column-major: the layout sets how b1 @ grad3 and b1.T @ x round.
     coef = np.asfortranarray(np.linalg.solve(r, q.T @ samples.responses))  # (n + 1, d)
-    residuals = design @ coef  # the fitted values, replaced by the residuals
-    np.subtract(samples.responses, residuals, out=residuals)
     b1 = coef[:n] / samples.radius
     b0 = coef[n] - b1.T @ samples.center
-    return LLRModel(b1=b1, b0=b0, residuals=residuals)
+    return LLRModel(b1, b0, samples.responses, samples.points, design, coef)

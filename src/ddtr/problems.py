@@ -228,8 +228,7 @@ def softplus(z):
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(z, 0.0)
-    return out
+    return np.add(out, z, out=out, where=z > 0)  # out + max(z, 0), bit for bit
 
 
 def _f_value(x, lambda1, alpha):
@@ -273,21 +272,39 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         Noiseless draws at one x are copies of one row, passed as a view with
         stride 0 (see ``sampler``). They are evaluated on that row, whose
         means are the row's own.
+
+        A surrogate scenario set (``llr.SurrogateScenarios``) at x_w is
+        evaluated on its factors, row s being omega_s + b1^T (x_w - p_s): the
+        margins gain (x_w - P) @ (B1 x) and m_siga gains sig^T (x_w - P)
+        contracted with B1, where B1 is b1 as (n, N, n). No (S, d) array is
+        built.
         """
 
         def __init__(self, x, w):
-            if w.strides[0] == 0:
-                w = w[:1]
-            self.x, self.a = x, w.reshape(-1, N, n)  # (S, N, n), S = 1 for copies
+            self.x, self.affine = x, None  # (x - P, B1) of a surrogate set
+            if isinstance(w, np.ndarray):
+                self.a = (w[:1] if w.strides[0] == 0 else w).reshape(-1, N, n)  # S = 1 for copies
+            else:
+                model = w.model
+                self.a = model.responses.reshape(-1, N, n)  # (S, N, n), the omegas
+                self.affine = w.x - model.points, model.b1.reshape(n, N, n)
             self.margins = self.a @ x  # (S, N)
+            if self.affine is not None:
+                shift, b1 = self.affine
+                self.margins += shift @ (b1 @ x)
             self.margins *= neg_b
 
         sig = cached_property(lambda self: expit(self.margins))
         m_loss = cached_property(lambda self: scenario_mean(softplus(self.margins)) / N)  # (N,)
         m_sig = cached_property(lambda self: scenario_mean(self.sig) / N)  # (N,)
-        m_siga = cached_property(  # (N, n)
-            lambda self: np.einsum("sN,sNn->Nn", self.sig, self.a) / (self.a.shape[0] * N)
-        )
+
+        @cached_property
+        def m_siga(self):  # (N, n)
+            total = np.einsum("sN,sNn->Nn", self.sig, self.a)
+            if self.affine is not None:
+                shift, b1 = self.affine
+                total += np.einsum("Nk,kNn->Nn", self.sig.T @ shift, b1)
+            return total / (self.a.shape[0] * N)
 
         def loss(self, y):
             reg = 0.5 * lam2 * float(np.sum((N * y - 1.0) ** 2))

@@ -222,7 +222,8 @@ def iterate(
 
     # At least n + 5 points, or all the schedule allows: a fixed count as given.
     n_llr = max(config.llr_schedule.count(delta), min(problem.n + 5, config.llr_schedule.maximum))
-    # The sample set is freed after the fit; the model keeps its residuals.
+    # The model keeps the set's responses and points. Its scenario sets are
+    # factors of them, which a fused binding evaluates without building rows.
     model = llr.fit(llr.generate_poised_set(oracle, x, delta, n_llr, config.lambda_max, llr_rng))
 
     eps = config.inner_eps(delta)
@@ -231,7 +232,7 @@ def iterate(
     )
     l_old, g = surrogate_value_and_xgrad(model, rep_old.evaluation, rep_old.maximizer)
     y_old = rep_old.maximizer
-    del rep_old  # its binding holds arrays of the size of the scenarios
+    del rep_old  # its binding holds arrays with one row per scenario
     grad_norm = norm(g)
 
     oracle_phi = math.nan

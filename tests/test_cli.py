@@ -55,9 +55,12 @@ TR_KEYS = [
     "value_schedule", "inner_eps_coeff", "lambda_max", "delta_min", "llr_count",
     "value_count",
 ]
-BASELINE_KEYS = [
-    "eta_y", "eta", "dyn_a", "dyn_b", "batch", "forget",
-]
+# Each baseline method accepts the keys it reads.
+BASELINE_KEYS = {
+    "asgda": ["eta", "eta_y", "forget", "batch"],
+    "spd-constant": ["eta", "batch"],
+    "spd-dynamic": ["dyn_a", "dyn_b", "batch"],
+}
 
 # The keys of a summary.json entry that README's "CLI" lists: those of every
 # run, the diagnostics at a final x that did not diverge, and those of a seed
@@ -131,10 +134,7 @@ class TestParseRunConfig:
             "synthetic": set(SYNTHETIC_KEYS), "dro": set(DRO_KEYS)
         }
         assert {solver: set(keys) for solver, keys in cli.SOLVER_KEYS.items()} == {
-            "tr": set(TR_KEYS),
-            "asgda": set(BASELINE_KEYS),
-            "spd-constant": set(BASELINE_KEYS),
-            "spd-dynamic": set(BASELINE_KEYS),
+            "tr": set(TR_KEYS), **{method: set(keys) for method, keys in BASELINE_KEYS.items()}
         }
         assert cli.SOLVERS == ("tr", "asgda", "spd-constant", "spd-dynamic")
 
@@ -684,15 +684,23 @@ def _has_mallopt() -> bool:
         return False
 
 
+# The 5-iteration golden dro_tr case with noisy draws: the sampler then
+# allocates fresh draws on every call, 4 MB for each diagnostic. A noiseless
+# run allocates no array that large since its surrogate scenarios stay
+# factored, and took 0-3 minor page faults with the thresholds left dynamic.
+DRO_TR_NOISY = dict(
+    DRO_TR, problem_params={**DRO_TR["problem_params"], "noise_sigma": 0.5, "diag_samples": 500}
+)
+
+
 @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
 def test_dro_run_reuses_heap_pages(tmp_path):
-    # A run allocates and frees arrays of 0.5-2.4 MB every iteration. With
-    # run_one's pinned malloc thresholds they are reused from the heap: a
-    # second run of the 5-iteration golden dro_tr case took 0-4 minor page
-    # faults on x86_64 glibc, and 9,200-12,400 with the thresholds left
-    # dynamic, when every such array comes on fresh pages.
+    # With run_one's pinned malloc thresholds the arrays a run allocates and
+    # frees every iteration are reused from the heap: a second run took 0-1
+    # minor page faults on x86_64 glibc, and about 9,600 with the thresholds
+    # left dynamic, when every such array comes on fresh pages.
     resource = pytest.importorskip("resource")
-    config = parse_run_config({**DRO_TR, "output_dir": str(tmp_path)})
+    config = parse_run_config({**DRO_TR_NOISY, "output_dir": str(tmp_path)})
     cli.run_one(config, 1, str(tmp_path))  # warm-up: the heap grows to its size
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     cli.run_one(config, 1, str(tmp_path))
@@ -719,7 +727,8 @@ def test_library_dro_run_reuses_heap_pages():
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(DRO_TR)], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code, json.dumps(DRO_TR_NOISY)],
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
     assert int(done.stdout) < 1000
@@ -864,6 +873,16 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert f"unknown solver_params key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "solver, key", [("spd-constant", "forget"), ("spd-dynamic", "eta"), ("asgda", "dyn_b")]
+    )
+    def test_baseline_key_the_method_does_not_read_exits_2(self, tmp_path, capsys, solver, key):
+        # It ran, with the key silently unused.
+        doc = dict(tiny_tr_doc(tmp_path / "x"), solver=solver, solver_params={key: 0.5})
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert f"unknown solver_params key {key!r} for {solver!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_dro_term_exits_2_before_any_seed_runs(self, tmp_path, capsys):
         doc = dict(
             tiny_tr_doc(tmp_path / "x"), problem="dro",
@@ -941,3 +960,94 @@ class TestMain:
         target = tmp_path / "agg.csv"
         assert main(["summarize", str(out), "--output", str(target)]) == 0
         assert target.exists() and "median" in target.read_text()
+
+
+class TestCompare:
+    """``ddtr compare`` on a run and hand-perturbed copies of it."""
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        base = tmp_path / "base"
+        assert run(parse_run_config(tiny_tr_doc(base, seeds=(1, 2), max_iters=5))) == 0
+        return base
+
+    def copy(self, base, tmp_path, edit=None, name="synthetic_tr_seed2.csv"):
+        """A copy of the run directory whose CSV ``name`` has its rows passed through ``edit``."""
+        other = tmp_path / "other"
+        other.mkdir()
+        for path in base.iterdir():
+            (other / path.name).write_bytes(path.read_bytes())
+        if edit is not None:
+            with open(other / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            rows = edit(rows)
+            with open(other / name, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=TR_HEADER)
+                writer.writeheader()
+                writer.writerows(rows)
+        return other
+
+    def compare(self, a, b, capsys):
+        status = main(["compare", str(a), str(b)])
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.split()[0] == "column") + 1
+        end = next(i for i, line in enumerate(lines) if line.startswith("first differing k"))
+        table = {column: (float(diff), k) for column, diff, k in map(str.split, lines[start:end])}
+        return status, out, table
+
+    def test_identical_runs_exit_0(self, runs, tmp_path, capsys):
+        other = self.copy(runs, tmp_path)
+        summary = json.loads((other / "summary.json").read_text())
+        for entry in summary["runs"]:
+            entry["wall_time_s"] += 1.0  # timings are not compared
+        (other / "summary.json").write_text(json.dumps(summary))
+        status, out, table = self.compare(runs, other, capsys)
+        assert status == 0
+        assert "rows: identical" in out and "decisions: identical" in out
+        assert out.rstrip().endswith("identical") and "first differing k: -" in out
+        assert set(TR_HEADER) <= table.keys() and all(d == 0.0 for d, _ in table.values())
+        assert "summary.wall_time_s" not in table
+
+    def test_float_perturbation_is_measured(self, runs, tmp_path, capsys):
+        def edit(rows):
+            rows[2]["rho"] = repr(float(rows[2]["rho"]) * (1 + 1e-10))
+            x = [float(v) for v in rows[3]["x_after"].split(";")]
+            rows[3]["x_after"] = ";".join(repr(v * (1 - 1e-6)) for v in x)
+            return rows
+
+        status, out, table = self.compare(runs, self.copy(runs, tmp_path, edit), capsys)
+        assert status == 1 and out.rstrip().endswith("differ")
+        assert "decisions: identical" in out and "first differing k: 2" in out
+        assert table["rho"][0] == pytest.approx(1e-10, rel=1e-3) and table["rho"][1] == "2"
+        assert table["x_after"][0] == pytest.approx(1e-6, rel=1e-3) and table["x_after"][1] == "3"
+        assert table["delta"] == (0.0, "-")
+
+    def test_decision_change_is_named(self, runs, tmp_path, capsys):
+        def edit(rows):
+            rows[1]["accepted"] = "0" if rows[1]["accepted"] == "1" else "1"
+            return rows
+
+        status, out, table = self.compare(runs, self.copy(runs, tmp_path, edit), capsys)
+        assert status == 1 and "decisions: accepted differ" in out
+        assert table["accepted"] == (math.inf, "1")
+
+    def test_row_count_and_summary_changes(self, runs, tmp_path, capsys):
+        other = self.copy(runs, tmp_path, lambda rows: rows[:-1])
+        summary = json.loads((other / "summary.json").read_text())
+        summary["runs"][0]["termination"] = "radius_floor"
+        (other / "summary.json").write_text(json.dumps(summary))
+        status, out, table = self.compare(runs, other, capsys)
+        assert status == 1
+        assert "synthetic_tr_seed2.csv: 5 rows in" in out and "rows: identical" not in out
+        assert "decisions: summary.termination differ" in out
+
+    def test_missing_csv_is_reported(self, runs, tmp_path, capsys):
+        other = self.copy(runs, tmp_path)
+        (other / "synthetic_tr_seed1.csv").unlink()
+        status, out, _ = self.compare(runs, other, capsys)
+        assert status == 1 and f"synthetic_tr_seed1.csv: only in {runs}" in out
+
+    def test_directories_without_runs_exit_2(self, tmp_path, capsys):
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+        assert "no run CSVs" in capsys.readouterr().err

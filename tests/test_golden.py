@@ -110,8 +110,8 @@ GOLDEN = {
     ),
     "dro_tr": (
         DRO_TR,
-        "cc0d1f180e724fd8475dc22742bb836090ba39498f5a5fbf1f4b8cdc3224ef0e",
-        "0f7604d1086a4eb7ea99c1c4760a3dcbc4fc4d938730b6c6af2f795cb5f6973b",
+        "e3f7a8dc3dd89a267a03b8940d755599fe927e6e7a31dbb67a176b75d384a52a",
+        "aee5352bd20650642b89c00034dbbbd372be2f0fd7c9950119c8562fcb3c1400",
     ),
     "synthetic_spd": (
         SYNTHETIC_SPD,
@@ -130,8 +130,8 @@ GOLDEN = {
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,
-        "650ffb79ab7c1c058faacbc6d3647feff572a9586fab6a6741e1615daa43c985",
-        "8d1c494fb2cbdb4fd300023eda261da25515dbc23ce7573ddedb5f46a0ae9734",
+        "dd9227a0365a657ff33ad80f078e6dfbf6faf0c34f455aa6a339b5696337e5c6",
+        "1c220e925fad82da3eff5727d5855a35244f52852fe48316fffa468f4cb160fa",
     ),
     "dro_spd": (
         DRO_SPD,
@@ -155,8 +155,8 @@ GOLDEN = {
     ),
     "bench_dro_tr": (
         BENCH_DRO_TR,
-        "0efc37f97d4b45a84dedadcdae1af7cd2811c76fb5f81e52842d96cc8ba0d671",
-        "dbda0225e18d6584347027824610879d55cb6d2c84a511e09bbf2d5fa922c771",
+        "1ce04a4f70a4840158adc35f26d479bbeeddc495e3ffa7f8b065dd1302b63b37",
+        "1b987802292363831c1dcefcc667ed1ee49197289f3b0ff7cc0da320527832cc",
     ),
 }
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ddtr.core import ConfigurationError, DistributionOracle, PoisednessError, make_rng
-from ddtr.llr import LLRModel, PoisedSampleSet, fit, generate_poised_set
+from ddtr.llr import PoisedSampleSet, fit, generate_poised_set
 from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_instance
 
-from util import scalar_oracle
+from util import llr_model, scalar_oracle
 
 
 def coordinate_sum(x, count, rng):
@@ -204,11 +204,7 @@ class TestFit:
 
 class TestPredictAndScenarios:
     def constant_model(self, c):
-        return LLRModel(
-            b1=np.zeros((2, 1)),
-            b0=np.array([c]),
-            residuals=np.zeros((4, 1)),
-        )
+        return llr_model(np.zeros((2, 1)), [c], np.zeros((4, 1)))
 
     def test_constant_model(self):
         model = self.constant_model(5.0)
@@ -216,11 +212,7 @@ class TestPredictAndScenarios:
             assert model.predict(np.array(x))[0] == pytest.approx(5.0)
 
     def test_affine_arithmetic(self):
-        model = LLRModel(
-            b1=np.array([[3.0]]),
-            b0=np.array([2.0]),
-            residuals=np.zeros((3, 1)),
-        )
+        model = llr_model([[3.0]], [2.0], np.zeros((3, 1)))
         assert model.predict(np.array([4.0]))[0] == pytest.approx(14.0)
 
     def test_training_point_reconstruction(self):
@@ -239,13 +231,16 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         i = 7
-        scen = model.surrogate_scenarios(samples.points[i])
-        assert scen[i, 0] == pytest.approx(samples.responses[i, 0], abs=1e-9)
+        scenarios = model.surrogate_scenarios(samples.points[i])
+        assert scenarios.shape == (15, 1)
+        rows = np.asarray(scenarios)  # predict(x) + residuals, bit for bit
+        assert rows.tobytes() == (model.predict(samples.points[i]) + model.residuals).tobytes()
+        assert rows[i, 0] == pytest.approx(samples.responses[i, 0], abs=1e-9)
 
     def test_zero_residuals_collapse_scenarios(self):
         model = self.constant_model(1.5)
-        scen = model.surrogate_scenarios(np.array([0.3, 0.4]))
-        assert np.allclose(scen, 1.5)
+        scen = np.asarray(model.surrogate_scenarios(np.array([0.3, 0.4])))
+        assert scen.shape == (4, 1) and np.allclose(scen, 1.5)
 
     def test_scenario_mean_equals_prediction(self):
         samples = make_set(
@@ -253,7 +248,7 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         x = np.array([2.2])
-        scen = model.surrogate_scenarios(x)
+        scen = np.asarray(model.surrogate_scenarios(x))
         assert scen.mean(axis=0) == pytest.approx(model.predict(x), abs=1e-10)
 
 

@@ -16,7 +16,7 @@ from ddtr.core import (
     Simplex,
     make_rng,
 )
-from ddtr.llr import generate_poised_set
+from ddtr.llr import fit, generate_poised_set
 from ddtr.tr import IterationRecord, SampleSchedule, TRConfig, solve
 from ddtr.problems import (
     DROProblem,
@@ -478,6 +478,27 @@ class TestBinding:
                 want_grad2 = np.mean(losses / N, axis=0) - lam2 * N * (N * y - 1.0)
                 np.testing.assert_allclose(bound.loss(y), want_loss, rtol=1e-14, atol=0)
                 np.testing.assert_allclose(bound.grad2(y), want_grad2, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_dro_binding_of_surrogate_set_matches_binding_of_its_rows(self, noise_sigma):
+        # A surrogate scenario set is bound on its factors, row s being
+        # omega_s + b1^T (x - p_s); to within rounding that is the binding
+        # of the rows the set builds, at the fit's center and away from it,
+        # and bound at another point than the set's.
+        dro = replace(generate_synthetic_credit(200, 5, 2), noise_sigma=noise_sigma)
+        inst = dro_instance(dro)
+        rng = make_rng(2)
+        center = np.full(5, 2.0)
+        model = fit(generate_poised_set(inst.oracle, center, 0.5, 300, 100.0, rng))
+        moved = center + 0.3 * rng.normal(size=5)
+        for x, at in ((center, center), (moved, moved), (center, moved)):
+            scenarios = model.surrogate_scenarios(at)
+            factored = inst.problem.bind(x, scenarios)
+            built = inst.problem.bind(x, np.asarray(scenarios))
+            y = Simplex(200).project(rng.normal(size=200))
+            for name in EVALUATORS:
+                got, want = getattr(factored, name)(y), getattr(built, name)(y)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
     def test_default_binding_matches_callables_bitwise(self):
         problem = quadratic_problem([1.0, 2.5, 4.0], Box(np.full(3, -2.0), np.full(3, 2.0)))

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ddtr.core import Box, DistributionOracle, ProblemSpec
+from ddtr.llr import LLRModel
 from ddtr.problems import DROProblem, dro_instance, expit, softplus
 from ddtr.tr import surrogate_value_and_xgrad
 
@@ -172,6 +173,17 @@ def dro_mc_reference(dro: DROProblem, x, rng, diag_samples: int = 5000) -> tuple
     g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
     chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
     return value, float(np.linalg.norm(g1 + chain))
+
+
+def llr_model(b1, b0, residuals) -> LLRModel:
+    """An ``LLRModel`` with these coefficients and residuals, fit on points at
+    the origin: its design is ``[0, 1]`` and its ``coef`` is ``[b1; b0]``, so
+    each response is ``b0 + residual``."""
+    b1, b0, residuals = (np.asarray(v, dtype=float) for v in (b1, b0, residuals))
+    points = np.zeros((residuals.shape[0], b1.shape[0]))
+    design = np.column_stack([points, np.ones(residuals.shape[0])])
+    coef = np.asfortranarray(np.vstack([b1, b0]))
+    return LLRModel(b1, b0, design @ coef + residuals, points, design, coef)
 
 
 def surrogate_at(problem: ProblemSpec, model, x, y):
