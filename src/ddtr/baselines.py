@@ -19,7 +19,6 @@ from .core import (
     ProblemSpec,
     as_vector,
     make_rng,
-    pin_malloc_thresholds,
 )
 
 # The BaselineConfig fields each method reads, and so the keys a run config may give it.
@@ -195,7 +194,6 @@ def run_baseline(
     Divergence (iterate norm above the threshold, or a non-finite value) stops
     the run; it is not an exception.
     """
-    pin_malloc_thresholds()
     rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
     y0 = problem.inner_domain.center() if y0 is None else as_vector(y0, problem.m, "y0")

@@ -23,9 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -66,21 +64,6 @@ class IngestionError(ValueError):
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator with an explicit 64-bit seed."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-@cache
-def pin_malloc_thresholds() -> None:
-    """Pin glibc's malloc thresholds, once per process. Left dynamic, they follow
-    the largest block freed so far, and the arrays of a few MB that each iteration
-    frees are then often given back to the OS and faulted in again. The setting
-    is process-global. Where libc has no ``mallopt``, this does nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD, from glibc's malloc.h
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:

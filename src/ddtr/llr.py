@@ -29,8 +29,8 @@ class PoisedSampleSet:
     ``offsets`` are the exact unit-ball draws, kept so the scaled design
     ``[offsets, 1]`` stays well posed even when ``radius`` is at the floating
     point noise floor of ``center``.  ``poisedness_metric`` is that design's
-    2-norm condition number, which is scale invariant.  ``fit`` reuses
-    ``factors``, the design and its QR factors, or factors a set without them.
+    2-norm condition number, which is scale invariant.  ``factors`` are that
+    design and its reduced QR factors, which ``fit`` reuses.
     """
 
     points: np.ndarray  # (count, n)
@@ -39,7 +39,7 @@ class PoisedSampleSet:
     center: np.ndarray  # (n,)
     radius: float
     poisedness_metric: float
-    factors: tuple = field(default=(), repr=False, compare=False)
+    factors: tuple = field(repr=False, compare=False)  # (design, q, r)
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,8 @@ class SurrogateScenarios:
         return self.model.responses.shape
 
     def __array__(self, dtype=None, copy=None):
-        model = self.model
-        rows = model.residuals
-        rows += model.b1.T @ self.x + model.b0  # predict(x) + e_i bit for bit: addition commutes
+        rows = self.model.residuals
+        rows += self.model.predict(self.x)  # predict(x) + e_i bit for bit: addition commutes
         return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
@@ -159,7 +158,7 @@ def fit(samples: PoisedSampleSet) -> LLRModel:
     ``predict(x_i) + e_i = omega_i`` and have zero empirical mean.
     """
     n = samples.offsets.shape[1]
-    design, q, r = samples.factors or _factor(samples.offsets)
+    design, q, r = samples.factors
     diag = np.abs(np.diag(r))
     if np.min(diag) <= 1e-13 * max(np.max(diag), 1.0):
         raise SingularFitError("rank-deficient regression design")

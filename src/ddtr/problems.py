@@ -228,7 +228,8 @@ def softplus(z):
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    return np.add(out, z, out=out, where=z > 0)  # out + max(z, 0), bit for bit
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def _f_value(x, lambda1, alpha):
@@ -335,7 +336,9 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         draws = np.repeat(dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :], N, axis=1)
         draws += base  # in place, not broadcast: that sum loops over rows of length n
         if dro.noise_sigma > 0:
-            draws = draws + dro.noise_sigma * rng.standard_normal((count, N, n))
+            noise = rng.standard_normal((count, N, n))
+            noise *= dro.noise_sigma
+            draws = np.add(noise, draws, out=noise)  # draws + sigma * noise, in one array
         if draws.shape[0] < count:
             # Noiseless draws at one x: copies of one row, as a read-only view
             # with stride 0 on the first axis.

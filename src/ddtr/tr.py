@@ -28,7 +28,6 @@ from .core import (
     ProblemSpec,
     as_vector,
     make_rng,
-    pin_malloc_thresholds,
 )
 from .inner import maximize_over_scenarios
 
@@ -219,6 +218,12 @@ def iterate(
     """Run one full trust-region iteration; return the next state and the iteration's record."""
     llr_rng, vk_rng, vh_rng, diag_rng = rng.spawn(4)
     x, delta, k = state.x, state.delta, state.k
+    # Diagnostics first: they draw from diag_rng alone, and the arrays they
+    # free are then reused for the regression set's, not trimmed and refaulted.
+    oracle_phi = math.nan
+    oracle_grad = math.nan
+    if diagnostics is not None:
+        oracle_phi, oracle_grad = diagnostics.evaluate(x, diag_rng)
 
     # At least n + 5 points, or all the schedule allows: a fixed count as given.
     n_llr = max(config.llr_schedule.count(delta), min(problem.n + 5, config.llr_schedule.maximum))
@@ -234,11 +239,6 @@ def iterate(
     y_old = rep_old.maximizer
     del rep_old  # its binding holds arrays with one row per scenario
     grad_norm = norm(g)
-
-    oracle_phi = math.nan
-    oracle_grad = math.nan
-    if diagnostics is not None:
-        oracle_phi, oracle_grad = diagnostics.evaluate(x, diag_rng)
 
     # Defaults of an iteration that ends before the value estimates: it is
     # unsuccessful, so x and the inner warm start stay where they are.
@@ -301,7 +301,6 @@ def solve(
     """Iterate until the radius falls below its floor or to 0, or for
     ``config.max_iters`` iterations; return the final state, whose
     ``termination`` says which, plus the history."""
-    pin_malloc_thresholds()
     rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
     state = TRState(x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center())

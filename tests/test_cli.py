@@ -1,9 +1,10 @@
 import csv
-import ctypes
+import importlib.util
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -677,61 +678,66 @@ def test_shipped_config_runs(tmp_path, path):
     assert entry["termination"] == "max_iters"
 
 
-def _has_mallopt() -> bool:
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except (OSError, TypeError):
-        return False
-
-
-# The 5-iteration golden dro_tr case with noisy draws: the sampler then
-# allocates fresh draws on every call, 4 MB for each diagnostic. A noiseless
-# run allocates no array that large since its surrogate scenarios stay
-# factored, and took 0-3 minor page faults with the thresholds left dynamic.
-DRO_TR_NOISY = dict(
-    DRO_TR, problem_params={**DRO_TR["problem_params"], "noise_sigma": 0.5, "diag_samples": 500}
+# The bound below is a property of glibc's default malloc thresholds.
+glibc_heap = pytest.mark.skipif(
+    importlib.util.find_spec("resource") is None or platform.libc_ver()[0] != "glibc",
+    reason="needs resource and glibc",
 )
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
-def test_dro_run_reuses_heap_pages(tmp_path):
-    # With run_one's pinned malloc thresholds the arrays a run allocates and
-    # frees every iteration are reused from the heap: a second run took 0-1
-    # minor page faults on x86_64 glibc, and about 9,600 with the thresholds
-    # left dynamic, when every such array comes on fresh pages.
-    resource = pytest.importorskip("resource")
-    config = parse_run_config({**DRO_TR_NOISY, "output_dir": str(tmp_path)})
-    cli.run_one(config, 1, str(tmp_path))  # warm-up: the heap grows to its size
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    cli.run_one(config, 1, str(tmp_path))
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 1000
-
-
-@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
-def test_library_dro_run_reuses_heap_pages():
-    # tr.solve pins the thresholds itself, so a library caller that never goes
-    # through run_one gets them too. A fresh process, so that no earlier pin
-    # in this one hides a missing call; unpinned, the same case takes
-    # thousands of faults.
-    pytest.importorskip("resource")
+def _second_run_faults(setup: str, config: dict) -> int:
+    """Minor page faults of the second of two ``run()`` calls in a fresh
+    process, so that no earlier test's allocations set the heap's state;
+    ``setup`` defines ``run`` from the parsed ``config``."""
     code = (
         "import json, resource, sys; from ddtr import cli, tr; "
-        "config = cli.parse_run_config(json.loads(sys.argv[1])); "
-        "instance = cli.build_instance(config); "
-        "x0, _ = instance.draw_start(cli.make_rng(1)); "
-        "run = lambda: tr.solve(x0, instance.problem, instance.oracle, "
-        "cli.build_tr_config(config, 1), instance.diagnostics); "
+        f"config = cli.parse_run_config(json.loads(sys.argv[1])); {setup}; "
         "run(); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; run(); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(DRO_TR_NOISY)],
+        [sys.executable, "-c", code, json.dumps(config)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert int(done.stdout) < 1000
+    return int(done.stdout)
+
+
+# The 5-iteration golden dro_tr case with noisy draws: the sampler then
+# allocates fresh draws on every call, 4 MB for each diagnostic.
+DRO_TR_NOISY = dict(
+    DRO_TR, problem_params={**DRO_TR["problem_params"], "noise_sigma": 0.5, "diag_samples": 500}
+)
+
+
+@glibc_heap
+def test_library_dro_run_reuses_heap_pages():
+    # tr.solve through the library path. The diagnostics are evaluated before
+    # the regression set is drawn, so their arrays are freed first and the
+    # set's responses reuse those pages. The other way round, glibc trims
+    # the heap and takes it back in every iteration: thousands of faults.
+    setup = (
+        "instance = cli.build_instance(config); "
+        "x0, _ = instance.draw_start(cli.make_rng(1)); "
+        "run = lambda: tr.solve(x0, instance.problem, instance.oracle, "
+        "cli.build_tr_config(config, 1), instance.diagnostics)"
+    )
+    assert _second_run_faults(setup, DRO_TR_NOISY) < 1000
+
+
+@glibc_heap
+def test_noisy_asgda_run_reuses_heap_pages(tmp_path):
+    # A noisy asgda run through run_one: a 500-row batch each step and a
+    # 500-draw diagnostic. The sampler builds its noisy draws in one array;
+    # with draws + sigma * noise, three arrays of that size, the heap is
+    # trimmed and refaulted on every step.
+    config = dict(
+        DRO_TR_NOISY, solver="asgda", max_iters=20, output_dir=str(tmp_path),
+        solver_params={"batch": 500},
+    )
+    setup = "run = lambda: cli.run_one(config, 1, config.output_dir)"
+    assert _second_run_faults(setup, config) < 1000
 
 
 class TestSummarize:

@@ -86,16 +86,22 @@ class TestPoisedSetFactors:
 
     def test_fit_equals_fit_of_the_same_data_rebuilt_by_hand(self):
         for samples in poised_cases():
+            offsets = samples.offsets.copy()
+            design = np.column_stack([offsets, np.ones(offsets.shape[0])])
+            factors = (design, *np.linalg.qr(design))
+            # The stored factors are those of the offsets' design.
             assert len(samples.factors) == 3
+            for stored, fresh in zip(samples.factors, factors):
+                assert stored.shape == fresh.shape and stored.tobytes() == fresh.tobytes()
             rebuilt = PoisedSampleSet(
                 samples.points.copy(),
                 samples.responses.copy(),
-                samples.offsets.copy(),
+                offsets,
                 samples.center.copy(),
                 samples.radius,
                 samples.poisedness_metric,
+                factors,
             )
-            assert rebuilt.factors == ()
             got, want = fit(samples), fit(rebuilt)
             for name in ("b1", "b0", "residuals"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -167,6 +173,7 @@ class TestFit:
             center=samples.center,
             radius=samples.radius,
             poisedness_metric=samples.poisedness_metric,
+            factors=samples.factors,
         )
         base, moved = fit(samples), fit(shifted)
         assert np.allclose(moved.b1, base.b1, atol=1e-10)

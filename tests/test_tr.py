@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddtr.core import Box, ConfigurationError, DistributionOracle, ProblemSpec, make_rng
+from ddtr.core import (
+    Box,
+    ConfigurationError,
+    DistributionOracle,
+    OracleDiagnostics,
+    ProblemSpec,
+    make_rng,
+)
 from ddtr.llr import fit, generate_poised_set
 from ddtr.problems import (
     dro_instance,
@@ -276,6 +283,26 @@ class TestIterate:
             assert math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
             assert not rec.accepted
 
+
+    def test_diagnostics_come_before_the_regression_set(self):
+        # The diagnostics draw from a generator of their own and feed nothing
+        # back, so they are evaluated first and free their arrays before the
+        # regression set is drawn. The stub logs the rows served so far.
+        inst = synthetic_instance()
+        served = []
+
+        def sampler(x, count, rng):
+            served.append(count)
+            return inst.oracle.sampler(x, count, rng)
+
+        oracle = DistributionOracle(d=1, sampler=sampler)
+        diagnostics = OracleDiagnostics(
+            value=lambda x, rng: sum(served), grad_norm=lambda x, rng: 0.0
+        )
+        state = TRState(x=np.array([3.0]), delta=1.0, k=0, y_warm=np.array([0.0]))
+        _, rec = iterate(state, inst.problem, oracle, small_config(), make_rng(1), diagnostics)
+        assert rec.oracle_phi == 0.0
+        assert sum(served) >= rec.n_llr > 0
 
     def test_degenerate_gradient_exit(self):
         # The loss ignores x and w, so grad1 = grad3 = 0 and the surrogate
