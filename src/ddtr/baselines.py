@@ -19,6 +19,7 @@ from .core import (
     ProblemSpec,
     as_vector,
     make_rng,
+    norm,
 )
 
 # The BaselineConfig fields each method reads, and so the keys a run config may give it.
@@ -118,9 +119,8 @@ class BaselineRecord:
 
 
 def _diverged(x: np.ndarray, y: np.ndarray) -> bool:
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        return True
-    return float(np.linalg.norm(np.concatenate([x, y]))) > DIVERGENCE_NORM
+    # A non-finite entry makes the norm infinite or NaN: diverged either way.
+    return not norm(np.concatenate([x, y])) <= DIVERGENCE_NORM
 
 
 def spd_step(
@@ -209,7 +209,7 @@ def run_baseline(
         eta = config.stepsize(state.k)
         state = step(state, problem, oracle, config, step_rng)
         diverged = _diverged(state.x, state.y)
-        grad_norm = float(np.linalg.norm((state.x - prev_x) / eta))
+        grad_norm = norm((state.x - prev_x) / eta)
         oracle_phi = math.nan
         oracle_grad = math.nan
         if diagnostics is not None and not diverged:

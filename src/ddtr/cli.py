@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -275,6 +274,10 @@ def run(config: RunConfig, workers: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     job = partial(_run_seed, config, str(out_dir))
     if workers > 1:
+        # Imported here: the process pool loads multiprocessing, socket and
+        # logging, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(job, config.seeds))
     else:

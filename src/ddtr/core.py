@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -78,6 +79,18 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
 def scenario_mean(a: np.ndarray) -> np.ndarray:
     """``np.mean(a, axis=0)`` bit for bit, without its wrapper's per-call cost."""
     return np.add.reduce(a, axis=0) / a.shape[0]
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector (Frobenius of a matrix), finite whenever
+    every entry is: a sum of squares that overflows, past entries of about
+    1.3e154, is taken again over the entries divided by the largest."""
+    with np.errstate(over="ignore"):
+        result = float(np.linalg.norm(v))
+    if result == math.inf and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        result = scale * float(np.linalg.norm(v / scale))
+    return result
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -26,8 +25,6 @@ from .core import (
     scenario_mean,
     uniform_ball_sample,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -218,17 +215,24 @@ def expit(z):
     return np.divide(1.0, out, out=out)
 
 
+SOFTPLUS_BLOCK = 1 << 16  # most elements of one max(z, 0) temporary in softplus
+
+
 def softplus(z):
     """log(1 + e^z) of a float array as ``max(z, 0) + log1p(e^-|z|)``, within
     2 ulp of numpy's ``logaddexp(0, z)``, which evaluates the same identity one
     element at a time through the scalar libm; here numpy's vectorized exp and
-    log1p run in place on one temporary. Returns a new array; ``z`` is not
-    changed."""
+    log1p run in place on the result, and ``max(z, 0)`` is added to it in
+    blocks of rows of at most ``SOFTPLUS_BLOCK`` elements (or one row), so a
+    large array needs no temporary of its own size. Returns a new array; ``z``
+    is not changed."""
     out = np.abs(z)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(z, 0.0)
+    rows = max(1, SOFTPLUS_BLOCK * len(out) // max(out.size, 1))  # block // row size
+    for start in range(0, len(out), rows):
+        out[start : start + rows] += np.maximum(z[start : start + rows], 0.0)
     return out
 
 
@@ -419,6 +423,9 @@ def load_credit_csv(
     if not feat_idx:
         raise IngestionError(f"{path}: no feature columns")
 
+    import logging  # imported here: no other path of the package logs
+
+    log = logging.getLogger(__name__)
     rows, labels, dropped = [], [], 0
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):

@@ -28,6 +28,7 @@ from .core import (
     ProblemSpec,
     as_vector,
     make_rng,
+    norm,
 )
 from .inner import maximize_over_scenarios
 
@@ -149,18 +150,6 @@ def surrogate_value_and_xgrad(
     ``mean(grad1) + b1 @ mean(grad3)``.
     """
     return float(evaluation.loss(y)), evaluation.grad1(y) + model.b1 @ evaluation.grad3(y)
-
-
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector (Frobenius of a matrix), finite whenever
-    every entry is: a sum of squares that overflows, past entries of about
-    1.3e154, is taken again over the entries divided by the largest."""
-    with np.errstate(over="ignore"):
-        result = float(np.linalg.norm(v))
-    if result == math.inf and np.isfinite(v).all():
-        scale = float(np.max(np.abs(v)))
-        result = scale * float(np.linalg.norm(v / scale))
-    return result
 
 
 def trial_step(grad: np.ndarray, delta: float) -> np.ndarray:

@@ -108,6 +108,16 @@ class TestSPD:
             assert state.termination == "diverged"
             assert len(history) < 5000
 
+    def test_huge_step_diverges_without_overflow(self):
+        # One step takes x to about 2e163, whose square overflows: the run
+        # ends diverged with no floating-point warning, which pytest raises.
+        inst = synthetic_instance()
+        config = BaselineConfig(method="spd-constant", eta=1e160, batch=5, max_iters=3, seed=1)
+        x0, y0 = inst.draw_start(make_rng(1))
+        state, history = run_baseline(x0, y0, inst.problem, inst.oracle, config, inst.diagnostics)
+        assert state.termination == "diverged" and len(history) == 1
+        assert abs(state.x[0]) > 1e160 and math.isfinite(history[0].grad_norm_est)
+
     def test_divergence_threshold(self):
         assert _diverged(np.array([1e9]), np.zeros(1))
         assert not _diverged(np.array([1e7]), np.zeros(1))

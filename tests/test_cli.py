@@ -3,10 +3,7 @@ import importlib.util
 import io
 import json
 import math
-import os
 import platform
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +21,7 @@ from ddtr.cli import (
 from ddtr.core import ConfigurationError, make_rng
 
 from test_golden import DRO_TR
+from util import fresh_python
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -695,13 +693,7 @@ def _second_run_faults(setup: str, config: dict) -> int:
         "run(); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; run(); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(config)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    return int(done.stdout)
+    return int(fresh_python(code, json.dumps(config)))
 
 
 # The 5-iteration golden dro_tr case with noisy draws: the sampler then

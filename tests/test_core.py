@@ -1,10 +1,6 @@
 import ast
 import inspect
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +15,7 @@ from ddtr.core import (
     DistributionOracle,
     Simplex,
     make_rng,
+    norm,
     scenario_mean,
     uniform_ball_sample,
 )
@@ -30,7 +27,7 @@ from ddtr.problems import (
     synthetic_instance,
 )
 
-from util import scalar_oracle
+from util import fresh_python, scalar_oracle
 
 
 class TestBoxProjection:
@@ -194,6 +191,21 @@ def test_scenario_mean_is_np_mean_bit_for_bit(a):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("v", [
+    make_rng(5).normal(size=7) * 1e150,  # squares finite
+    make_rng(6).normal(size=(4, 3)),
+    np.array([0.0, -0.0]),
+])
+def test_norm_is_np_norm_bit_for_bit_while_the_squares_are_finite(v):
+    assert norm(v) == float(np.linalg.norm(v))
+
+
+def test_norm_of_huge_finite_entries_is_finite():
+    assert norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert norm(np.array([1.7e308, 1.7e308])) == np.inf  # the norm itself passes the range
+    assert norm(np.array([np.inf, 1.0])) == np.inf and np.isnan(norm(np.array([np.nan])))
+
+
 class TestUniformBallSample:
     def test_membership(self):
         rng = make_rng(0)
@@ -312,15 +324,21 @@ def test_problem_modules_do_not_import_the_solver():
 def test_import_loads_no_third_party_module_but_numpy():
     # numpy is the one runtime dependency; every run and worker process
     # imports the package, so nothing heavier may come with it.
-    # multiprocessing registers the alias __mp_main__.
-    src = str(Path(ddtr.__file__).resolve().parent.parent)
     code = (
         "import sys, numpy; before = set(sys.modules); import ddtr, ddtr.cli; "
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
-        "print(sorted(new - set(sys.stdlib_module_names) - {'ddtr', 'numpy', '__mp_main__'}))"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'ddtr', 'numpy'}))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_import_loads_no_process_pool_or_logging():
+    # Only a run with workers > 1 uses the process pool (multiprocessing,
+    # socket, queue) and only the CSV loader logs; a serial run's process
+    # holds neither.
+    code = (
+        "import sys, numpy, numpy.random; before = set(sys.modules); "
+        "import ddtr; import ddtr.cli; print(*sorted(set(sys.modules) - before))"
     )
-    assert done.stdout.strip() == "[]"
+    loaded = set(fresh_python(code).split())
+    assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}

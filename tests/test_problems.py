@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -804,6 +805,26 @@ class TestSoftplus:
 
     def test_exact_at_zero_and_the_ends(self):
         assert softplus(np.array([0.0, -800.0, 800.0])).tolist() == [math.log(2.0), 0.0, 800.0]
+
+    def test_blocks_give_the_bits_of_one_pass(self):
+        # (5000, 200) is added in blocks of 327 rows, (3, 70000) a row at a time.
+        for shape in ((5000, 200), (3, 70000), (0, 4)):
+            z = np.random.default_rng(2).normal(size=shape) * 10.0
+            one_pass = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
+            assert same_bits(softplus(z), one_pass), shape
+
+    def test_peak_memory_stays_near_its_result(self):
+        # The noisy diagnostic's margins at diag_samples = 5000, N = 200: a
+        # whole-array max(z, 0) temporary would double the peak.
+        z = np.random.default_rng(3).normal(size=(5000, 200))
+        softplus(z)  # warm-up
+        tracemalloc.start()
+        try:
+            got = softplus(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * got.nbytes, peak / got.nbytes
 
     def test_returns_a_new_array_and_keeps_its_input(self):
         z = np.random.default_rng(0).normal(size=(3, 4)) * 10.0

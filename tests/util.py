@@ -3,14 +3,31 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+import ddtr
 from ddtr.core import Box, DistributionOracle, ProblemSpec
 from ddtr.llr import LLRModel
 from ddtr.problems import DROProblem, dro_instance, expit, softplus
 from ddtr.tr import surrogate_value_and_xgrad
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code *args`` in a fresh interpreter that
+    imports this ddtr, so no earlier test's imports or allocations carry over."""
+    src = str(Path(ddtr.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout
 
 
 def quadratic_problem(weights, domain) -> ProblemSpec:
