@@ -136,8 +136,10 @@ def spd_step(
     evaluation = problem.bind(state.x, oracle.sample(state.x, config.batch, rng))
     gx = evaluation.grad1(state.y)
     gy = evaluation.grad2(state.y)
-    x_new = state.x - eta * gx
-    y_new = _safe_project(problem, state.y + eta * gy)
+    with np.errstate(over="ignore"):  # a step past the float range is inf: diverged
+        x_new = state.x - eta * gx
+        y_new = state.y + eta * gy
+    y_new = _safe_project(problem, y_new)
     return replace(
         state,
         x=x_new,
@@ -160,8 +162,10 @@ def asgda_step(
     evaluation = problem.bind(state.x, draws)
     gx = evaluation.grad1(state.y) + a_hat @ evaluation.grad3(state.y)
     gy = evaluation.grad2(state.y)
-    x_new = state.x - config.stepsize(state.k) * gx
-    y_new = _safe_project(problem, state.y + config.eta_y * gy)
+    with np.errstate(over="ignore"):  # a step past the float range is inf: diverged
+        x_new = state.x - config.stepsize(state.k) * gx
+        y_new = state.y + config.eta_y * gy
+    y_new = _safe_project(problem, y_new)
     model = state.model.update(state.x, draws, config.forget)
     return replace(
         state,

@@ -62,6 +62,10 @@ class IngestionError(ValueError):
     """A data file could not be parsed into a usable problem instance."""
 
 
+class SchemaError(ValueError):
+    """A run CSV or summary.json cannot be read back as run output."""
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator with an explicit 64-bit seed."""
     return np.random.Generator(np.random.Philox(seed))

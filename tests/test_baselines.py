@@ -118,6 +118,17 @@ class TestSPD:
         assert state.termination == "diverged" and len(history) == 1
         assert abs(state.x[0]) > 1e160 and math.isfinite(history[0].grad_norm_est)
 
+    @pytest.mark.parametrize("method", ["spd-constant", "asgda"])
+    def test_step_past_the_float_range_diverges_without_overflow(self, method):
+        # eta * gx passes the float range: x becomes infinite and the run
+        # ends diverged, with no overflow warning, which pytest raises.
+        inst = synthetic_instance()
+        config = BaselineConfig(method=method, eta=1e306, batch=5, max_iters=3, seed=1)
+        x0, y0 = inst.draw_start(make_rng(1))
+        state, history = run_baseline(x0, y0, inst.problem, inst.oracle, config, inst.diagnostics)
+        assert state.termination == "diverged" and len(history) == 1
+        assert np.isinf(state.x[0])
+
     def test_divergence_threshold(self):
         assert _diverged(np.array([1e9]), np.zeros(1))
         assert not _diverged(np.array([1e7]), np.zeros(1))

@@ -10,15 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddtr import cli, problems
-from ddtr.cli import (
-    SchemaError,
-    main,
-    parse_run_config,
-    run,
-    summarize,
-)
-from ddtr.core import ConfigurationError, make_rng
+from ddtr import cli, ingest
+from ddtr.cli import main, parse_run_config, run
+from ddtr.core import ConfigurationError, SchemaError, make_rng
+from ddtr.report import summarize
 
 from test_golden import DRO_TR
 from util import fresh_python
@@ -632,7 +627,7 @@ class TestRun:
             problem_params={"csv_path": str(self.write_rows(tmp_path, 30)), **params},
         )
         instance = cli.build_instance(parse_run_config(doc))
-        loaded = problems.load_credit_csv(tmp_path / "credit.csv")
+        loaded = ingest.load_credit_csv(tmp_path / "credit.csv")
         assert instance.problem.m == rows
         # At x = 0 a draw is the base features, row by row.
         draw = instance.oracle.sample(np.zeros(2), 1, make_rng(0))

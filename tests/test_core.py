@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from ddtr.problems import (
     synthetic_instance,
 )
 
+from test_golden import DRO_TR
 from util import fresh_python, scalar_oracle
 
 
@@ -332,13 +334,20 @@ def test_import_loads_no_third_party_module_but_numpy():
     assert fresh_python(code).strip() == "[]"
 
 
-def test_import_loads_no_process_pool_or_logging():
+def test_import_loads_no_process_pool_or_logging(tmp_path):
     # Only a run with workers > 1 uses the process pool (multiprocessing,
-    # socket, queue) and only the CSV loader logs; a serial run's process
-    # holds neither.
+    # socket, queue), only the CSV loader (ingest) logs, and only summarize
+    # and compare read runs back (report): a serial run on generated data
+    # loads none of them, at import or in run_one.
+    doc = {**DRO_TR, "max_iters": 2}
     code = (
-        "import sys, numpy, numpy.random; before = set(sys.modules); "
-        "import ddtr; import ddtr.cli; print(*sorted(set(sys.modules) - before))"
+        "import json, sys, numpy, numpy.random; before = set(sys.modules); "
+        "import ddtr; import ddtr.cli; print(*sorted(set(sys.modules) - before)); "
+        "config = ddtr.cli.parse_run_config(json.loads(sys.argv[1])); "
+        "ddtr.cli.run_one(config, 1, sys.argv[2]); print(*sorted(set(sys.modules) - before))"
     )
-    loaded = set(fresh_python(code).split())
-    assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}
+    imported, after_run = fresh_python(code, json.dumps(doc), str(tmp_path)).splitlines()
+    unused = {"concurrent.futures", "multiprocessing", "logging", "ddtr.report", "ddtr.ingest"}
+    assert not set(imported.split()) & unused
+    assert not set(after_run.split()) & unused
+    assert (tmp_path / "dro_tr_seed1.csv").exists()

@@ -17,6 +17,7 @@ from ddtr.core import (
     Simplex,
     make_rng,
 )
+from ddtr.ingest import load_credit_csv, subsample
 from ddtr.llr import fit, generate_poised_set
 from ddtr.tr import IterationRecord, SampleSchedule, TRConfig, solve
 from ddtr.problems import (
@@ -25,9 +26,7 @@ from ddtr.problems import (
     dro_instance,
     expit,
     generate_synthetic_credit,
-    load_credit_csv,
     softplus,
-    subsample,
     synthetic_instance,
     synthetic_primal,
     synthetic_primal_grad,
@@ -807,16 +806,18 @@ class TestSoftplus:
         assert softplus(np.array([0.0, -800.0, 800.0])).tolist() == [math.log(2.0), 0.0, 800.0]
 
     def test_blocks_give_the_bits_of_one_pass(self):
-        # (5000, 200) is added in blocks of 327 rows, (3, 70000) a row at a time.
+        # (5000, 200) is added in blocks of 20 rows, (3, 70000) a row at a time.
         for shape in ((5000, 200), (3, 70000), (0, 4)):
             z = np.random.default_rng(2).normal(size=shape) * 10.0
             one_pass = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
             assert same_bits(softplus(z), one_pass), shape
 
-    def test_peak_memory_stays_near_its_result(self):
-        # The noisy diagnostic's margins at diag_samples = 5000, N = 200: a
-        # whole-array max(z, 0) temporary would double the peak.
-        z = np.random.default_rng(3).normal(size=(5000, 200))
+    @pytest.mark.parametrize("shape", [(5000, 200), (300, 200)], ids=["5000x200", "300x200"])
+    def test_peak_memory_stays_near_its_result(self, shape):
+        # The noisy diagnostic's margins at diag_samples = 5000, N = 200, and
+        # the dro-tr surrogate's at S = 300: a whole-array max(z, 0)
+        # temporary would double the peak.
+        z = np.random.default_rng(3).normal(size=shape)
         softplus(z)  # warm-up
         tracemalloc.start()
         try:
