@@ -85,15 +85,17 @@ class OnlineAffineModel:
     def update(self, x: np.ndarray, draws: np.ndarray, forget: float) -> "OnlineAffineModel":
         z = np.append(x, 1.0)
         count = draws.shape[0]
+        # A stride-0 batch (see core.DistributionOracle) repeats one row.
+        total = count * draws[0] if draws.strides[0] == 0 else draws.sum(axis=0)
         return OnlineAffineModel(
             zz=forget * self.zz + count * np.outer(z, z),
-            zw=forget * self.zw + z[:, None] * draws.sum(axis=0)[None, :],
+            zw=forget * self.zw + z[:, None] * total[None, :],
         )
 
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+    def chain(self, v: np.ndarray) -> np.ndarray:
+        """``A @ v`` for the fitted slope A (n, d), from one (n + 1)-dimensional solve."""
         n = self.zz.shape[0] - 1
-        theta = np.linalg.solve(self.zz + RIDGE * np.eye(n + 1), self.zw)
-        return theta[:n], theta[n]  # A (n, d), c (d,)
+        return np.linalg.solve(self.zz + RIDGE * np.eye(n + 1), self.zw @ v)[:n]
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,20 @@ def _diverged(x: np.ndarray, y: np.ndarray) -> bool:
     return not norm(np.concatenate([x, y])) <= DIVERGENCE_NORM
 
 
+def _descend_ascend(
+    state: BaselineState, problem: ProblemSpec, gx, gy, eta_x: float, eta_y: float, **changes
+) -> BaselineState:
+    """The next state: x down by ``eta_x * gx``, y up by ``eta_y * gy``, then projected."""
+    with np.errstate(over="ignore"):  # a step past the float range is inf: diverged
+        x = state.x - eta_x * gx
+        y = state.y + eta_y * gy
+    # Projection requires finite input; a non-finite dual iterate is kept as
+    # it is, so the divergence check ends the run.
+    if np.all(np.isfinite(y)):
+        y = problem.inner_domain.project(y)
+    return replace(state, x=x, y=y, k=state.k + 1, **changes)
+
+
 def spd_step(
     state: BaselineState,
     problem: ProblemSpec,
@@ -134,18 +150,8 @@ def spd_step(
     distribution's dependence on x."""
     eta = config.stepsize(state.k)
     evaluation = problem.bind(state.x, oracle.sample(state.x, config.batch, rng))
-    gx = evaluation.grad1(state.y)
-    gy = evaluation.grad2(state.y)
-    with np.errstate(over="ignore"):  # a step past the float range is inf: diverged
-        x_new = state.x - eta * gx
-        y_new = state.y + eta * gy
-    y_new = _safe_project(problem, y_new)
-    return replace(
-        state,
-        x=x_new,
-        y=y_new,
-        k=state.k + 1,
-    )
+    gx, gy = evaluation.grad1(state.y), evaluation.grad2(state.y)
+    return _descend_ascend(state, problem, gx, gy, eta, eta)
 
 
 def asgda_step(
@@ -158,30 +164,12 @@ def asgda_step(
     """One adaptive descent-ascent step: chain-rule-corrected x-gradient under
     the current global affine estimate of the map, then a model update."""
     draws = oracle.sample(state.x, config.batch, rng)
-    a_hat, _ = state.model.coefficients()
     evaluation = problem.bind(state.x, draws)
-    gx = evaluation.grad1(state.y) + a_hat @ evaluation.grad3(state.y)
-    gy = evaluation.grad2(state.y)
-    with np.errstate(over="ignore"):  # a step past the float range is inf: diverged
-        x_new = state.x - config.stepsize(state.k) * gx
-        y_new = state.y + config.eta_y * gy
-    y_new = _safe_project(problem, y_new)
-    model = state.model.update(state.x, draws, config.forget)
-    return replace(
-        state,
-        x=x_new,
-        y=y_new,
-        k=state.k + 1,
-        model=model,
+    gx = evaluation.grad1(state.y) + state.model.chain(evaluation.grad3(state.y))
+    return _descend_ascend(
+        state, problem, gx, evaluation.grad2(state.y), config.stepsize(state.k), config.eta_y,
+        model=state.model.update(state.x, draws, config.forget),
     )
-
-
-def _safe_project(problem: ProblemSpec, y: np.ndarray) -> np.ndarray:
-    # Projection requires finite input; a non-finite dual iterate is kept as
-    # it is, so the divergence check ends the run.
-    if not np.all(np.isfinite(y)):
-        return y
-    return problem.inner_domain.project(y)
 
 
 def run_baseline(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddtr.baselines import (
+    RIDGE,
     BaselineConfig,
     BaselineState,
     OnlineAffineModel,
@@ -20,9 +21,9 @@ from ddtr.core import (
     Simplex,
     make_rng,
 )
-from ddtr.problems import synthetic_instance
+from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_instance
 
-from util import in_domain, quadratic_problem
+from util import affine_fit, in_domain, quadratic_problem
 
 
 def affine_oracle(slope, intercept, sigma=0.0):
@@ -166,9 +167,41 @@ class TestASGDA:
             x = rng.normal(size=2)
             draws = oracle.sample(x, 8, rng)
             model = model.update(x, draws, forget=0.99)
-        a_hat, c_hat = model.coefficients()
-        assert np.allclose(a_hat, slope, atol=1e-6)
-        assert np.allclose(c_hat, intercept, atol=1e-6)
+        theta = affine_fit(model)
+        assert np.allclose(theta[:2], slope, atol=1e-6)
+        assert np.allclose(theta[2], intercept, atol=1e-6)
+        # chain(e_j) = A @ e_j is column j of the slope.
+        for j, e_j in enumerate(np.eye(2)):
+            assert np.allclose(model.chain(e_j), slope[:, j], atol=1e-6)
+
+    def test_chain_is_the_slope_of_the_full_fit(self):
+        # On a well-conditioned design, the one-vector solve gives the fit's
+        # A @ v to rounding.
+        n, d = 3, 7
+        oracle = affine_oracle(np.arange(n * d).reshape(n, d) / 10.0, np.ones(d), sigma=0.5)
+        model = OnlineAffineModel.empty(n, d)
+        rng = make_rng(2)
+        for _ in range(30):
+            x = rng.normal(size=n)
+            model = model.update(x, oracle.sample(x, 4, rng), forget=0.99)
+        assert np.linalg.cond(model.zz + RIDGE * np.eye(n + 1)) < 1e3
+        theta = affine_fit(model)
+        for _ in range(5):
+            v = rng.normal(size=d)
+            expected = theta[:n] @ v
+            assert np.linalg.norm(model.chain(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_stride_zero_batch_adds_count_times_its_row(self):
+        rng = make_rng(4)
+        n, d = 5, 1000
+        x, row = rng.normal(size=n), rng.normal(size=d)
+        z = np.append(x, 1.0)
+        empty = OnlineAffineModel.empty(n, d)
+        strided = empty.update(x, np.broadcast_to(row, (500, d)), forget=0.99)
+        assert np.array_equal(strided.zw, np.outer(z, 500 * row))
+        tiled = empty.update(x, np.tile(row, (500, 1)), forget=0.99)
+        assert np.array_equal(strided.zz, tiled.zz)
+        assert np.linalg.norm(strided.zw - tiled.zw) <= 1e-13 * np.linalg.norm(tiled.zw)
 
     def test_step_matches_deterministic_gda_once_model_exact(self):
         # After the model converges on a noiseless affine map, one asgda step
@@ -185,8 +218,7 @@ class TestASGDA:
         rng = make_rng(1)
         for _ in range(50):
             state = asgda_step(state, problem, oracle, config, rng)
-        a_hat, _ = state.model.coefficients()
-        assert a_hat[0, 0] == pytest.approx(2.0, abs=1e-6)
+        assert state.model.chain(np.ones(1))[0] == pytest.approx(2.0, abs=1e-6)
 
         x, y = state.x.copy(), state.y.copy()
         w = slope.T @ x + intercept
@@ -232,6 +264,51 @@ class TestASGDA:
             assert in_domain(inst.problem.inner_domain, state.y)
             if _diverged(state.x, state.y):
                 break
+
+
+def spied_dro_asgda_solves(monkeypatch, steps: int) -> list:
+    """``(matrix, rhs, solution)`` of every ``np.linalg.solve`` made by
+    ``steps`` asgda steps on the noiseless benchmark DRO instance (N = 200,
+    n = 5, d = 1000, batch 500) from its first run seed's start."""
+    inst = dro_instance(generate_synthetic_credit(200, 5, 0))
+    problem = inst.problem
+    solve, calls = np.linalg.solve, []
+
+    def spy(a, b):
+        t = solve(a, b)
+        calls.append((a, b, t))
+        return t
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    x0, _ = inst.draw_start(make_rng(1))
+    state = BaselineState(
+        x=x0, y=problem.inner_domain.center(), k=0,
+        model=OnlineAffineModel.empty(problem.n, problem.d),
+    )
+    config, rng = BaselineConfig(method="asgda"), make_rng(1)
+    for _ in range(steps):
+        state = asgda_step(state, problem, inst.oracle, config, rng)
+    return calls
+
+
+class TestASGDASolve:
+    def test_step_solves_for_one_vector(self, monkeypatch):
+        # The step reads the model only as A @ grad3: one (n + 1) right-hand
+        # side a step, never the (n + 1, d) fit of every column.
+        calls = spied_dro_asgda_solves(monkeypatch, 5)
+        assert len(calls) == 5
+        assert [b.shape for _, b, _ in calls] == [(6,)] * 5
+
+    def test_ill_conditioned_solve_is_backward_stable(self, monkeypatch):
+        # All draws of a step come at one x, so the design is rank one a step
+        # and zz + RIDGE I is near singular (cond 1e12 here). The solve must
+        # still be backward stable: its residual is rounding of the matrix.
+        calls = spied_dro_asgda_solves(monkeypatch, 9)
+        eps = np.finfo(float).eps
+        for a, b, t in calls[1:]:  # after 1-8 model updates; the first is at RIDGE I
+            assert np.linalg.cond(a) >= 1e8
+            bound = 10 * a.shape[0] * eps * np.linalg.norm(a, 2) * np.linalg.norm(t)
+            assert np.linalg.norm(a @ t - b) <= bound
 
 
 class TestRunBaseline:

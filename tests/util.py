@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 import ddtr
+from ddtr.baselines import RIDGE, OnlineAffineModel
 from ddtr.core import Box, DistributionOracle, ProblemSpec
 from ddtr.llr import LLRModel
 from ddtr.problems import DROProblem, dro_instance, expit, softplus
@@ -65,6 +66,13 @@ def quadratic_problem(weights, domain) -> ProblemSpec:
         mu=float(a.min()),
         ell=float(a.max()),
     )
+
+
+def affine_fit(model: OnlineAffineModel) -> np.ndarray:
+    """The online model's full fit ``[A; c]``, shape (n + 1, d): its ridge solve
+    against every column of ``zw``, a reference for ``chain(v) = A @ v``."""
+    n = model.zz.shape[0] - 1
+    return np.linalg.solve(model.zz + RIDGE * np.eye(n + 1), model.zw)
 
 
 def affine_map_problem(slope=1.0, intercept=-3.0, box_half=1.0) -> tuple[ProblemSpec, DistributionOracle]:
