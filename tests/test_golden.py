@@ -120,8 +120,8 @@ GOLDEN = {
     ),
     "synthetic_asgda": (
         SYNTHETIC_ASGDA,
-        "74fc3341e95eb9278a979a509e4a1967a28fa1a3836854c23959cfd5bb73f9c8",
-        "c6851992117e01d1fa37128c4a99875c74ca0876e610e8212dcf0c506be4644c",
+        "019ed448709d7fc6e04fc78f7e7630dcb3a147e3a0bae07ec6b74cf049901396",
+        "8653e80e414ca3228d6b1e2d068e1b986e83364d88ebafc504e40b61a597fad3",
     ),
     "synthetic_spd_dynamic": (
         SYNTHETIC_SPD_DYNAMIC,
@@ -140,13 +140,13 @@ GOLDEN = {
     ),
     "dro_asgda": (
         DRO_ASGDA,
-        "1e987bbe761e569c41247c228580cca88f05cc2b5a3f16b5692421a0de3a54a0",
-        "f255d11601f141456d243476c1d37478452420c45c91c52777f81aa0bcc39774",
+        "b86869c3b7b1f6d20d874388e908459b721300959b3187235d05adf54ce23d3a",
+        "1167606bfde8a3ad2496e8ca1409935622445f11df918d4fd189d6ed452b1711",
     ),
     "dro_asgda_noisy": (
         DRO_ASGDA_NOISY,
-        "4667aed00a9325ed98f2e5b58605aec9069b3588750bb6708d91c3c562af5e80",
-        "181939269be643c1353941840562fa4b3cffe5ca580a76eac5f4eb53330b158b",
+        "2919cbd2b431c6fd4372a46dc89491a4402f01cba268d9273e1d1a1cc6908ba8",
+        "2757fbec78f0fcbddd297332858667cbb94f88e2a928492d14e58cad54386dd2",
     ),
     "bench_synthetic_tr": (
         BENCH_SYNTHETIC_TR,
