@@ -268,8 +268,8 @@ class TestASGDA:
 
 def spied_dro_asgda_solves(monkeypatch, steps: int) -> list:
     """``(matrix, rhs, solution)`` of every ``np.linalg.solve`` made by
-    ``steps`` asgda steps on the noiseless benchmark DRO instance (N = 200,
-    n = 5, d = 1000, batch 500) from its first run seed's start."""
+    ``steps`` asgda steps on the noiseless DRO instance of the baselines
+    benchmark (N = 200, n = 5, d = 1000, batch 500) from run seed 1's start."""
     inst = dro_instance(generate_synthetic_credit(200, 5, 0))
     problem = inst.problem
     solve, calls = np.linalg.solve, []
