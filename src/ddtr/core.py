@@ -269,26 +269,24 @@ class DistributionOracle:
 
 @dataclass(frozen=True)
 class OracleDiagnostics:
-    """Ground-truth evaluators logged alongside the run when available.
+    """Ground truth logged alongside the run when available.
 
-    ``sample_count`` is 0 for closed-form oracles, otherwise the Monte-Carlo
-    sample size the callables use.  ``value_and_grad_norm``, when provided,
-    computes both quantities from one sample set.
+    ``value_and_grad_norm(x, rng)`` returns the primal value and its gradient
+    norm at ``x``; ``evaluate`` calls it with the caller's generator and spawns
+    none.  ``sample_count`` is 0 for closed-form oracles, otherwise the
+    Monte-Carlo sample size it uses.  ddtr never calls ``value`` or
+    ``grad_norm``: they exist only because the benchmark's tracer
+    (``perfbench/tracing.py``) replaces them by name.
     """
 
-    value: Callable[[np.ndarray, np.random.Generator], float]
-    grad_norm: Callable[[np.ndarray, np.random.Generator], float]
+    value_and_grad_norm: Callable[[np.ndarray, np.random.Generator], tuple[float, float]]
+    value: Optional[Callable[[np.ndarray, np.random.Generator], float]] = None
+    grad_norm: Optional[Callable[[np.ndarray, np.random.Generator], float]] = None
     sample_count: int = 0
-    value_and_grad_norm: Optional[
-        Callable[[np.ndarray, np.random.Generator], tuple[float, float]]
-    ] = None
 
     def evaluate(self, x: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
-        if self.value_and_grad_norm is not None:
-            phi, grad = self.value_and_grad_norm(x, rng)
-            return float(phi), float(grad)
-        phi_rng, grad_rng = rng.spawn(2)
-        return float(self.value(x, phi_rng)), float(self.grad_norm(x, grad_rng))
+        phi, grad = self.value_and_grad_norm(x, rng)
+        return float(phi), float(grad)
 
 
 def uniform_ball_sample(

@@ -76,28 +76,17 @@ class SyntheticProblem:
             raise ConfigurationError("half_width must be positive")
 
 
-def synthetic_primal(x: float, half_width: float = 125.0) -> float:
-    """Closed-form primal value max_{|y| <= h} {x^2 - 2(x+y)x^3 - y^2}.
+def synthetic_primal(x: float, half_width: float = 125.0) -> tuple[float, float]:
+    """Closed-form primal value max_{|y| <= h} {x^2 - 2(x+y)x^3 - y^2} and
+    the derivative of its active branch, as ``(value, derivative)``.
 
     The inner maximizer is y = -x^3 clamped to the box, which splits the
     formula into three branches meeting at |x| = h**(1/3).
     """
-    knee = half_width ** (1.0 / 3.0)
-    if x > knee:
-        return x**2 - 2 * x**4 + 2 * half_width * x**3 - half_width**2
-    if x < -knee:
-        return x**2 - 2 * x**4 - 2 * half_width * x**3 - half_width**2
-    return x**2 - 2 * x**4 + x**6
-
-
-def synthetic_primal_grad(x: float, half_width: float = 125.0) -> float:
-    """Derivative of the active branch of the closed-form primal."""
-    knee = half_width ** (1.0 / 3.0)
-    if x > knee:
-        return 2 * x - 8 * x**3 + 6 * half_width * x**2
-    if x < -knee:
-        return 2 * x - 8 * x**3 - 6 * half_width * x**2
-    return 2 * x - 8 * x**3 + 6 * x**5
+    if abs(x) <= half_width ** (1.0 / 3.0):
+        return x**2 - 2 * x**4 + x**6, 2 * x - 8 * x**3 + 6 * x**5
+    s = half_width if x > 0 else -half_width  # y = -s; the sign flip rounds exactly
+    return x**2 - 2 * x**4 + 2 * s * x**3 - half_width**2, 2 * x - 8 * x**3 + 6 * s * x**2
 
 
 def synthetic_instance(params: SyntheticProblem = SyntheticProblem()) -> Instance:
@@ -137,20 +126,14 @@ def synthetic_instance(params: SyntheticProblem = SyntheticProblem()) -> Instanc
 
     oracle = DistributionOracle(d=1, sampler=sampler)
 
-    def closed_form(x, rng):  # ignores rng, so evaluate spawns no generators
-        x0 = float(x[0])
-        return synthetic_primal(x0, h), abs(synthetic_primal_grad(x0, h))
+    def closed_form(x, rng):  # exact: ignores rng and draws nothing
+        value, derivative = synthetic_primal(float(x[0]), h)
+        return value, abs(derivative)
 
-    diagnostics = OracleDiagnostics(
-        value=lambda x, rng: closed_form(x, rng)[0],
-        grad_norm=lambda x, rng: closed_form(x, rng)[1],
-        sample_count=0,
-        value_and_grad_norm=closed_form,
-    )
     return Instance(
         problem=problem,
         oracle=oracle,
-        diagnostics=diagnostics,
+        diagnostics=OracleDiagnostics(closed_form),
         x0_center=np.array([10.0]),
         x0_radius=0.5,
         y0_center=np.array([10.0]),
@@ -360,16 +343,10 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         chain = dro.shift_scale * np.cos(x) * rows.grad3(y_star).reshape(N, n).sum(0)
         return float(rows.loss(y_star)), float(np.linalg.norm(rows.grad1(y_star) + chain))
 
-    diagnostics = OracleDiagnostics(
-        value=lambda x, rng: mc_evaluate(x, rng)[0],
-        grad_norm=lambda x, rng: mc_evaluate(x, rng)[1],
-        sample_count=0 if noiseless else diag_samples,
-        value_and_grad_norm=mc_evaluate,
-    )
     return Instance(
         problem=problem,
         oracle=oracle,
-        diagnostics=diagnostics,
+        diagnostics=OracleDiagnostics(mc_evaluate, sample_count=0 if noiseless else diag_samples),
         x0_center=np.full(n, 2.0),
         x0_radius=0.5,
     )

@@ -18,7 +18,7 @@ from ddtr.problems import (
     dro_instance,
     generate_synthetic_credit,
     synthetic_instance,
-    synthetic_primal_grad,
+    synthetic_primal,
 )
 from ddtr.tr import SampleSchedule, TRConfig, acceptance_update, solve
 
@@ -54,7 +54,7 @@ def run_synthetic(seed: int, llr_count: int, max_iters: int = 300):
     t0 = time.perf_counter()
     state, history = solve(x0, inst.problem, inst.oracle, config)
     wall = time.perf_counter() - t0
-    return float(state.x[0]), abs(synthetic_primal_grad(float(state.x[0]))), wall
+    return float(state.x[0]), abs(synthetic_primal(float(state.x[0]))[1]), wall
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from ddtr.core import (
     ConfigurationError,
     ContractViolationError,
     DistributionOracle,
+    OracleDiagnostics,
     Simplex,
     make_rng,
     norm,
@@ -321,6 +322,13 @@ def test_problem_modules_do_not_import_the_solver():
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "tr" not in imported and "core" in imported
     assert ddtr.OracleDiagnostics is ddtr.core.OracleDiagnostics
+
+
+def test_diagnostics_need_the_joint_callable():
+    # evaluate calls value_and_grad_norm alone, so value and grad_norm
+    # without it are no diagnostic.
+    with pytest.raises(TypeError, match="value_and_grad_norm"):
+        OracleDiagnostics(value=lambda x, rng: 0.0, grad_norm=lambda x, rng: 0.0)
 
 
 def test_import_loads_no_third_party_module_but_numpy():

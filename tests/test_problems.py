@@ -29,7 +29,6 @@ from ddtr.problems import (
     softplus,
     synthetic_instance,
     synthetic_primal,
-    synthetic_primal_grad,
 )
 
 from util import (
@@ -40,35 +39,37 @@ from util import (
     quadratic_problem,
 )
 
+NOISY_DRO = replace(generate_synthetic_credit(40, 3, 7), noise_sigma=0.5)
+
 
 class TestSyntheticPrimal:
     def test_zero(self):
-        assert synthetic_primal(0.0) == pytest.approx(0.0)
+        assert synthetic_primal(0.0)[0] == pytest.approx(0.0)
 
     def test_stationary_value_at_one(self):
-        assert synthetic_primal(1.0) == pytest.approx(0.0)
+        assert synthetic_primal(1.0)[0] == pytest.approx(0.0)
 
     def test_branch_continuity_at_knee(self):
         middle = 5.0**2 - 2 * 5.0**4 + 5.0**6
         upper = 5.0**2 - 2 * 5.0**4 + 250 * 5.0**3 - 15625
         assert middle == pytest.approx(14400.0)
         assert upper == pytest.approx(14400.0)
-        assert synthetic_primal(5.0) == pytest.approx(14400.0)
-        assert synthetic_primal(5.0 + 1e-9) == pytest.approx(14400.0, abs=1e-4)
+        assert synthetic_primal(5.0)[0] == pytest.approx(14400.0)
+        assert synthetic_primal(5.0 + 1e-9)[0] == pytest.approx(14400.0, abs=1e-4)
 
     def test_matches_brute_force_grid(self):
         rng = make_rng(2)
         ys = np.linspace(-125.0, 125.0, 100_001)
         for x in rng.uniform(-6.0, 6.0, size=50):
             values = x**2 - 2.0 * (x + ys) * x**3 - ys**2
-            assert synthetic_primal(float(x)) == pytest.approx(values.max(), abs=1e-4)
+            assert synthetic_primal(float(x))[0] == pytest.approx(values.max(), abs=1e-4)
 
     def test_gradient_at_stationary_points(self):
         for x in (0.0, 1.0, -1.0):
-            assert synthetic_primal_grad(x) == pytest.approx(0.0)
+            assert synthetic_primal(x)[1] == pytest.approx(0.0)
 
     def test_gradient_middle_branch_value(self):
-        assert synthetic_primal_grad(2.0) == pytest.approx(132.0)
+        assert synthetic_primal(2.0)[1] == pytest.approx(132.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(4)
@@ -76,8 +77,8 @@ class TestSyntheticPrimal:
             x = float(x)
             if abs(abs(x) - 5.0) < 1e-2:
                 continue
-            fd = (synthetic_primal(x + 1e-6) - synthetic_primal(x - 1e-6)) / 2e-6
-            assert synthetic_primal_grad(x) == pytest.approx(fd, rel=1e-6, abs=1e-4)
+            fd = (synthetic_primal(x + 1e-6)[0] - synthetic_primal(x - 1e-6)[0]) / 2e-6
+            assert synthetic_primal(x)[1] == pytest.approx(fd, rel=1e-6, abs=1e-4)
 
 
 class TestSyntheticInstance:
@@ -117,16 +118,41 @@ class TestSyntheticInstance:
             assert g2 == pytest.approx(fd2, rel=1e-5, abs=1e-6)
             assert g3 == pytest.approx(fd3, rel=1e-5, abs=1e-6)
 
-    def test_diagnostics_evaluate_closed_form_without_spawning(self):
-        # The joint callable serves OracleDiagnostics.evaluate, which then
-        # spawns no generators: the closed forms ignore theirs.
-        diag = synthetic_instance().diagnostics
-        rng = make_rng(0)
-        for x in (-6.0, -1.2, 0.0, 1.3, 5.0 + 1e-9):
-            want = (synthetic_primal(x), abs(synthetic_primal_grad(x)))
-            assert diag.evaluate(np.array([x]), rng) == want
-            assert (diag.value(np.array([x]), rng), diag.grad_norm(np.array([x]), rng)) == want
-        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    @pytest.mark.parametrize(
+        "build, reference",
+        [
+            (
+                synthetic_instance,
+                lambda x, rng: (synthetic_primal(x[0])[0], abs(synthetic_primal(x[0])[1])),
+            ),
+            (
+                lambda: dro_instance(generate_synthetic_credit(40, 3, 7), 50),
+                lambda x, rng: dro_mc_reference(generate_synthetic_credit(40, 3, 7), x, rng, 1),
+            ),
+            (
+                lambda: dro_instance(NOISY_DRO, 50),
+                lambda x, rng: dro_mc_reference(NOISY_DRO, x, rng, 50),
+            ),
+        ],
+        ids=["synthetic", "dro", "dro-noisy"],
+    )
+    def test_diagnostics_evaluate_closed_form_without_spawning(self, build, reference):
+        # evaluate hands the caller's generator to the joint callable and
+        # returns its pair as floats; it spawns no child generator.
+        inst = build()
+        joint, passed = inst.diagnostics.value_and_grad_norm, []
+
+        def spy(x, rng):
+            passed.append(rng)
+            return joint(x, rng)
+
+        diag = replace(inst.diagnostics, value_and_grad_norm=spy)
+        for i, v in enumerate((-6.0, -1.2, 0.0, 1.3, 5.0 + 1e-9)):
+            x, rng = np.full(inst.problem.n, v), make_rng(i)
+            got = diag.evaluate(x, rng)
+            assert passed[-1] is rng and rng.bit_generator.seed_seq.n_children_spawned == 0
+            assert got == joint(x, make_rng(i))
+            np.testing.assert_allclose(got, reference(x, make_rng(i)), rtol=1e-12, atol=0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -209,16 +235,14 @@ class TestDROProblem:
     def test_diagnostics_grad_matches_fd_of_value(self, small_dro):
         inst = dro_instance(small_dro, diag_samples=50)
         x = np.array([0.6, -0.2, 1.1])
-        grad_norm = inst.diagnostics.grad_norm(x, make_rng(5))
+        value = inst.diagnostics.value_and_grad_norm
+        grad_norm = value(x, make_rng(5))[1]
         n = x.shape[0]
         fd = np.zeros(n)
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1e-6
-            fd[j] = (
-                inst.diagnostics.value(x + e, make_rng(5))
-                - inst.diagnostics.value(x - e, make_rng(5))
-            ) / 2e-6
+            fd[j] = (value(x + e, make_rng(5))[0] - value(x - e, make_rng(5))[0]) / 2e-6
         assert grad_norm == pytest.approx(np.linalg.norm(fd), rel=1e-6)
 
     def test_label_validation(self):
@@ -263,16 +287,6 @@ class TestDRODiagnosticsRepeatedX:
         diag.value_and_grad_norm(self.OTHER, make_rng(1))
         again = diag.value_and_grad_norm(self.X, make_rng(1))
         assert again == mc_diagnostics(small_dro).value_and_grad_norm(self.X, make_rng(1))
-
-    def test_value_and_grad_norm_are_projections(self, small_dro):
-        value, grad_norm = mc_diagnostics(small_dro).value_and_grad_norm(self.X, make_rng(1))
-        assert mc_diagnostics(small_dro).value(self.X, make_rng(1)) == value
-        assert mc_diagnostics(small_dro).grad_norm(self.X, make_rng(1)) == grad_norm
-        diag = mc_diagnostics(small_dro)
-        assert (diag.value(self.X, make_rng(1)), diag.grad_norm(self.X, make_rng(1))) == (
-            value,
-            grad_norm,
-        )
 
     def test_mutated_input_is_not_served_stale(self, small_dro):
         diag = mc_diagnostics(small_dro)

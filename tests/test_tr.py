@@ -18,7 +18,7 @@ from ddtr.problems import (
     dro_instance,
     generate_synthetic_credit,
     synthetic_instance,
-    synthetic_primal_grad,
+    synthetic_primal,
 )
 from ddtr.tr import (
     GRAD_FLOOR,
@@ -296,9 +296,7 @@ class TestIterate:
             return inst.oracle.sampler(x, count, rng)
 
         oracle = DistributionOracle(d=1, sampler=sampler)
-        diagnostics = OracleDiagnostics(
-            value=lambda x, rng: sum(served), grad_norm=lambda x, rng: 0.0
-        )
+        diagnostics = OracleDiagnostics(lambda x, rng: (sum(served), 0.0))
         state = TRState(x=np.array([3.0]), delta=1.0, k=0, y_warm=np.array([0.0]))
         _, rec = iterate(state, inst.problem, oracle, small_config(), make_rng(1), diagnostics)
         assert rec.oracle_phi == 0.0
@@ -446,7 +444,7 @@ class TestSolve:
                 seed=seed,
             )
             _, history = solve(np.array([x0]), inst.problem, inst.oracle, config)
-            grads = [abs(synthetic_primal_grad(float(r.x_after[0]))) for r in history]
+            grads = [abs(synthetic_primal(float(r.x_after[0]))[1]) for r in history]
             assert np.median(grads[-10:]) < np.median(grads[:10])
 
 
