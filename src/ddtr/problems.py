@@ -258,10 +258,10 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         means are the row's own.
 
         A surrogate scenario set (``llr.SurrogateScenarios``) at x_w is
-        evaluated on its factors, row s being omega_s + b1^T (x_w - p_s): the
-        margins gain (x_w - P) @ (B1 x) and m_siga gains sig^T (x_w - P)
-        contracted with B1, where B1 is b1 as (n, N, n). No (S, d) array is
-        built.
+        evaluated on its model's three fields, row s being omega_s + b1^T
+        (x_w - p_s) as ``np.asarray`` builds it: the margins gain
+        (x_w - P) @ (B1 x) and m_siga gains sig^T (x_w - P) contracted with
+        B1, where B1 is b1 as (n, N, n). No (S, d) array is built.
         """
 
         def __init__(self, x, w):

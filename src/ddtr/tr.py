@@ -247,13 +247,14 @@ def iterate(
         pred = l_old - l_new
         descent_lhs = pred if math.isfinite(l_new) else math.nan
         # A step failing the descent requirement is unsuccessful, so the
-        # shrinking radius improves the surrogate.
+        # shrinking radius improves the surrogate. Below the floor, no value
+        # estimate could give a ratio, so none is drawn.
         descent_ok = check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp)
-        if descent_ok:
+        if descent_ok and abs(pred) >= PRED_FLOOR:
             n_value = config.value_schedule.count(delta)
             v_k = estimate_value(problem, oracle, x, n_value, eps, y_old, vk_rng)
             v_half = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
-            rho = -math.inf if abs(pred) < PRED_FLOOR else (v_k - v_half) / pred
+            rho = (v_k - v_half) / pred
 
     accepted, delta_next = acceptance_update(rho, grad_norm, delta, config)
     x_next, y_next = (x_trial, y_trial) if accepted else (x, state.y_warm)

@@ -5,7 +5,7 @@ from ddtr.core import ConfigurationError, DistributionOracle, PoisednessError, m
 from ddtr.llr import PoisedSampleSet, fit, generate_poised_set
 from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_instance
 
-from util import llr_model, scalar_oracle
+from util import fitted_map, llr_model, scalar_oracle
 
 
 def coordinate_sum(x, count, rng):
@@ -75,6 +75,21 @@ def poised_cases():
     ]
 
 
+def residuals(samples):
+    """The regression residuals, ``responses - q (q.T responses)`` from the
+    sample set's factors."""
+    q, _ = samples.factors
+    return samples.responses - q @ (q.T @ samples.responses)
+
+
+def lstsq_map(samples, x):
+    """The least-squares affine map of the samples at x, by ``np.linalg.lstsq``
+    on the raw design: a reference independent of ``fit``."""
+    design = np.column_stack([samples.points, np.ones(samples.points.shape[0])])
+    theta, *_ = np.linalg.lstsq(design, samples.responses, rcond=None)
+    return np.append(x, 1.0) @ theta
+
+
 class TestPoisedSetFactors:
     """The poised set is factored once; ``fit`` reuses that factorization."""
 
@@ -87,25 +102,26 @@ class TestPoisedSetFactors:
     def test_fit_equals_fit_of_the_same_data_rebuilt_by_hand(self):
         for samples in poised_cases():
             offsets = samples.offsets.copy()
-            design = np.column_stack([offsets, np.ones(offsets.shape[0])])
-            factors = (design, *np.linalg.qr(design))
-            # The stored factors are those of the offsets' design.
-            assert len(samples.factors) == 3
+            factors = tuple(np.linalg.qr(np.column_stack([offsets, np.ones(offsets.shape[0])])))
+            # The stored factors are the QR factors of the offsets' design.
+            assert len(samples.factors) == 2
             for stored, fresh in zip(samples.factors, factors):
                 assert stored.shape == fresh.shape and stored.tobytes() == fresh.tobytes()
             rebuilt = PoisedSampleSet(
                 samples.points.copy(),
                 samples.responses.copy(),
                 offsets,
-                samples.center.copy(),
                 samples.radius,
                 samples.poisedness_metric,
                 factors,
             )
             got, want = fit(samples), fit(rebuilt)
-            for name in ("b1", "b0", "residuals"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            x = samples.points[0] + 0.25 * samples.radius
+            for a, b in (
+                (got.b1, want.b1),
+                (np.asarray(got.surrogate_scenarios(x)), np.asarray(want.surrogate_scenarios(x))),
+            ):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestFit:
@@ -113,8 +129,8 @@ class TestFit:
         samples = make_set(scalar_oracle(lambda x: 3.0 * x + 2.0), np.array([0.0]), 1.0, 10)
         model = fit(samples)
         assert model.b1[0, 0] == pytest.approx(3.0, abs=1e-10)
-        assert model.b0[0] == pytest.approx(2.0, abs=1e-10)
-        assert np.all(np.abs(model.residuals) < 1e-10)
+        assert fitted_map(model, np.zeros(1))[0] == pytest.approx(2.0, abs=1e-10)  # the intercept
+        assert np.all(np.abs(residuals(samples)) < 1e-10)
 
     def test_noisy_cubic_recovers_local_slope(self):
         # Local slope of x^3 at x = 10 is 300; with 300 samples in B(10, 0.1)
@@ -137,30 +153,40 @@ class TestFit:
         assert abs(model.b1[0, 0]) <= 1e-3
 
     def test_mean_zero_residuals(self):
+        # The design's column of ones puts the residuals at zero mean, so the
+        # surrogate rows at a point average to the fitted map there.
         samples = make_set(
             scalar_oracle(lambda x: np.sin(x), sigma=0.5), np.array([1.0]), 0.7, 40, seed=3
         )
-        model = fit(samples)
-        assert np.all(np.abs(model.residuals.mean(axis=0)) < 1e-10)
+        assert np.all(np.abs(residuals(samples).mean(axis=0)) < 1e-10)
+        x = np.array([1.2])
+        assert fitted_map(fit(samples), x) == pytest.approx(lstsq_map(samples, x), abs=1e-10)
 
     def test_responses_left_unchanged(self):
-        # The fit writes its residuals into its own product, never into the
-        # sample set, whose responses may be a caller's array.
+        # The model keeps the sample set's responses, and building its rows
+        # writes into a new array, never into them, which may be a caller's.
         samples = make_set(
             scalar_oracle(lambda x: np.sin(x), sigma=0.5), np.array([1.0]), 0.7, 40, seed=3
         )
         before = samples.responses.copy()
         model = fit(samples)
+        assert model.responses is samples.responses and model.points is samples.points
+        rows = np.asarray(model.surrogate_scenarios(np.array([1.3])))
         assert samples.responses.tobytes() == before.tobytes()
-        assert not np.shares_memory(model.residuals, samples.responses)
+        assert not np.shares_memory(rows, samples.responses)
 
     def test_reconstruction_identity(self):
+        # The rows' mean at each regression point is the least-squares fitted
+        # value there, q (q.T responses), and adding the residual gives the
+        # response back.
         samples = make_set(
             scalar_oracle(lambda x: x**2, sigma=0.3), np.array([2.0]), 0.5, 25, seed=5
         )
         model = fit(samples)
-        rebuilt = np.array([model.predict(p) for p in samples.points]) + model.residuals
-        assert np.allclose(rebuilt, samples.responses, atol=1e-9)
+        fitted = np.array([fitted_map(model, p) for p in samples.points])
+        q, _ = samples.factors
+        assert np.allclose(fitted, q @ (q.T @ samples.responses), atol=1e-9)
+        assert np.allclose(fitted + residuals(samples), samples.responses, atol=1e-9)
 
     def test_translation_equivariance(self):
         samples = make_set(
@@ -170,15 +196,15 @@ class TestFit:
             points=samples.points,
             responses=samples.responses + 7.5,
             offsets=samples.offsets,
-            center=samples.center,
             radius=samples.radius,
             poisedness_metric=samples.poisedness_metric,
             factors=samples.factors,
         )
         base, moved = fit(samples), fit(shifted)
+        x = np.array([1.1])
         assert np.allclose(moved.b1, base.b1, atol=1e-10)
-        assert np.allclose(moved.b0, base.b0 + 7.5, atol=1e-10)
-        assert np.allclose(moved.residuals, base.residuals, atol=1e-10)
+        assert np.allclose(fitted_map(moved, x), fitted_map(base, x) + 7.5, atol=1e-10)
+        assert np.allclose(residuals(shifted), residuals(samples), atol=1e-10)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = make_rng(21)
@@ -202,35 +228,37 @@ class TestFit:
             model = fit(samples)
             design = np.column_stack([samples.points, np.ones(count)])
             theta, *_ = np.linalg.lstsq(design, samples.responses, rcond=None)
-            obj_fit = np.sum(
-                (samples.responses - (samples.points @ model.b1 + model.b0)) ** 2
-            )
+            fitted = np.array([fitted_map(model, p) for p in samples.points])
+            obj_fit = np.sum((samples.responses - fitted) ** 2)
             obj_ref = np.sum((samples.responses - design @ theta) ** 2)
             assert obj_fit == pytest.approx(obj_ref, rel=1e-8, abs=1e-12)
 
 
 class TestPredictAndScenarios:
+    """The fitted map, read as the mean of the surrogate rows, and the rows."""
+
     def constant_model(self, c):
         return llr_model(np.zeros((2, 1)), [c], np.zeros((4, 1)))
 
     def test_constant_model(self):
         model = self.constant_model(5.0)
         for x in ([0.0, 0.0], [3.0, -1.0]):
-            assert model.predict(np.array(x))[0] == pytest.approx(5.0)
+            assert fitted_map(model, np.array(x))[0] == pytest.approx(5.0)
 
     def test_affine_arithmetic(self):
         model = llr_model([[3.0]], [2.0], np.zeros((3, 1)))
-        assert model.predict(np.array([4.0]))[0] == pytest.approx(14.0)
+        assert fitted_map(model, np.array([4.0]))[0] == pytest.approx(14.0)
 
     def test_training_point_reconstruction(self):
+        # At a regression point, that point's row is its response exactly:
+        # (x - points[i]) is 0, so the slope adds nothing.
         samples = make_set(
             scalar_oracle(lambda x: x**2, sigma=0.2), np.array([1.0]), 0.4, 15, seed=2
         )
         model = fit(samples)
-        i = 4
-        assert model.predict(samples.points[i])[0] + model.residuals[i, 0] == pytest.approx(
-            samples.responses[i, 0], abs=1e-9
-        )
+        for i in range(15):
+            rows = np.asarray(model.surrogate_scenarios(samples.points[i]))
+            assert rows[i].tobytes() == samples.responses[i].tobytes()
 
     def test_scenarios_reconstruct_training_responses(self):
         samples = make_set(
@@ -238,11 +266,12 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         i = 7
-        scenarios = model.surrogate_scenarios(samples.points[i])
+        x = samples.points[i]
+        scenarios = model.surrogate_scenarios(x)
         assert scenarios.shape == (15, 1)
-        rows = np.asarray(scenarios)  # predict(x) + residuals, bit for bit
-        assert rows.tobytes() == (model.predict(samples.points[i]) + model.residuals).tobytes()
-        assert rows[i, 0] == pytest.approx(samples.responses[i, 0], abs=1e-9)
+        rows = np.asarray(scenarios)  # responses + (x - points) @ b1, bit for bit
+        assert rows.tobytes() == (model.responses + (x - model.points) @ model.b1).tobytes()
+        assert rows[i, 0] == samples.responses[i, 0]
 
     def test_zero_residuals_collapse_scenarios(self):
         model = self.constant_model(1.5)
@@ -256,12 +285,46 @@ class TestPredictAndScenarios:
         model = fit(samples)
         x = np.array([2.2])
         scen = np.asarray(model.surrogate_scenarios(x))
-        assert scen.mean(axis=0) == pytest.approx(model.predict(x), abs=1e-10)
+        assert scen.mean(axis=0) == pytest.approx(lstsq_map(samples, x), abs=1e-10)
+
+
+class TestOneFormula:
+    """Surrogate rows are ``responses + (x - points) @ b1``, one formula for
+    every reader of a model."""
+
+    def test_rows_are_the_formula_bit_for_bit(self):
+        for samples in poised_cases():
+            model = fit(samples)
+            for x in (samples.points.mean(axis=0), samples.points[0] + samples.radius):
+                rows = np.asarray(model.surrogate_scenarios(x))
+                want = model.responses + (x - model.points) @ model.b1
+                assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+            i = samples.points.shape[0] - 1
+            at_point = np.asarray(model.surrogate_scenarios(samples.points[i]))
+            assert at_point[i].tobytes() == model.responses[i].tobytes()
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_rows_within_two_ulps_of_long_double(self, delta):
+        # On the synthetic map at x = 10, where x^3 is large against the
+        # slope's reach, no row cancels: each lies within 2 ulps of the same
+        # formula evaluated in long double (an intercept form, omega ~ b1 x +
+        # b0, would cancel and lose up to 2000 ulps at delta = 1e-6).
+        oracle = synthetic_instance().oracle
+        x = np.array([10.0])
+        ld = np.longdouble
+        for seed in range(20):
+            model = fit(generate_poised_set(oracle, x, delta, 300, 100.0, make_rng(seed)))
+            rows = np.asarray(model.surrogate_scenarios(x))
+            ref = model.responses.astype(ld) + (x.astype(ld) - model.points.astype(ld)) @ (
+                model.b1.astype(ld)
+            )
+            ulps = np.abs(rows.astype(ld) - ref) / np.spacing(np.abs(rows))
+            assert float(ulps.max()) <= 2.0, f"seed {seed}: {float(ulps.max()):.1f} ulps"
 
 
 def test_local_accuracy_scales_quadratically():
-    # For the cubic map, the worst prediction error over the fitting ball
-    # shrinks like radius^2 when the sample count follows radius^-4.
+    # For the cubic map, the worst error of the fitted map over the fitting
+    # ball shrinks like radius^2 when the sample count follows radius^-4.
     center = np.array([1.0])
     errors = []
     for radius in (0.4, 0.2, 0.1):
@@ -269,7 +332,7 @@ def test_local_accuracy_scales_quadratically():
         samples = make_set(scalar_oracle(lambda x: x**3), center, radius, count, seed=17)
         model = fit(samples)
         grid = np.linspace(center[0] - radius, center[0] + radius, 801)
-        preds = model.b1[0, 0] * grid + model.b0[0]
+        preds = np.array([fitted_map(model, np.array([g]))[0] for g in grid])
         errors.append(np.max(np.abs(grid**3 - preds)))
     for big, small in zip(errors, errors[1:]):
         assert 2.0 <= big / small <= 8.0

@@ -22,6 +22,7 @@ from ddtr.problems import (
 )
 from ddtr.tr import (
     GRAD_FLOOR,
+    PRED_FLOOR,
     SampleSchedule,
     TRConfig,
     TRState,
@@ -319,6 +320,30 @@ class TestIterate:
         assert rec.delta_next == 0.5 / config.gamma == after.delta
         assert after.x.tobytes() == x.tobytes() == rec.x_after.tobytes()
         assert after.y_warm.tobytes() == y_warm.tobytes()
+
+    def test_no_value_draws_below_the_predicted_reduction_floor(self):
+        # The loss rises by 1e-15 per unit of x, so the trial step passes the
+        # descent test (kappa_dcp 1e-20) with a predicted reduction of about
+        # 5e-16, below PRED_FLOOR: no ratio can be formed, so the oracle serves
+        # only the regression rows and the step is rejected.
+        problem, base = x_free_problem(1.0)
+        rising = lambda x, y, w: np.full(w.shape[0], 1e-15 * x[0] - y[0] ** 2)  # noqa: E731
+        problem = replace(problem, loss=rising)
+        served = []
+
+        def sampler(x, count, rng):
+            served.append(count)
+            return base.sampler(x, count, rng)
+
+        oracle = DistributionOracle(d=1, sampler=sampler)
+        config = small_config(kappa_dcp=1e-20)
+        state = TRState(x=np.array([0.3]), delta=0.5, k=0, y_warm=np.array([0.0]))
+        after, rec = iterate(state, problem, oracle, config, make_rng(1))
+        assert rec.descent_ok and 0.0 < rec.descent_lhs < PRED_FLOOR
+        assert sum(served) == rec.n_llr == 40
+        assert rec.n_value == 0 and math.isnan(rec.v_k) and math.isnan(rec.v_k_half)
+        assert rec.rho == -math.inf and not rec.accepted
+        assert after.x.tobytes() == state.x.tobytes()
 
     def test_huge_finite_gradient_gives_a_trial_step(self):
         # A finite surrogate x-gradient whose square overflows has a finite

@@ -200,15 +200,18 @@ def dro_mc_reference(dro: DROProblem, x, rng, diag_samples: int = 5000) -> tuple
     return value, float(np.linalg.norm(g1 + chain))
 
 
+def fitted_map(model: LLRModel, x) -> np.ndarray:
+    """The model's fitted affine map at x, shape (d,): the mean of its
+    surrogate rows there, since a least-squares fit with an intercept passes
+    through the centroid of its data (the residuals have zero mean)."""
+    return np.asarray(model.surrogate_scenarios(x)).mean(axis=0)
+
+
 def llr_model(b1, b0, residuals) -> LLRModel:
-    """An ``LLRModel`` with these coefficients and residuals, fit on points at
-    the origin: its design is ``[0, 1]`` and its ``coef`` is ``[b1; b0]``, so
-    each response is ``b0 + residual``."""
+    """An ``LLRModel`` of slope ``b1`` fit on points at the origin, so each
+    response is ``b0 + residual`` and so is each surrogate row at the origin."""
     b1, b0, residuals = (np.asarray(v, dtype=float) for v in (b1, b0, residuals))
-    points = np.zeros((residuals.shape[0], b1.shape[0]))
-    design = np.column_stack([points, np.ones(residuals.shape[0])])
-    coef = np.asfortranarray(np.vstack([b1, b0]))
-    return LLRModel(b1, b0, design @ coef + residuals, points, design, coef)
+    return LLRModel(b1, b0 + residuals, np.zeros((residuals.shape[0], b1.shape[0])))
 
 
 def surrogate_at(problem: ProblemSpec, model, x, y):
