@@ -105,8 +105,8 @@ BENCH_DRO_TR = dict(DRO_TR, seeds=[1001], max_iters=25)
 GOLDEN = {
     "synthetic_tr": (
         SYNTHETIC_TR,
-        "36381065a4fd77f42bec2b7fa7d69baee0a027e851ab814d37ba553ffa22f8f6",
-        "f3c347e5b6c2c8b30877f2cf4a1c1e3e2887c0a6529cf317253582667c60a369",
+        "1809e0304f9191e6de14c35cc0508404e5d22186057ccac2d11f7ff2289fc00a",
+        "ce8286eaebffa4384db18ef4284057d6395988079d9ef094f7542d73c4eb355a",
     ),
     "dro_tr": (
         DRO_TR,
@@ -150,8 +150,8 @@ GOLDEN = {
     ),
     "bench_synthetic_tr": (
         BENCH_SYNTHETIC_TR,
-        "ca8916bdec5d99d52b7481e762d2bd4b5c158672c37f2c3b7df357c9591928b7",
-        "a2fa90fe984fe9499b375867ead114acdc63cf682a84f88b2b7c1b436ad59b6b",
+        "fb459233e22f1afa999ff51de2707735626359e012382e964c3e57275b39a106",
+        "a963e05321f5ed780ee70ba295d17ec1d5e57a5187a01c817bc46a26fc9f475a",
     ),
     "bench_dro_tr": (
         BENCH_DRO_TR,
