@@ -3,7 +3,8 @@
 Responses ``omega_i`` drawn at points ``x_i = center + radius * u_i`` (with
 ``u_i`` uniform in the unit ball) are fit with an affine model of slope ``b1``.
 The surrogate scenarios, the fitted map plus the residuals, are the responses
-carried along that slope: ``omega_i + b1^T (x - x_i)``, which a model hands out unbuilt.
+carried along that slope, ``omega_i + b1^T (x - x_i)``; a model hands them out
+unbuilt.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ class SurrogateScenarios:
         return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
-def _factor(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced QR factors of the scaled design ``[offsets, 1]``."""
-    return tuple(np.linalg.qr(np.column_stack([offsets, np.ones(offsets.shape[0])])))
-
-
 def generate_poised_set(
     oracle: DistributionOracle,
     center: np.ndarray,
@@ -115,7 +111,8 @@ def generate_poised_set(
 
     best = np.inf
     for _ in range(max_rounds + 1):
-        factors = q, r = _factor(offsets)
+        # The reduced QR factors of the scaled design [offsets, 1].
+        factors = q, r = tuple(np.linalg.qr(np.column_stack([offsets, np.ones(count)])))
         sv = np.linalg.svd(r, compute_uv=False)  # the design's singular values
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
         best = min(best, cond)

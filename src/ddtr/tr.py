@@ -247,7 +247,7 @@ def iterate(
         pred = l_old - l_new
         descent_lhs = pred if math.isfinite(l_new) else math.nan
         # A step failing the descent requirement is unsuccessful, so the
-        # shrinking radius improves the surrogate. Below the floor, no value
+        # shrinking radius improves the surrogate. Below PRED_FLOOR no value
         # estimate could give a ratio, so none is drawn.
         descent_ok = check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp)
         if descent_ok and abs(pred) >= PRED_FLOOR:
