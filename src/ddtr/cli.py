@@ -254,7 +254,7 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
         if state.termination != "diverged":
             # A seed sequence of its own: every solver generator is spawned from
             # make_rng(seed), so none of their draws repeat here.
-            diag_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
+            diag_rng = make_rng([seed, 1])
             phi, grad_norm = instance.diagnostics.evaluate(state.x, diag_rng)
             entry["final_oracle_phi"] = phi
             entry["final_oracle_grad_norm"] = grad_norm

@@ -17,7 +17,7 @@ Conventions used throughout the package:
   per-draw array over axis 0, bit for bit for ``Evaluation``, to within
   rounding if ``fused``;
 * every stochastic operation takes an explicit ``numpy.random.Generator``
-  backed by the counter-based Philox bit generator, so reruns with the
+  from ``make_rng``'s counter-based bit generator, so reruns with the
   same seed are bit-identical and generators can be split deterministically.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class SchemaError(ValueError):
     """A run CSV or summary.json cannot be read back as run output."""
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator with an explicit 64-bit seed."""
+def make_rng(seed: Union[int, Sequence[int]]) -> np.random.Generator:
+    """Counter-based Philox generator seeded by an integer or a sequence of integers."""
     return np.random.Generator(np.random.Philox(seed))
 
 

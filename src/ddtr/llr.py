@@ -22,6 +22,8 @@ from .core import (
     uniform_ball_sample,
 )
 
+POISED_ROUNDS = 50  # most redraws of generate_poised_set before it gives up
+
 
 @dataclass(frozen=True)
 class PoisedSampleSet:
@@ -88,13 +90,12 @@ def generate_poised_set(
     count: int,
     lambda_max: float,
     rng: np.random.Generator,
-    max_rounds: int = 50,
 ) -> PoisedSampleSet:
     """Sample regression points in B(center, radius) until well conditioned.
 
     Points are drawn uniformly from the ball; if the scaled design's condition
     number exceeds ``lambda_max``, the highest-leverage point is redrawn (with
-    a fresh response) for up to ``max_rounds`` rounds.
+    a fresh response) for up to ``POISED_ROUNDS`` rounds.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     n = center.shape[0]
@@ -110,11 +111,10 @@ def generate_poised_set(
     responses = oracle.sample(points, count, rng)
 
     best = np.inf
-    for _ in range(max_rounds + 1):
-        # The reduced QR factors of the scaled design [offsets, 1].
+    for _ in range(POISED_ROUNDS + 1):
+        # The reduced QR factors of the scaled design [offsets, 1]; r has its singular values.
         factors = q, r = tuple(np.linalg.qr(np.column_stack([offsets, np.ones(count)])))
-        sv = np.linalg.svd(r, compute_uv=False)  # the design's singular values
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+        cond = float(np.linalg.cond(r))
         best = min(best, cond)
         if cond <= lambda_max:
             return PoisedSampleSet(points, responses, offsets, float(radius), cond, factors)
@@ -123,7 +123,7 @@ def generate_poised_set(
         points[worst] = center + radius * offsets[worst]
         responses[worst] = oracle.sample(points[worst], 1, rng)[0]
     raise PoisednessError(
-        f"condition target {lambda_max} not met after {max_rounds} rounds", best_metric=best
+        f"condition target {lambda_max} not met after {POISED_ROUNDS} rounds", best_metric=best
     )
 
 

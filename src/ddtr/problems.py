@@ -18,6 +18,7 @@ from .core import (
     OracleDiagnostics,
     ProblemSpec,
     Simplex,
+    make_rng,
     scenario_mean,
     uniform_ball_sample,
 )
@@ -70,9 +71,9 @@ class SyntheticProblem:
     half_width: float = 125.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise ConfigurationError("noise_sigma must be nonnegative")
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ConfigurationError("half_width must be positive")
 
 
@@ -170,7 +171,7 @@ class DROProblem:
             raise ConfigurationError("features must be (N, n) with one label per row")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be -1 or +1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise ConfigurationError("noise_sigma must be nonnegative")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -232,7 +233,7 @@ def _row_rng(n_rows: int, seed: int) -> np.random.Generator:
     """The generator of a data set's ``n_rows`` rows; ``seed`` is a config's ``data_seed``."""
     _check_count("n_rows", n_rows, 2)
     _check_count("data_seed", seed, 0)
-    return np.random.Generator(np.random.Philox(seed))
+    return make_rng(seed)
 
 
 def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
@@ -314,11 +315,14 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     )
 
     base = dro.features
+    # Without noise the draws at x are copies of one row, so the diagnostic
+    # is exact on that one row and draws no Monte-Carlo sample.
+    noiseless = dro.noise_sigma == 0
 
     def sampler(x, count, rng):
         draws = np.repeat(dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :], N, axis=1)
         draws += base  # in place, not broadcast: that sum loops over rows of length n
-        if dro.noise_sigma > 0:
+        if not noiseless:
             noise = rng.standard_normal((count, N, n))
             noise *= dro.noise_sigma
             draws = np.add(noise, draws, out=noise)  # draws + sigma * noise, in one array
@@ -329,10 +333,6 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         return draws.reshape(count, d)
 
     oracle = DistributionOracle(d=d, sampler=sampler)
-
-    # Without noise the draws at x are copies of one row, so the diagnostic
-    # is exact on that one row and draws no Monte-Carlo sample.
-    noiseless = dro.noise_sigma == 0
 
     def mc_evaluate(x, rng):
         # Primal value and gradient norm over the drawn rows. The y-part of the objective,

@@ -152,20 +152,6 @@ def surrogate_value_and_xgrad(
     return float(evaluation.loss(y)), evaluation.grad1(y) + model.b1 @ evaluation.grad3(y)
 
 
-def trial_step(grad: np.ndarray, delta: float) -> np.ndarray:
-    """Radius-length step along the negative gradient, whose norm must be finite and nonzero."""
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
-    grad = np.asarray(grad, dtype=float)
-    return -delta * grad / norm(grad)
-
-
-def check_sufficient_descent(
-    lhs_old: float, lhs_new: float, grad_norm: float, delta: float, kappa_dcp: float
-) -> bool:
-    return (lhs_old - lhs_new) >= kappa_dcp * grad_norm * min(delta, 1.0)
-
-
 def estimate_value(
     problem: ProblemSpec,
     oracle: DistributionOracle,
@@ -228,6 +214,7 @@ def iterate(
     y_old = rep_old.maximizer
     del rep_old  # its binding holds arrays with one row per scenario
     grad_norm = norm(g)
+    descent_rhs = config.kappa_dcp * grad_norm * min(delta, 1.0)
 
     # Defaults of an iteration that ends before the value estimates: it is
     # unsuccessful, so x and the inner warm start stay where they are.
@@ -237,7 +224,7 @@ def iterate(
     # Below the floor, or at an infinite or NaN norm, there is no usable
     # direction; the eta2 test would reject a step below the floor anyway.
     if GRAD_FLOOR <= grad_norm < math.inf:
-        x_trial = x + trial_step(g, delta)
+        x_trial = x - delta * g / grad_norm
         rep_trial = maximize_over_scenarios(
             problem, x_trial, model.surrogate_scenarios(x_trial), y_old, eps
         )
@@ -249,7 +236,7 @@ def iterate(
         # A step failing the descent requirement is unsuccessful, so the
         # shrinking radius improves the surrogate. Below PRED_FLOOR no value
         # estimate could give a ratio, so none is drawn.
-        descent_ok = check_sufficient_descent(l_old, l_new, grad_norm, delta, config.kappa_dcp)
+        descent_ok = pred >= descent_rhs
         if descent_ok and abs(pred) >= PRED_FLOOR:
             n_value = config.value_schedule.count(delta)
             v_k = estimate_value(problem, oracle, x, n_value, eps, y_old, vk_rng)
@@ -268,7 +255,7 @@ def iterate(
         v_k_half=v_half,
         accepted=accepted,
         descent_lhs=descent_lhs,
-        descent_rhs=config.kappa_dcp * grad_norm * min(delta, 1.0),
+        descent_rhs=descent_rhs,
         descent_ok=descent_ok,
         n_llr=n_llr,
         n_value=n_value,

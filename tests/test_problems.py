@@ -256,6 +256,23 @@ class TestDROProblem:
             DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=-0.1)
 
 
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda dro: SyntheticProblem(noise_sigma=math.nan), "noise_sigma"),
+        (lambda dro: SyntheticProblem(half_width=math.nan), "half_width"),
+        (lambda dro: replace(dro, noise_sigma=math.nan), "noise_sigma"),
+    ],
+    ids=["synthetic-noise_sigma", "synthetic-half_width", "dro-noise_sigma"],
+)
+def test_nan_parameter_rejected(small_dro, build, key):
+    # NaN passes a `< 0` or `<= 0` check: a NaN-noise synthetic problem would
+    # fail only at its first draw, and a dro sampler would draw noiseless rows
+    # while its diagnostic reported diag_samples draws.
+    with pytest.raises(ConfigurationError, match=key):
+        build(small_dro)
+
+
 def counted_sample():
     return mock.patch.object(
         DistributionOracle, "sample", autospec=True, side_effect=DistributionOracle.sample

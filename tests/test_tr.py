@@ -12,6 +12,7 @@ from ddtr.core import (
     OracleDiagnostics,
     ProblemSpec,
     make_rng,
+    norm,
 )
 from ddtr.llr import fit, generate_poised_set
 from ddtr.problems import (
@@ -27,11 +28,9 @@ from ddtr.tr import (
     TRConfig,
     TRState,
     acceptance_update,
-    check_sufficient_descent,
     estimate_value,
     iterate,
     solve,
-    trial_step,
 )
 
 from util import affine_map_problem, directional_fd, llr_model, scalar_oracle, surrogate_at
@@ -65,6 +64,21 @@ def x_free_problem(grad1_value):
         ell=2.0,
     )
     oracle = DistributionOracle(d=1, sampler=lambda x, count, rng: rng.standard_normal((count, 1)))
+    return problem, oracle
+
+
+def linear_problem(slope):
+    """x_free_problem's oracle and y-part with the loss ``slope @ x - y^2``:
+    the surrogate x-gradient is ``slope``, and a step of length delta along
+    its negative predicts a reduction of ``delta * ||slope||``."""
+    slope = np.asarray(slope, dtype=float)
+    problem, oracle = x_free_problem(0.0)
+    problem = replace(
+        problem,
+        n=slope.size,
+        loss=lambda x, y, w: np.full(w.shape[0], slope @ x - y[0] ** 2),
+        grad1=lambda x, y, w: np.tile(slope, (w.shape[0], 1)),
+    )
     return problem, oracle
 
 
@@ -161,34 +175,6 @@ class TestSurrogateValueAndXGrad:
             tracemalloc.stop()
         assert record.n_llr == 300 and record.n_value > 0  # both inner solves and the estimates
         assert peak < 1.75 * model.responses.nbytes, peak / model.responses.nbytes
-
-
-class TestTrialStep:
-    def test_normalization(self):
-        s = trial_step(np.array([3.0, 4.0]), 1.0)
-        assert np.allclose(s, [-0.6, -0.8])
-
-    def test_axis_direction(self):
-        s = trial_step(np.array([0.0, 5.0]), 2.0)
-        assert np.allclose(s, [0.0, -2.0])
-
-    def test_huge_finite_gradient(self):
-        # The square of 1e200 overflows; the norm must not.
-        assert trial_step(np.array([1e200]), 1.0).tolist() == [-1.0]
-        assert np.allclose(trial_step(np.array([3e200, -4e200]), 2.0), [-1.2, 1.6])
-
-
-class TestCheckSufficientDescent:
-    def test_holds(self):
-        assert check_sufficient_descent(10.0, 9.0, 1.0, 0.5, 1.0)
-
-    def test_fails(self):
-        assert not check_sufficient_descent(10.0, 9.9, 1.0, 0.5, 1.0)
-
-    def test_radius_clamped_at_one(self):
-        # With delta = 3 the threshold is kappa * grad_norm * 1.
-        assert check_sufficient_descent(10.0, 8.9, 1.0, 3.0, 1.0)
-        assert not check_sufficient_descent(10.0, 9.1, 1.0, 3.0, 1.0)
 
 
 class TestEstimateValue:
@@ -357,6 +343,65 @@ class TestIterate:
         assert rec.descent_lhs == 0.0
         assert rec.descent_rhs == config.kappa_dcp * 1e200 * 0.5
         assert not rec.descent_ok and not rec.accepted and rec.n_value == 0
+
+    @pytest.mark.parametrize(
+        "slope, delta, step",
+        [
+            ([3.0, 4.0], 1.0, [-0.6, -0.8]),
+            ([0.0, 5.0], 2.0, [0.0, -2.0]),
+            # The squares of these overflow; the norm and the step must not.
+            ([1e200], 1.0, [-1.0]),
+            ([3e200, -4e200], 2.0, [-1.2, 1.6]),
+        ],
+        ids=["normalization", "axis_direction", "huge_finite_gradient", "huge_finite_gradient_2d"],
+    )
+    def test_accepted_step_has_the_radius_length(self, slope, delta, step):
+        # The trial step from x = 0 is x_after itself once it is accepted.
+        problem, oracle = linear_problem(slope)
+        config = small_config()
+        state = TRState(x=np.zeros(len(slope)), delta=delta, k=0, y_warm=np.array([0.0]))
+        _, rec = iterate(state, problem, oracle, config, make_rng(1))
+        assert rec.accepted and np.all(np.isfinite(rec.x_after))
+        assert rec.x_after == pytest.approx(step, rel=1e-14, abs=0.0)
+        assert norm(rec.x_after) == pytest.approx(delta, rel=1e-14)
+        assert rec.descent_rhs == config.kappa_dcp * rec.grad_norm_surrogate * min(delta, 1.0)
+
+    @pytest.mark.parametrize(
+        "delta, kappa_dcp, holds",
+        [
+            (0.5, 0.5, True),
+            (0.5, 2.0, False),
+            # Past delta = 1 the threshold is kappa * grad_norm * 1, not * delta.
+            (3.0, 2.9, True),
+            (3.0, 3.1, False),
+        ],
+        ids=["holds", "fails", "radius_clamped_at_one_holds", "radius_clamped_at_one_fails"],
+    )
+    def test_sufficient_descent_threshold(self, delta, kappa_dcp, holds):
+        # A loss of slope 1 in x: a step of length delta predicts a reduction of delta.
+        problem, oracle = linear_problem([1.0])
+        config = small_config(kappa_dcp=kappa_dcp)
+        state = TRState(x=np.array([0.3]), delta=delta, k=0, y_warm=np.array([0.0]))
+        _, rec = iterate(state, problem, oracle, config, make_rng(1))
+        assert rec.grad_norm_surrogate == 1.0
+        assert rec.descent_lhs == pytest.approx(delta, rel=1e-12)
+        assert rec.descent_rhs == kappa_dcp * min(delta, 1.0)
+        assert rec.descent_ok == (rec.descent_lhs >= rec.descent_rhs) == holds
+        assert rec.n_value == (40 if holds else 0)
+
+    def test_descent_record_on_every_row(self):
+        # From delta0 > 1 the first rows have delta > 1, where the threshold
+        # clamps the radius at 1.
+        inst = synthetic_instance()
+        config = small_config(delta0=1.5, max_iters=60, seed=2)
+        _, history = solve(np.array([9.8]), inst.problem, inst.oracle, config)
+        assert any(r.delta > 1 for r in history)
+        assert {r.descent_ok for r in history if math.isfinite(r.descent_lhs)} == {True, False}
+        for rec in history:
+            rhs = config.kappa_dcp * rec.grad_norm_surrogate * min(rec.delta, 1.0)
+            assert rec.descent_rhs == rhs
+            if math.isfinite(rec.descent_lhs):
+                assert rec.descent_ok == (rec.descent_lhs >= rec.descent_rhs)
 
 
 class TestSolve:
