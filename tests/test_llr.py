@@ -234,8 +234,8 @@ class TestFit:
             assert obj_fit == pytest.approx(obj_ref, rel=1e-8, abs=1e-12)
 
 
-class TestFittedMapFromRows:
-    """The fitted map, read as the mean of the surrogate rows."""
+class TestPredictAndScenarios:
+    """The fitted map, read as the mean of the surrogate rows, and the rows."""
 
     def constant_model(self, c):
         return llr_model(np.zeros((2, 1)), [c], np.zeros((4, 1)))
@@ -248,6 +248,30 @@ class TestFittedMapFromRows:
     def test_affine_arithmetic(self):
         model = llr_model([[3.0]], [2.0], np.zeros((3, 1)))
         assert fitted_map(model, np.array([4.0]))[0] == pytest.approx(14.0)
+
+    def test_training_point_reconstruction(self):
+        # At a regression point, that point's row is its response exactly:
+        # (x - points[i]) is 0, so the slope adds nothing.
+        samples = make_set(
+            scalar_oracle(lambda x: x**2, sigma=0.2), np.array([1.0]), 0.4, 15, seed=2
+        )
+        model = fit(samples)
+        for i in range(15):
+            rows = np.asarray(model.surrogate_scenarios(samples.points[i]))
+            assert rows[i].tobytes() == samples.responses[i].tobytes()
+
+    def test_scenarios_reconstruct_training_responses(self):
+        samples = make_set(
+            scalar_oracle(lambda x: x**2, sigma=0.2), np.array([1.0]), 0.4, 15, seed=2
+        )
+        model = fit(samples)
+        i = 7
+        x = samples.points[i]
+        scenarios = model.surrogate_scenarios(x)
+        assert scenarios.shape == (15, 1)
+        rows = np.asarray(scenarios)  # responses + (x - points) @ b1, bit for bit
+        assert rows.tobytes() == (model.responses + (x - model.points) @ model.b1).tobytes()
+        assert rows[i, 0] == samples.responses[i, 0]
 
     def test_zero_residuals_collapse_scenarios(self):
         model = self.constant_model(1.5)
@@ -269,10 +293,7 @@ class TestOneFormula:
     every reader of a model."""
 
     def test_rows_are_the_formula_bit_for_bit(self):
-        noisy_square = make_set(
-            scalar_oracle(lambda x: x**2, sigma=0.2), np.array([1.0]), 0.4, 15, seed=2
-        )
-        for samples in poised_cases() + [noisy_square]:
+        for samples in poised_cases():
             model = fit(samples)
             points = samples.points
             for i, x in enumerate([*points, points.mean(axis=0), points[0] + samples.radius]):
