@@ -128,6 +128,8 @@ def parse_run_config(doc: dict) -> RunConfig:
                 errors.append(f"unknown {section} key {key!r} for {owner!r}")
             elif key in ("label_column", "feature_columns") and "csv_path" not in params:
                 errors.append(f"{section} key {key!r} needs a 'csv_path'")
+            elif key == "n_features" and "csv_path" in params:
+                errors.append(f"{section} key {key!r} is not read with a 'csv_path'")
             elif not _fits(value, hint):
                 name = hint.__name__ if isinstance(hint, type) else str(hint)
                 errors.append(f"{section} key {key!r} must be {name}, got {value!r}")
@@ -276,6 +278,7 @@ def run(config: RunConfig, workers: int = 1) -> int:
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     job = partial(_run_seed, config, str(out_dir))
+    workers = min(workers, len(config.seeds))  # a pool starts every worker at once
     if workers > 1:
         # Imported here: the process pool loads multiprocessing, socket and
         # logging, which a serial run never uses.

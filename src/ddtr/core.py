@@ -9,9 +9,9 @@ Conventions used throughout the package:
   return arrays of shape ``(S,)``, ``(S, n)``, ``(S, m)`` and ``(S, d)``
   respectively;
 * every caller evaluates a problem through ``ProblemSpec.bind``, which binds
-  one ``(x, omegas)``; ``omegas`` is an ``(S, d)`` array of draws or a
-  scenario set of that ``shape`` that ``np.asarray`` builds, such as the
-  surrogate's ``llr.SurrogateScenarios``. The binding's ``loss(y)`` ...
+  one ``(x, omegas)``; ``omegas`` is an ``(S, d)`` array of draws or a fitted
+  ``llr.LLRModel`` of that ``shape``, whose scenarios are its ``rows(x)`` at
+  the binding's own x. The binding's ``loss(y)`` ...
   ``grad3(y)`` return the scenario means of the per-draw loss and gradients,
   of shapes ``()``, ``(n,)``, ``(m,)`` and ``(d,)``: ``np.mean`` of the
   per-draw array over axis 0, bit for bit for ``Evaluation``, to within
@@ -192,7 +192,7 @@ class ProblemSpec:
 
     def bind(self, x: np.ndarray, omegas) -> Evaluation:
         """The loss and gradients at one ``(x, omegas)`` as functions of ``y``;
-        ``omegas`` is an array of draws or a scenario set (module docstring)."""
+        ``omegas`` is an array of draws or a fitted model (module docstring)."""
         return Evaluation(self, x, omegas) if self.fused is None else self.fused(x, omegas)
 
     def __post_init__(self):
@@ -214,10 +214,11 @@ class Evaluation:
     these would return for its problem's per-draw loss and gradients to within
     rounding, each a function of ``y`` alone, with the same bits in any call order.
     A binding may hold arrays derived from ``omegas``: do not mutate them in use.
-    This one builds a scenario set's rows, once."""
+    This one builds a model's rows at ``x``, once."""
 
     def __init__(self, problem: ProblemSpec, x: np.ndarray, omegas):
-        self.problem, self.x, self.omegas = problem, x, np.asarray(omegas)
+        rows = omegas.rows(x) if hasattr(omegas, "rows") else np.asarray(omegas)
+        self.problem, self.x, self.omegas = problem, x, rows
 
     def loss(self, y: np.ndarray) -> np.ndarray:
         return scenario_mean(self.problem.loss(self.x, y, self.omegas))

@@ -46,9 +46,9 @@ def maximize_over_scenarios(
 ) -> InnerSolveReport:
     """Maximize the scenario-average loss over the inner domain.
 
-    ``scenarios`` is an ``(S, d)`` array or scenario set (see ``core``), bound
-    once. Returns a point within ``epsilon`` of the exact maximizer of
-    ``mean_j l(x, y, scenarios[j])``; raises ``InnerConvergenceError`` (with
+    ``scenarios`` is an ``(S, d)`` array or a fitted model (see ``core``),
+    bound once at ``x``. Returns a point within ``epsilon`` of the exact
+    maximizer of ``mean_j l(x, y, scenarios[j])``; raises ``InnerConvergenceError`` (with
     the partial report attached) if the certificate does not fire within
     ``max_iters`` iterations.
     """
@@ -56,7 +56,7 @@ def maximize_over_scenarios(
         raise ConfigurationError("epsilon must be positive")
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
-    shape = np.shape(scenarios)  # reads a scenario set's shape without building it
+    shape = np.shape(scenarios)  # reads a model's shape without building its rows
     if len(shape) != 2 or shape[0] < 1 or shape[1] != problem.d:
         raise ContractViolationError(
             f"scenarios must have shape (S, {problem.d}) with S >= 1, got {shape}"

@@ -2,9 +2,10 @@
 
 Responses ``omega_i`` drawn at points ``x_i = center + radius * u_i`` (with
 ``u_i`` uniform in the unit ball) are fit with an affine model of slope ``b1``.
-The surrogate scenarios, the fitted map plus the residuals, are the responses
-carried along that slope, ``omega_i + b1^T (x - x_i)``; a model hands them out
-unbuilt.
+The surrogate scenarios at x, the fitted map plus the residuals, are the
+responses carried along that slope, ``omega_i + b1^T (x - x_i)``. A fitted
+model is itself the scenario set: it is bound at x unbuilt, and ``rows(x)``
+builds them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .core import (
     DistributionOracle,
     PoisednessError,
     SingularFitError,
-    as_vector,
     uniform_ball_sample,
 )
 
@@ -48,39 +48,25 @@ class PoisedSampleSet:
 @dataclass(frozen=True)
 class LLRModel:
     """The fitted slope and the sample set's ``responses`` and ``points`` (not
-    copies), which together define the surrogate scenarios."""
+    copies). As a scenario set of ``shape`` (count, d), its row i at x is
+    ``responses[i] + b1.T @ (x - points[i])``. Averaging the loss over the rows
+    realizes the surrogate expectation exactly: the residual empirical
+    distribution is finite."""
 
     b1: np.ndarray  # (n, d)
     responses: np.ndarray  # (count, d)
     points: np.ndarray  # (count, n)
 
-    def surrogate_scenarios(self, x: np.ndarray) -> SurrogateScenarios:
-        """The scenarios at ``x``, shape (count, d), unbuilt. Averaging the loss
-        over them realizes the surrogate expectation exactly: the residual
-        empirical distribution is finite."""
-        return SurrogateScenarios(self, as_vector(x, self.b1.shape[0], "x"))
-
-
-@dataclass(frozen=True)
-class SurrogateScenarios:
-    """A model's surrogate scenarios at ``x``, held as their factors.
-
-    Row i is ``responses[i] + b1.T @ (x - points[i])``; ``np.asarray`` builds
-    the rows as ``(x - points) @ b1 + responses``, and a fused binding reads
-    ``x`` and the model's ``responses``, ``points`` and ``b1`` by that formula.
-    """
-
-    model: LLRModel
-    x: np.ndarray  # (n,)
-
     @property
     def shape(self) -> tuple[int, int]:
-        return self.model.responses.shape
+        return self.responses.shape
 
-    def __array__(self, dtype=None, copy=None):
-        rows = (self.x - self.model.points) @ self.model.b1
-        rows += self.model.responses
-        return rows if dtype is None else rows.astype(dtype, copy=False)
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The scenarios at ``x``, built as ``(x - points) @ b1 + responses``
+        in a new array."""
+        rows = (x - self.points) @ self.b1
+        rows += self.responses
+        return rows
 
 
 def generate_poised_set(

@@ -258,21 +258,20 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
         stride 0 (see ``sampler``). They are evaluated on that row, whose
         means are the row's own.
 
-        A surrogate scenario set (``llr.SurrogateScenarios``) at x_w is
-        evaluated on its model's three fields, row s being omega_s + b1^T
-        (x_w - p_s) as ``np.asarray`` builds it: the margins gain
-        (x_w - P) @ (B1 x) and m_siga gains sig^T (x_w - P) contracted with
-        B1, where B1 is b1 as (n, N, n). No (S, d) array is built.
+        A fitted model (``llr.LLRModel``) is evaluated on its three fields,
+        row s at x being omega_s + b1^T (x - p_s) as its ``rows(x)`` builds
+        it: the margins gain (x - P) @ (B1 x) and m_siga gains sig^T (x - P)
+        contracted with B1, where B1 is b1 as (n, N, n). No (S, d) array is
+        built.
         """
 
         def __init__(self, x, w):
-            self.x, self.affine = x, None  # (x - P, B1) of a surrogate set
+            self.x, self.affine = x, None  # (x - P, B1) of a model
             if isinstance(w, np.ndarray):
                 self.a = (w[:1] if w.strides[0] == 0 else w).reshape(-1, N, n)  # S = 1 for copies
             else:
-                model = w.model
-                self.a = model.responses.reshape(-1, N, n)  # (S, N, n), the omegas
-                self.affine = w.x - model.points, model.b1.reshape(n, N, n)
+                self.a = w.responses.reshape(-1, N, n)  # (S, N, n), the omegas
+                self.affine = x - w.points, w.b1.reshape(n, N, n)
             self.margins = self.a @ x  # (S, N)
             if self.affine is not None:
                 shift, b1 = self.affine

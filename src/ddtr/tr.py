@@ -202,14 +202,12 @@ def iterate(
 
     # At least n + 5 points, or all the schedule allows: a fixed count as given.
     n_llr = max(config.llr_schedule.count(delta), min(problem.n + 5, config.llr_schedule.maximum))
-    # The model keeps the set's responses and points. Its scenario sets are
-    # factors of them, which a fused binding evaluates without building rows.
+    # The model keeps the set's responses and points. It is the scenario set
+    # of both surrogate solves, which a fused binding evaluates unbuilt.
     model = llr.fit(llr.generate_poised_set(oracle, x, delta, n_llr, config.lambda_max, llr_rng))
 
     eps = config.inner_eps(delta)
-    rep_old = maximize_over_scenarios(
-        problem, x, model.surrogate_scenarios(x), state.y_warm, eps
-    )
+    rep_old = maximize_over_scenarios(problem, x, model, state.y_warm, eps)
     l_old, g = surrogate_value_and_xgrad(model, rep_old.evaluation, rep_old.maximizer)
     y_old = rep_old.maximizer
     del rep_old  # its binding holds arrays with one row per scenario
@@ -225,9 +223,7 @@ def iterate(
     # direction; the eta2 test would reject a step below the floor anyway.
     if GRAD_FLOOR <= grad_norm < math.inf:
         x_trial = x - delta * g / grad_norm
-        rep_trial = maximize_over_scenarios(
-            problem, x_trial, model.surrogate_scenarios(x_trial), y_old, eps
-        )
+        rep_trial = maximize_over_scenarios(problem, x_trial, model, y_old, eps)
         y_trial = rep_trial.maximizer
         l_new = float(rep_trial.evaluation.loss(y_trial))
         del rep_trial

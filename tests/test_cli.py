@@ -274,6 +274,15 @@ class TestParseRunConfig:
         with pytest.raises(ConfigurationError, match=f"{key}.*csv_path"):
             parse_run_config(doc)
 
+    def test_n_features_rejected_with_csv_path(self, tmp_path):
+        # The file's columns give n, so an n_features beside them is not read.
+        data_path = tmp_path / "credit.csv"
+        data_path.write_text("SeriousDlqin2yrs,f1,f2\n" + "0,0.5,1.0\n1,-0.5,2.0\n" * 2)
+        params = {"csv_path": str(data_path), "n_features": 7, "n_rows": 4}
+        doc = dict(tiny_tr_doc("out"), problem="dro", problem_params=params)
+        with pytest.raises(ConfigurationError, match="'n_features'.*csv_path"):
+            parse_run_config(doc)
+
 
 class TestRun:
     def test_tr_run_writes_csvs_and_summary(self, tmp_path):
@@ -353,6 +362,32 @@ class TestRun:
             a = (tmp_path / "serial" / f"synthetic_tr_seed{seed}.csv").read_bytes()
             b = (tmp_path / "par" / f"synthetic_tr_seed{seed}.csv").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("seeds, pool_size", [((1, 2), 2), ((1,), None)])
+    def test_pool_has_no_more_workers_than_seeds(self, tmp_path, monkeypatch, seeds, pool_size):
+        # A pool starts all its workers at the first submit, so it is sized by
+        # the seeds, and one seed runs in this process. The fake starts none.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = parse_run_config(tiny_tr_doc(tmp_path, seeds=seeds, max_iters=1))
+        assert run(config, workers=8) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_recorded_without_aborting_siblings(self, tmp_path, workers):

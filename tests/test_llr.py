@@ -119,7 +119,7 @@ class TestPoisedSetFactors:
             x = samples.points[0] + 0.25 * samples.radius
             for a, b in (
                 (got.b1, want.b1),
-                (np.asarray(got.surrogate_scenarios(x)), np.asarray(want.surrogate_scenarios(x))),
+                (got.rows(x), want.rows(x)),
             ):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -171,7 +171,7 @@ class TestFit:
         before = samples.responses.copy()
         model = fit(samples)
         assert model.responses is samples.responses and model.points is samples.points
-        rows = np.asarray(model.surrogate_scenarios(np.array([1.3])))
+        rows = model.rows(np.array([1.3]))
         assert samples.responses.tobytes() == before.tobytes()
         assert not np.shares_memory(rows, samples.responses)
 
@@ -257,7 +257,7 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         for i in range(15):
-            rows = np.asarray(model.surrogate_scenarios(samples.points[i]))
+            rows = model.rows(samples.points[i])
             assert rows[i].tobytes() == samples.responses[i].tobytes()
 
     def test_scenarios_reconstruct_training_responses(self):
@@ -267,15 +267,14 @@ class TestPredictAndScenarios:
         model = fit(samples)
         i = 7
         x = samples.points[i]
-        scenarios = model.surrogate_scenarios(x)
-        assert scenarios.shape == (15, 1)
-        rows = np.asarray(scenarios)  # responses + (x - points) @ b1, bit for bit
+        assert model.shape == (15, 1)
+        rows = model.rows(x)  # responses + (x - points) @ b1, bit for bit
         assert rows.tobytes() == (model.responses + (x - model.points) @ model.b1).tobytes()
         assert rows[i, 0] == samples.responses[i, 0]
 
     def test_zero_residuals_collapse_scenarios(self):
         model = self.constant_model(1.5)
-        scen = np.asarray(model.surrogate_scenarios(np.array([0.3, 0.4])))
+        scen = model.rows(np.array([0.3, 0.4]))
         assert scen.shape == (4, 1) and np.allclose(scen, 1.5)
 
     def test_scenario_mean_equals_prediction(self):
@@ -284,7 +283,7 @@ class TestPredictAndScenarios:
         )
         model = fit(samples)
         x = np.array([2.2])
-        scen = np.asarray(model.surrogate_scenarios(x))
+        scen = model.rows(x)
         assert scen.mean(axis=0) == pytest.approx(lstsq_map(samples, x), abs=1e-10)
 
 
@@ -297,9 +296,8 @@ class TestOneFormula:
             model = fit(samples)
             points = samples.points
             for i, x in enumerate([*points, points.mean(axis=0), points[0] + samples.radius]):
-                scenarios = model.surrogate_scenarios(x)
-                assert scenarios.shape == samples.responses.shape  # before any row is built
-                rows = np.asarray(scenarios)
+                assert model.shape == samples.responses.shape  # before any row is built
+                rows = model.rows(x)
                 want = model.responses + (x - model.points) @ model.b1
                 assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
                 if i < len(points):
@@ -318,7 +316,7 @@ class TestOneFormula:
         ld = np.longdouble
         for seed in range(20):
             model = fit(generate_poised_set(oracle, x, delta, 300, 100.0, make_rng(seed)))
-            rows = np.asarray(model.surrogate_scenarios(x))
+            rows = model.rows(x)
             ref = model.responses.astype(ld) + (x.astype(ld) - model.points.astype(ld)) @ (
                 model.b1.astype(ld)
             )

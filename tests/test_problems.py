@@ -512,20 +512,18 @@ class TestBinding:
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
     def test_dro_binding_of_surrogate_set_matches_binding_of_its_rows(self, noise_sigma):
-        # A surrogate scenario set is bound on its factors, row s being
+        # A fitted model is bound on its fields, row s at x being
         # omega_s + b1^T (x - p_s); to within rounding that is the binding
-        # of the rows the set builds, at the fit's center and away from it,
-        # and bound at another point than the set's.
+        # of the rows it builds at x, at the fit's center and away from it.
         dro = replace(generate_synthetic_credit(200, 5, 2), noise_sigma=noise_sigma)
         inst = dro_instance(dro)
         rng = make_rng(2)
         center = np.full(5, 2.0)
         model = fit(generate_poised_set(inst.oracle, center, 0.5, 300, 100.0, rng))
         moved = center + 0.3 * rng.normal(size=5)
-        for x, at in ((center, center), (moved, moved), (center, moved)):
-            scenarios = model.surrogate_scenarios(at)
-            factored = inst.problem.bind(x, scenarios)
-            built = inst.problem.bind(x, np.asarray(scenarios))
+        for x in (center, moved):
+            factored = inst.problem.bind(x, model)
+            built = inst.problem.bind(x, model.rows(x))
             y = Simplex(200).project(rng.normal(size=200))
             for name in EVALUATORS:
                 got, want = getattr(factored, name)(y), getattr(built, name)(y)

@@ -115,7 +115,7 @@ class TestSurrogateValueAndXGrad:
         model = llr_model(np.zeros((1, 1)), [5.0], [[-1.0], [1.0], [0.0]])
         x, y = np.array([2.0]), np.array([0.5])
         value, grad = surrogate_at(inst.problem, model, x, y)
-        scen = np.asarray(model.surrogate_scenarios(x))
+        scen = model.rows(x)
         expected = np.mean(inst.problem.grad1(x, y, scen), axis=0)
         assert np.allclose(grad, expected)
 

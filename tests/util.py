@@ -204,7 +204,7 @@ def fitted_map(model: LLRModel, x) -> np.ndarray:
     """The model's fitted affine map at x, shape (d,): the mean of its
     surrogate rows there, since a least-squares fit with an intercept passes
     through the centroid of its data (the residuals have zero mean)."""
-    return np.asarray(model.surrogate_scenarios(x)).mean(axis=0)
+    return model.rows(x).mean(axis=0)
 
 
 def llr_model(b1, b0, residuals) -> LLRModel:
@@ -215,9 +215,9 @@ def llr_model(b1, b0, residuals) -> LLRModel:
 
 
 def surrogate_at(problem: ProblemSpec, model, x, y):
-    """``tr.surrogate_value_and_xgrad`` at (x, y), bound to the model's
-    surrogate scenarios at x as the trust-region iteration binds them."""
-    return surrogate_value_and_xgrad(model, problem.bind(x, model.surrogate_scenarios(x)), y)
+    """``tr.surrogate_value_and_xgrad`` at (x, y), bound to the model at x
+    as the trust-region iteration binds it."""
+    return surrogate_value_and_xgrad(model, problem.bind(x, model), y)
 
 
 def dro_reference_evaluators(dro: DROProblem) -> dict:
