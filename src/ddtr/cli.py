@@ -112,6 +112,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         errors.append(f"'seeds' must be a nonempty list of integers >= 0, got {seeds!r}")
     elif len(set(seeds)) < len(seeds):  # a repeat would run twice into one CSV
         errors.append(f"'seeds' must be distinct, got {seeds!r}")
+    if doc.get("output_dir") == "":  # Path("") is the current directory
+        errors.append("'output_dir' must be a nonempty path, got ''")
     for key in sorted(doc.keys() & TOP_KEYS - {"problem", "solver", "seeds"}):
         if not _fits(doc[key], _TOP_TYPES[key]):
             errors.append(f"{key!r} must be {_TOP_TYPES[key].__name__}, got {doc[key]!r}")
@@ -281,7 +283,7 @@ def run(config: RunConfig, workers: int = 1) -> int:
     workers = min(workers, len(config.seeds))  # a pool starts every worker at once
     if workers > 1:
         # Imported here: the process pool loads multiprocessing, socket and
-        # logging, which a serial run never uses.
+        # more, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -324,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 except ValueError as exc:  # not UTF-8, or not JSON
                     raise ConfigurationError(f"{args.config}: {exc}") from None
             overrides = {}
-            if args.seed_override:
+            if args.seed_override is not None:
                 try:
                     overrides["seeds"] = [int(s) for s in args.seed_override.split(",")]
                 except ValueError:

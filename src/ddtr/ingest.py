@@ -1,14 +1,13 @@
 """Credit-scoring CSV data for the robust regression experiment. ``cli``
 imports this module only for a config with a ``csv_path``, so a run on
-generated data loads neither it nor ``logging``.
+generated data does not load it.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import logging
 import math
+import warnings
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -17,7 +16,6 @@ import numpy as np
 from .core import ConfigurationError, IngestionError
 from .problems import DROProblem, _row_rng
 
-_log = logging.getLogger(__name__)
 _MISSING = {"", "na", "nan", "null"}
 
 
@@ -29,16 +27,15 @@ def load_credit_csv(
     """Build a DROProblem from a credit-scoring CSV.
 
     Expected schema: a header row; one label column with values {0, 1}
-    (mapped to {-1, +1}); every other listed column numeric.  Rows with
-    missing values are dropped with a warning; features are standardized to
-    zero mean and unit variance per column.
+    (mapped to {-1, +1}); every other listed column numeric.  Rows with a
+    missing value are dropped and reported in one ``UserWarning``; features
+    are standardized to zero mean and unit variance per column.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            reader = csv.reader(fh.readlines())
     except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
         raise IngestionError(f"cannot open {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -58,7 +55,7 @@ def load_credit_csv(
     if not feat_idx:
         raise IngestionError(f"{path}: no feature columns")
 
-    rows, labels, dropped = [], [], 0
+    rows, labels, dropped = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise IngestionError(
@@ -66,8 +63,7 @@ def load_credit_csv(
             )
         cells = [row[i].strip() for i in feat_idx] + [row[label_idx].strip()]
         if any(c.lower() in _MISSING for c in cells):
-            dropped += 1
-            _log.warning("%s:%d: dropping row with missing value", path, lineno)
+            dropped.append(lineno)
             continue
         try:
             feats = [float(row[i]) for i in feat_idx]
@@ -84,14 +80,14 @@ def load_credit_csv(
         labels.append(2.0 * raw_label - 1.0)
 
     if not rows:
-        raise IngestionError(f"{path}: no usable rows (dropped {dropped})")
+        raise IngestionError(f"{path}: no usable rows (dropped {len(dropped)})")
+    if dropped:  # one report per load; Python shows it once per calling line
+        warnings.warn(f"{path}: dropped {len(dropped)} of {len(rows) + len(dropped)} rows with "
+                      f"a missing value, the first on line {dropped[0]}", stacklevel=2)
     feats = np.asarray(rows)
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std[std == 0.0] = 1.0
-    _log.info(
-        "%s: loaded %d rows x %d features (%d dropped)", path, len(rows), feats.shape[1], dropped
-    )
     return DROProblem(features=(feats - mean) / std, labels=np.asarray(labels))
 
 

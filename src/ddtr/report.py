@@ -106,6 +106,8 @@ def _run_tables(directory: Path) -> dict[str, list[dict]]:
     """A run directory's CSVs by name, as rows of text cells, and its
     summary.json entries in seed order, as rows of ``summary.*`` cells
     without ``wall_time_s``."""
+    if not directory.is_dir():  # glob would find nothing and report it as a run of none
+        raise SchemaError(f"{directory}: no run CSVs found, not a directory")
     tables = {}
     try:
         for path in sorted(directory.glob("*.csv")):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import platform
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -668,6 +669,27 @@ class TestRun:
         draw = instance.oracle.sample(np.zeros(2), 1, make_rng(0))
         assert draw.tobytes() == loaded.features.tobytes()
 
+    def test_dropped_rows_reported_once_per_run(self, tmp_path):
+        # The parse and each seed load the file. The loader logged a line per
+        # dropped row at each load; its one warning per load comes from one
+        # line of cli, so the default filter shows it once.
+        path = self.write_rows(tmp_path, 30)
+        lines = path.read_text().splitlines()
+        lines[4], lines[9] = "1,,0.5", "0,0.1,"
+        path.write_text("\n".join(lines) + "\n")
+        doc = dict(
+            tiny_tr_doc(tmp_path, seeds=(1, 2), max_iters=2), problem="dro",
+            problem_params={"csv_path": str(path)},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            config = parse_run_config(doc)
+            for seed in config.seeds:
+                cli.run_one(config, seed, str(tmp_path))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"{path}: dropped 2 of 30 rows with a missing value, the first on line 5")
+        ]
+
     def test_dro_run_from_csv(self, tmp_path):
         lines = ["SeriousDlqin2yrs,f1,f2,f3"]
         rng = np.random.default_rng(0)
@@ -943,13 +965,24 @@ class TestMain:
         assert err.startswith("error: invalid config:") and "'seeds' must be distinct" in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,,2"])
+    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,,2", ""])
     def test_bad_seed_override_exits_2_with_error_line(self, tmp_path, capsys, seeds):
         path = write_config(tmp_path, tiny_tr_doc(tmp_path / "x"))
         assert main(["run", str(path), "--seed-override", seeds]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed-override" in err and repr(seeds) in err
         assert not (tmp_path / "x").exists()
+
+    def test_empty_output_dir_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        # An empty --output-dir (or output_dir) wrote the run into the
+        # current directory.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        path = write_config(tmp_path, tiny_tr_doc(tmp_path / "x", seeds=(1,)))
+        assert main(["run", str(path), "--output-dir", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config:") and "'output_dir' must be a nonempty" in err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize(
         "section, params",
@@ -1075,6 +1108,14 @@ class TestCompare:
         (other / "synthetic_tr_seed1.csv").unlink()
         status, out, _ = self.compare(runs, other, capsys)
         assert status == 1 and f"synthetic_tr_seed1.csv: only in {runs}" in out
+
+    def test_missing_directory_exits_2(self, runs, tmp_path, capsys):
+        # A missing directory read as one without CSVs: every run was "only
+        # in" the other, and compare printed "differ" and exited 1.
+        assert main(["compare", str(runs), str(tmp_path / "missing")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "missing: no run CSVs found" in captured.err
+        assert captured.out == ""
 
     def test_directories_without_runs_exit_2(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2

@@ -344,18 +344,27 @@ def test_import_loads_no_third_party_module_but_numpy():
 
 def test_import_loads_no_process_pool_or_logging(tmp_path):
     # Only a run with workers > 1 uses the process pool (multiprocessing,
-    # socket, queue), only the CSV loader (ingest) logs, and only summarize
-    # and compare read runs back (report): a serial run on generated data
-    # loads none of them, at import or in run_one.
-    doc = {**DRO_TR, "max_iters": 2}
+    # socket, queue), only a config with a csv_path reads a file (ingest), and
+    # only summarize and compare read runs back (report): a serial run on
+    # generated data loads none of them, at import or in run_one, and a serial
+    # run on a CSV that drops a row loads ingest alone. Nothing loads logging.
+    data = tmp_path / "credit.csv"
+    rows = [f"{i % 2},{i},{i * i % 7}" for i in range(30)]
+    data.write_text("\n".join(["SeriousDlqin2yrs,f1,f2", *rows, "1,,2"]) + "\n")
+    docs = [
+        {**DRO_TR, "max_iters": 2},
+        {**DRO_TR, "max_iters": 2, "problem_params": {"csv_path": str(data)}},
+    ]
     code = (
-        "import json, sys, numpy, numpy.random; before = set(sys.modules); "
-        "import ddtr; import ddtr.cli; print(*sorted(set(sys.modules) - before)); "
-        "config = ddtr.cli.parse_run_config(json.loads(sys.argv[1])); "
-        "ddtr.cli.run_one(config, 1, sys.argv[2]); print(*sorted(set(sys.modules) - before))"
+        "import json, sys, numpy, numpy.random; before = set(sys.modules)\n"
+        "import ddtr; import ddtr.cli; print(*sorted(set(sys.modules) - before))\n"
+        "for doc in json.loads(sys.argv[1]):\n"
+        "    ddtr.cli.run_one(ddtr.cli.parse_run_config(doc), 1, sys.argv[2])\n"
+        "    print(*sorted(set(sys.modules) - before))\n"
     )
-    imported, after_run = fresh_python(code, json.dumps(doc), str(tmp_path)).splitlines()
-    unused = {"concurrent.futures", "multiprocessing", "logging", "ddtr.report", "ddtr.ingest"}
-    assert not set(imported.split()) & unused
-    assert not set(after_run.split()) & unused
+    lines = fresh_python(code, json.dumps(docs), str(tmp_path)).splitlines()
+    imported, generated, from_csv = (set(line.split()) for line in lines)
+    unused = {"concurrent.futures", "multiprocessing", "logging", "ddtr.report"}
+    assert not (imported | generated) & (unused | {"ddtr.ingest"})
+    assert "ddtr.ingest" in from_csv and not from_csv & unused
     assert (tmp_path / "dro_tr_seed1.csv").exists()
