@@ -1,6 +1,7 @@
-"""Credit-scoring CSV data for the robust regression experiment. ``cli``
-imports this module only for a config with a ``csv_path``, so a run on
-generated data does not load it.
+"""The package's CSV reader, and credit-scoring CSV data for the robust
+regression experiment. ``cli`` imports this module only for a config with a
+``csv_path``, and ``report`` for reading runs back, so a run on generated
+data does not load it.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import csv
 import math
 import warnings
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -17,6 +18,30 @@ from .core import ConfigurationError, IngestionError
 from .problems import DROProblem, _row_rng
 
 _MISSING = {"", "na", "nan", "null"}
+
+
+def read_csv(path, error: type[Exception]) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A UTF-8 CSV file's header and an iterator over its rows, each paired with
+    the physical line it ends on; the cells are split as the rows are read. Raises
+    ``error`` naming the file for a file that is not UTF-8 or is empty and, with
+    the line, for a row whose cell count is not the header's. ``OSError`` from
+    opening the file propagates."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: {exc}") from None
+    if (header := next(reader, None)) is None:
+        raise error(f"{path}: empty file")
+
+    def rows():
+        for row in reader:
+            if len(row) != len(header):
+                raise error(f"{path}:{reader.line_num}: "
+                            f"expected {len(header)} fields, got {len(row)}")
+            yield reader.line_num, row
+
+    return header, rows()
 
 
 def load_credit_csv(
@@ -32,14 +57,9 @@ def load_credit_csv(
     are standardized to zero mean and unit variance per column.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh.readlines())
-    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+        header, records = read_csv(path, IngestionError)
+    except OSError as exc:  # missing or unreadable
         raise IngestionError(f"cannot open {path}: {exc}") from exc
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestionError(f"{path}: empty file") from None
     if label_column not in header:
         raise IngestionError(f"{path}: label column {label_column!r} not in header")
     label_idx = header.index(label_column)
@@ -56,11 +76,7 @@ def load_credit_csv(
         raise IngestionError(f"{path}: no feature columns")
 
     rows, labels, dropped = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+    for lineno, row in records:
         cells = [row[i].strip() for i in feat_idx] + [row[label_idx].strip()]
         if any(c.lower() in _MISSING for c in cells):
             dropped.append(lineno)
@@ -73,9 +89,7 @@ def load_credit_csv(
         if not all(map(math.isfinite, feats)):  # inf or 1e999 would give NaN features
             raise IngestionError(f"{path}:{lineno}: non-finite feature value")
         if raw_label not in (0.0, 1.0):
-            raise IngestionError(
-                f"{path}:{lineno}: label must be 0 or 1, got {raw_label}"
-            )
+            raise IngestionError(f"{path}:{lineno}: label must be 0 or 1, got {raw_label}")
         rows.append(feats)
         labels.append(2.0 * raw_label - 1.0)
 

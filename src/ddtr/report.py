@@ -17,33 +17,9 @@ import numpy as np
 
 from .cli import _fmt
 from .core import SchemaError
+from .ingest import read_csv
 
 _METRIC_PREFERENCE = ("oracle_grad_norm", "grad_norm_surrogate", "grad_norm_est")
-
-
-def _load_metric_rows(path: Path, metric: Optional[str]) -> tuple[str, dict[int, float]]:
-    """A metric column by k. With no metric given, the first preferred column
-    that has a finite cell, or else the first one the CSV has."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty CSV")
-        if "k" not in reader.fieldnames:
-            raise SchemaError(f"{path}: missing column 'k'")
-        names = [metric] if metric else [c for c in _METRIC_PREFERENCE if c in reader.fieldnames]
-        if not names:
-            raise SchemaError(f"{path}: no known metric column in {reader.fieldnames}")
-        if names[0] not in reader.fieldnames:
-            raise SchemaError(f"{path}: missing column {metric!r}")
-        def cell(row, column, kind):
-            try:
-                return kind(row[column])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{reader.line_num}: column {column!r}: {exc}") from None
-
-        rows = {cell(row, "k", int): [cell(row, name, float) for name in names] for row in reader}
-    j = next((j for j in range(len(names)) if any(math.isfinite(v[j]) for v in rows.values())), 0)
-    return names[j], {k: v[j] for k, v in rows.items()}
 
 
 def summarize(
@@ -61,17 +37,27 @@ def summarize(
         chosen = metric
         per_run = []
         for path in paths:
-            try:
-                chosen_here, by_k = _load_metric_rows(path, chosen)
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{path}: {exc}") from None
-            if chosen is None:
-                chosen = chosen_here
-            per_run.append(by_k)
-        all_k = sorted(set().union(*(by_k.keys() for by_k in per_run)))
-        for k in all_k:
-            values = [by_k[k] for by_k in per_run if k in by_k]
-            finite = [v for v in values if math.isfinite(v)]
+            header, records = read_csv(path, SchemaError)
+            # Unless chosen, the first preferred column with a finite cell, or else the first one.
+            names = [chosen] if chosen else [c for c in _METRIC_PREFERENCE if c in header]
+            for column in ["k", *names[:1]]:
+                if column not in header:
+                    raise SchemaError(f"{path}: missing column {column!r}")
+            if not names:
+                raise SchemaError(f"{path}: no known metric column in {header}")
+
+            def cell(lineno, row, column, kind):
+                try:
+                    return kind(row[header.index(column)])
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: column {column!r}: {exc}") from None
+
+            by_k = {cell(*r, "k", int): [cell(*r, name, float) for name in names] for r in records}
+            chosen = next((name for j, name in enumerate(names)
+                           if any(math.isfinite(v[j]) for v in by_k.values())), names[0])
+            per_run.append({k: v[names.index(chosen)] for k, v in by_k.items()})
+        for k in sorted(set().union(*per_run)):
+            finite = [by_k[k] for by_k in per_run if math.isfinite(by_k.get(k, math.nan))]
             if not finite:
                 continue
             q25, med, q75 = np.percentile(finite, [25, 50, 75])
@@ -109,20 +95,19 @@ def _run_tables(directory: Path) -> dict[str, list[dict]]:
     if not directory.is_dir():  # glob would find nothing and report it as a run of none
         raise SchemaError(f"{directory}: no run CSVs found, not a directory")
     tables = {}
-    try:
-        for path in sorted(directory.glob("*.csv")):
-            if path.name != "aggregate.csv":
-                with open(path, newline="", encoding="utf-8") as fh:
-                    tables[path.name] = list(csv.DictReader(fh))
-        if (path := directory / "summary.json").exists():
+    for path in sorted(p for p in directory.glob("*.csv") if p.name != "aggregate.csv"):
+        header, records = read_csv(path, SchemaError)
+        tables[path.name] = [dict(zip(header, row)) for _, row in records]
+    if (path := directory / "summary.json").exists():
+        try:
             runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
             tables[path.name] = [
                 {f"summary.{key}": _fmt(np.asarray(value) if isinstance(value, list) else value)
                  for key, value in entry.items() if key != "wall_time_s"}
                 for entry in sorted(runs, key=lambda entry: entry["seed"])
             ]
-    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, or no entries
-        raise SchemaError(f"{path}: {exc!r}") from None
+        except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, or no entries
+            raise SchemaError(f"{path}: {exc!r}") from None
     return tables
 
 

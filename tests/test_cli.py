@@ -836,6 +836,24 @@ class TestSummarize:
         assert captured.err.startswith(f"error: {out / 'weird.csv'}:{line}: column {column!r}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "rows, line, got",
+        [("0,1.5\n1,2.5,9\n", 3, 3), ("0,1.5\n1\n", 3, 1), ('"0\n",1.5\n1,2.5,9\n', 4, 3)],
+        ids=["extra-cell", "missing-cell", "after-a-two-line-cell"],
+    )
+    def test_ragged_row_exits_2_naming_physical_line(self, tmp_path, capsys, rows, line, got):
+        # A row with an extra cell was summarized without a word, and one
+        # with a missing cell failed on float(None).
+        out = tmp_path / "ragged"
+        out.mkdir()
+        (out / "run.csv").write_text("k,grad_norm_est\n" + rows)
+        assert main(["summarize", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {out / 'run.csv'}:{line}: expected 2 fields, got {got}\n"
+        )
+        assert captured.out == ""
+
     def test_bad_csv_after_a_good_directory_creates_no_output(self, tmp_path, capsys):
         good = self.make_runs(tmp_path, (1,))
         bad = tmp_path / "bad"
@@ -1015,6 +1033,18 @@ class TestMain:
         assert main(["run", str(tmp_path / "none.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_run_of_no_iterations_summarizes_to_the_header_and_compares_identical(
+        self, tmp_path, capsys
+    ):
+        # A max_iters 0 run writes CSVs that hold only their header.
+        out = tmp_path / "zero"
+        assert run(parse_run_config(tiny_tr_doc(out, seeds=(1, 2), max_iters=0))) == 0
+        assert [len(p.read_text().splitlines()) for p in sorted(out.glob("*.csv"))] == [1, 1]
+        assert main(["summarize", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["dir,metric,k,n_runs,q25,median,q75"]
+        assert main(["compare", str(out), str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "identical"
+
     def test_summarize_to_file(self, tmp_path):
         out = tmp_path / "s"
         run(parse_run_config(tiny_tr_doc(out, seeds=(1,))))
@@ -1115,6 +1145,19 @@ class TestCompare:
         assert main(["compare", str(runs), str(tmp_path / "missing")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "missing: no run CSVs found" in captured.err
+        assert captured.out == ""
+
+    def test_ragged_row_exits_2_naming_file_and_line(self, runs, tmp_path, capsys):
+        # A row with more cells than the header ended in an AttributeError
+        # traceback with exit status 1.
+        other = tmp_path / "ragged"
+        other.mkdir()
+        (other / "synthetic_tr_seed1.csv").write_text("k,rho\n0,1.5\n1,2.5,9\n")
+        assert main(["compare", str(runs), str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {other / 'synthetic_tr_seed1.csv'}:3: expected 2 fields, got 3\n"
+        )
         assert captured.out == ""
 
     def test_directories_without_runs_exit_2(self, tmp_path, capsys):

@@ -733,6 +733,18 @@ class TestLoadCreditCsv:
         with pytest.raises(IngestionError, match=":3"):
             load_credit_csv(path)
 
+    def test_line_numbers_are_the_file_lines(self, tmp_path):
+        # A quoted header cell over lines 1-2 made the dropped row on line 4
+        # read "line 3": rows were numbered as records, not as lines.
+        path = tmp_path / "credit.csv"
+        path.write_text('"Serious\nDlq",f1\n1,2\n0,\n1,3\n0,4\n')
+        with pytest.warns(UserWarning, match=r"dropped 1 of 4 rows .* line 4$"):
+            dro = load_credit_csv(path, label_column="Serious\nDlq")
+        assert dro.n_rows == 3
+        path.write_text(path.read_text() + "1,5,6\n")
+        with pytest.raises(IngestionError, match=r"credit\.csv:7: expected 2 fields, got 3$"):
+            load_credit_csv(path, label_column="Serious\nDlq")
+
     def test_bad_label_rejected(self, tmp_path):
         path = self.write(tmp_path, "2,100,30,0.2\n")
         with pytest.raises(IngestionError, match="label"):
