@@ -173,6 +173,10 @@ class DROProblem:
             raise ConfigurationError("labels must be -1 or +1")
         if not self.noise_sigma >= 0:  # NaN fails too
             raise ConfigurationError("noise_sigma must be nonnegative")
+        if not 0 <= self.alpha < np.inf:  # alpha < 0 puts a pole in f at |x_j| = 1/sqrt(-alpha)
+            raise ConfigurationError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        if not np.isfinite(self.lambda1):
+            raise ConfigurationError(f"lambda1 must be finite, got {self.lambda1!r}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if self.lambda2 is None:

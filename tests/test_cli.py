@@ -17,9 +17,10 @@ from ddtr.core import ConfigurationError, SchemaError, make_rng
 from ddtr.report import summarize
 
 from test_golden import DRO_TR
-from util import fresh_python
+from util import fresh_cli, fresh_python
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 # The column orders of README's "CSV schema", written out so a header check
 # compares the files with the documentation, not the code with itself.
@@ -107,6 +108,13 @@ class TestParseRunConfig:
         with pytest.raises(ConfigurationError) as exc:
             parse_run_config(doc)
         assert "spd-constant" in str(exc.value) and "asgda" in str(exc.value)
+
+    @pytest.mark.parametrize("problem", ["lasso", "DRO", None])
+    def test_unknown_problem_names_options(self, problem):
+        doc = dict(tiny_tr_doc("out"), problem=problem)
+        with pytest.raises(ConfigurationError, match="'problem' must be one of") as exc:
+            parse_run_config(doc)
+        assert f"('synthetic', 'dro'), got {problem!r}" in str(exc.value)
 
     def test_empty_seeds_rejected(self):
         doc = tiny_tr_doc("out", seeds=())
@@ -239,6 +247,7 @@ class TestParseRunConfig:
             ("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0),
             ("n_rows", -1), ("n_features", 0), ("lambda2", 0.0), ("data_seed", -1),
             ("shift_scale", math.nan), ("shift_scale", math.inf), ("shift_scale", -math.inf),
+            ("alpha", -0.25),
         ],
     )
     def test_dro_term_out_of_range_rejected(self, key, value):
@@ -1163,3 +1172,66 @@ class TestCompare:
     def test_directories_without_runs_exit_2(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
         assert "no run CSVs" in capsys.readouterr().err
+
+
+RUN_CSV = {"run.csv": "k,delta\n0,1.5\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, files, match",
+    [
+        (["summarize", "A", "--metric", "rho"], RUN_CSV, "run.csv: missing column 'rho'"),
+        (["compare", "A", "B"], RUN_CSV | {"summary.json": "{"}, "summary.json: JSONDecodeError"),
+        (["compare", "A", "B"], RUN_CSV | {"summary.json": "{}"}, "summary.json: KeyError('runs')"),
+        (["compare", "A", "B"], {}, "B: no run CSVs found\n"),
+    ],
+    ids=["missing-metric", "summary-not-json", "summary-without-runs", "no-csvs"],
+)
+def test_unreadable_run_directory_exits_2(tmp_path, capsys, argv, files, match):
+    for name in ("A", "B"):
+        (tmp_path / name).mkdir()
+        for file, text in files.items():
+            (tmp_path / name / file).write_text(text)
+    assert main([str(tmp_path / a) if a in ("A", "B") else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and match in captured.err and captured.out == ""
+
+
+class TestFreshProcess:
+    """``python -m ddtr.cli`` as a shell runs it: the module's entry point, a
+    process pool of real workers, and the warning filters a new interpreter has."""
+
+    def test_module_exits_with_the_status_of_main(self, tmp_path):
+        done = fresh_cli("compare", str(tmp_path / "a"), str(tmp_path / "b"))
+        assert done.returncode == 2 and done.stderr.startswith("error:")
+
+    def test_serial_and_pool_runs_compare_identical_and_summarize(self, tmp_path):
+        dirs = [str(tmp_path / f"w{workers}") for workers in (1, 2)]
+        for workers, out in enumerate(dirs, start=1):
+            done = fresh_cli(
+                "run", str(CONFIG_DIR / "dro_tr.json"), "--seed-override", "1,2",
+                "--max-iters", "5", "--workers", str(workers), "--output-dir", out,
+            )
+            assert done.returncode == 0, done.stderr
+        compared = fresh_cli("compare", *dirs)
+        assert compared.returncode == 0 and compared.stdout.endswith("\nidentical\n")
+        summary = fresh_cli("summarize", dirs[0]).stdout
+        assert summary.startswith("dir,metric,k,n_runs,q25,median,q75\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_run_warns_once(self, tmp_path, workers):
+        # The parse and each seed load the file, in the main process or a pool
+        # worker; 6 of its 60 rows have an empty cell.
+        lines = ["SeriousDlqin2yrs,f1,f2"] + [
+            f"{i % 2},,{i}" if i % 9 == 0 else f"{i % 2},{i},{i * i % 11}" for i in range(1, 61)
+        ]
+        data = tmp_path / "credit.csv"
+        data.write_text("\n".join(lines) + "\n")
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out", seeds=(1, 2), max_iters=5), problem="dro",
+            problem_params={"csv_path": str(data)},
+        )
+        done = fresh_cli("run", str(write_config(tmp_path, doc)), "--workers", workers)
+        assert done.returncode == 0
+        warning = f"{data}: dropped 6 of 60 rows with a missing value, the first on line 10"
+        assert done.stderr.count("UserWarning") == 1 and warning in done.stderr

@@ -15,7 +15,9 @@ from ddtr.core import (
     ContractViolationError,
     DistributionOracle,
     OracleDiagnostics,
+    ProblemSpec,
     Simplex,
+    as_vector,
     make_rng,
     norm,
     scenario_mean,
@@ -230,6 +232,31 @@ class TestUniformBallSample:
         a = uniform_ball_sample(np.zeros(2), 1.0, 50, make_rng(42))
         b = uniform_ball_sample(np.zeros(2), 1.0, 50, make_rng(42))
         assert np.array_equal(a, b)
+
+
+# A valid problem, for the checks below to spoil one field of; no test binds it.
+SPEC = ProblemSpec(n=1, m=2, d=1, inner_domain=Simplex(2), mu=1.0, ell=1.0, fused=lambda x, w: None)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: as_vector([1.0, np.nan], 2, "x"), ContractViolationError, "x must be finite"),
+        (lambda: Box(np.zeros(2), np.ones(3)), ConfigurationError, "of equal length"),
+        (lambda: Simplex(0), ConfigurationError, "simplex dimension must be >= 1"),
+        (lambda: replace(SPEC, d=0), ConfigurationError, "dimensions must be positive"),
+        (lambda: replace(SPEC, mu=0.0), ConfigurationError, "mu must be positive"),
+        (lambda: replace(SPEC, ell=0.5), ConfigurationError, "ell must be at least mu"),
+        (lambda: replace(SPEC, m=3), ConfigurationError, "inner domain dimension must equal m"),
+        (lambda: uniform_ball_sample(np.zeros(2), 1.0, 0, make_rng(0)), ConfigurationError,
+         "sample count must be >= 1"),
+    ],
+    ids=["non-finite-vector", "box-bounds", "simplex-0", "dimension", "mu", "ell", "domain-size",
+         "ball-count-0"],
+)
+def test_input_check_rejects(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestDistributionOracle:

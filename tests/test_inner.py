@@ -115,6 +115,14 @@ class TestContracts:
         report = exc_info.value.report
         assert report is not None and report.iterations == 3
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iterations_rejected(self, max_iters):
+        with pytest.raises(ConfigurationError, match="max_iters must be at least 1"):
+            maximize_over_scenarios(
+                quadratic_problem([1.0], BIG_BOX), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
+                1e-6, max_iters=max_iters,
+            )
+
     def test_scenario_shape_validated(self):
         problem = quadratic_problem([1.0], BIG_BOX)
         with pytest.raises(Exception):

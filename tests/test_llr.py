@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ddtr.core import ConfigurationError, DistributionOracle, PoisednessError, make_rng
+from ddtr.core import (
+    ConfigurationError, DistributionOracle, PoisednessError, SingularFitError, make_rng,
+)
 from ddtr.llr import PoisedSampleSet, fit, generate_poised_set
 from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_instance
 
@@ -59,6 +61,31 @@ class TestGeneratePoisedSet:
             generate_poised_set(oracle, np.zeros(1), 1.0, 10, 1.05, make_rng(0))
         assert np.isfinite(exc.value.best_metric)
         assert exc.value.best_metric > 1.05
+
+
+def rank_deficient_set():
+    """Three points at one offset: the design [offsets, 1] has two parallel columns."""
+    offsets = np.full((3, 1), 0.5)
+    factors = tuple(np.linalg.qr(np.column_stack([offsets, np.ones(3)])))
+    return PoisedSampleSet(offsets, np.zeros((3, 1)), offsets, 1.0, np.inf, factors)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: make_set(scalar_oracle(abs), np.zeros(1), 0.0, 5), ConfigurationError,
+         "radius must be positive"),
+        (lambda: make_set(scalar_oracle(abs), np.zeros(1), -1.0, 5), ConfigurationError,
+         "radius must be positive"),
+        (lambda: make_set(scalar_oracle(abs), np.zeros(1), 1.0, 5, lambda_max=1.0),
+         ConfigurationError, "lambda_max must exceed 1"),
+        (lambda: fit(rank_deficient_set()), SingularFitError, "rank-deficient"),
+    ],
+    ids=["radius-0", "radius-negative", "lambda_max-1", "singular-fit"],
+)
+def test_input_check_rejects(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def poised_cases():

@@ -254,6 +254,22 @@ class TestDROProblem:
         with pytest.raises(ConfigurationError, match="noise_sigma"):
             DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda dro: {"labels": dro.labels[:-1]}, "one label per row"),
+            (lambda dro: {"features": dro.features[:, 0]}, "one label per row"),
+            # f(x) has a pole at |x_j| = 2 here; a dro run with this alpha exited 0.
+            (lambda dro: {"alpha": -0.25}, "alpha must be finite and nonnegative"),
+            (lambda dro: {"alpha": math.inf}, "alpha must be finite"),
+            (lambda dro: {"lambda1": -math.inf}, "lambda1 must be finite"),
+        ],
+        ids=["labels", "features-1d", "alpha-negative", "alpha-inf", "lambda1-inf"],
+    )
+    def test_bad_term_rejected(self, small_dro, edit, match):
+        with pytest.raises(ConfigurationError, match=match):
+            replace(small_dro, **edit(small_dro))
+
 
 @pytest.mark.parametrize(
     "build, key",
@@ -261,8 +277,11 @@ class TestDROProblem:
         (lambda dro: SyntheticProblem(noise_sigma=math.nan), "noise_sigma"),
         (lambda dro: SyntheticProblem(half_width=math.nan), "half_width"),
         (lambda dro: replace(dro, noise_sigma=math.nan), "noise_sigma"),
+        (lambda dro: replace(dro, alpha=math.nan), "alpha"),
+        (lambda dro: replace(dro, lambda1=math.nan), "lambda1"),
     ],
-    ids=["synthetic-noise_sigma", "synthetic-half_width", "dro-noise_sigma"],
+    ids=["synthetic-noise_sigma", "synthetic-half_width", "dro-noise_sigma", "dro-alpha",
+         "dro-lambda1"],
 )
 def test_nan_parameter_rejected(small_dro, build, key):
     # NaN passes a `< 0` or `<= 0` check: a NaN-noise synthetic problem would
@@ -767,6 +786,20 @@ class TestLoadCreditCsv:
         path = self.write(tmp_path, "0,100,30,0.2\n1,50,40,0.9\n")
         dro = load_credit_csv(path, feature_columns=["income", "age"])
         assert dro.n_features == 2
+
+    @pytest.mark.parametrize(
+        "body, options, match",
+        [
+            ("0,100,30,0.2\n", {"label_column": "default"}, "label column 'default' not in"),
+            ("0,100,30,0.2\n", {"feature_columns": ["age", "sex"]}, r"header: \['sex'\]"),
+            ("0,100,30,0.2\n", {"feature_columns": []}, "no feature columns"),
+            ("0,100,30,0.2\n1,50,forty,0.9\n", {}, r"credit\.csv:3: non-numeric value"),
+        ],
+        ids=["label-column", "feature-column", "no-feature-column", "non-numeric-cell"],
+    )
+    def test_input_check_rejects(self, tmp_path, body, options, match):
+        with pytest.raises(IngestionError, match=match):
+            load_credit_csv(self.write(tmp_path, body), **options)
 
     @pytest.mark.parametrize("columns", [["SeriousDlqin2yrs", "age"], ["age", "age"]])
     def test_label_or_repeated_feature_column_rejected(self, tmp_path, columns):

@@ -28,7 +28,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from ddtr import llr
 from ddtr.cli import build_instance, build_tr_config, parse_run_config

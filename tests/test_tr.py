@@ -27,7 +27,6 @@ from ddtr.tr import (
     SampleSchedule,
     TRConfig,
     TRState,
-    acceptance_update,
     estimate_value,
     iterate,
     solve,
@@ -200,30 +199,6 @@ class TestEstimateValue:
             estimate_value(
                 inst.problem, inst.oracle, np.array([1.0]), 0, 1e-6, np.zeros(1), make_rng(0)
             )
-
-
-class TestAcceptanceRule:
-    CONFIG = TRConfig(delta0=0.5, delta_max=2.0, gamma=2.0, eta1=0.5, eta2=1.0)
-
-    def test_both_conditions_hold(self):
-        accepted, delta_next = acceptance_update(0.9, 1.0, 0.5, self.CONFIG)
-        assert accepted and delta_next == pytest.approx(min(2.0 * 0.5, 2.0))
-
-    def test_ratio_fails(self):
-        accepted, delta_next = acceptance_update(0.1, 1.0, 0.5, self.CONFIG)
-        assert not accepted and delta_next == pytest.approx(0.25)
-
-    def test_gradient_test_fails_alone(self):
-        accepted, delta_next = acceptance_update(0.9, 0.4, 0.5, self.CONFIG)
-        assert not accepted and delta_next == pytest.approx(0.25)
-
-    def test_both_fail(self):
-        accepted, delta_next = acceptance_update(-0.5, 0.1, 0.5, self.CONFIG)
-        assert not accepted and delta_next == pytest.approx(0.25)
-
-    def test_radius_cap(self):
-        accepted, delta_next = acceptance_update(0.9, 5.0, 1.5, self.CONFIG)
-        assert accepted and delta_next == pytest.approx(2.0)
 
 
 class TestIterate:

@@ -19,16 +19,25 @@ from ddtr.problems import DROProblem, dro_instance, expit, softplus
 from ddtr.tr import surrogate_value_and_xgrad
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """The stdout of ``python -c code *args`` in a fresh interpreter that
-    imports this ddtr, so no earlier test's imports or allocations carry over."""
+def _fresh(*argv: str, check: bool) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports this ddtr, so no
+    earlier test's imports, allocations or warning filters carry over."""
     src = str(Path(ddtr.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=check,
     )
-    return done.stdout
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code *args`` in a fresh interpreter."""
+    return _fresh("-c", code, *args, check=True).stdout
+
+
+def fresh_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m ddtr.cli *args`` in a fresh interpreter, as a shell runs it:
+    through the module's own entry point."""
+    return _fresh("-m", "ddtr.cli", *args, check=False)
 
 
 def quadratic_problem(weights, domain) -> ProblemSpec:
