@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -46,6 +46,35 @@ class RunConfig:
     log_oracle_diagnostics: bool = True
     problem_params: dict = field(default_factory=dict)
     solver_params: dict = field(default_factory=dict)
+
+    @cached_property
+    def dataset(self) -> Union[problems.SyntheticProblem, problems.DROProblem]:
+        """What ``build_instance`` wires up: the synthetic problem, or the dro data
+        set after its load, subsample and terms. Built once, on first use; pickling
+        carries it to pool workers, and ``asdict`` leaves it out. The seeds share
+        its arrays, so nothing may write into them."""
+        params = {key: value for key, value in self.problem_params.items()
+                  if key not in _START_KEYS and key != "diag_samples"}
+        if self.problem == "synthetic":
+            return problems.SyntheticProblem(**params)
+        terms = {key: params.pop(key) for key in _DRO_TERMS.keys() & set(params)}
+        csv_path = params.pop("csv_path", None)
+        n_rows = params.pop("n_rows", 200)
+        n_features = params.pop("n_features", 5)
+        data_seed = params.pop("data_seed", 0)
+        if csv_path is not None:
+            from . import ingest  # imported here: a generated data set reads no file
+
+            # What is left are the loader's own keywords. An explicit n_rows always
+            # goes to subsample, which rejects one above the file's rows.
+            dro = ingest.load_credit_csv(csv_path, **params)
+            if n_rows < dro.n_rows or "n_rows" in self.problem_params:
+                dro = ingest.subsample(dro, n_rows, data_seed)
+        else:
+            dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed)
+        # The terms go on after the subsample, which recomputes the default
+        # lambda2 for the new N: an explicit lambda2 is kept.
+        return replace(dro, **terms)
 
 
 def _types(cls, *excluded) -> dict:
@@ -139,8 +168,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigurationError("invalid config: " + "; ".join(errors))
     config = RunConfig(**copy.deepcopy(doc))  # not aliasing the caller's lists and dicts
     try:
-        # Building what the config describes runs the checks of every value,
-        # so a config that does not build fails here, before any seed runs.
+        # Building what the config describes checks every value, so a config that does
+        # not build fails here, before any seed runs; the run reuses its data set.
         built = (build_tr_config if solver == "tr" else build_baseline_config)(config, seeds[0])
         n = build_instance(config).problem.n
         # The fit needs n + 1 points, and an iteration asks for min(n + 5, maximum) or more.
@@ -162,32 +191,15 @@ def _resolve_output_dir(output_dir: str) -> Path:
 
 
 def build_instance(config: RunConfig) -> problems.Instance:
-    params = dict(config.problem_params)
-    start = {key: params.pop(key) for key in _START_KEYS.keys() & set(params)}
+    params = config.problem_params
+    start = {key: params[key] for key in _START_KEYS.keys() & set(params)}
     if "x0_center" in start:
         start["x0_center"] = np.atleast_1d(np.asarray(start["x0_center"], dtype=float))
     if config.problem == "synthetic":
-        instance = problems.synthetic_instance(problems.SyntheticProblem(**params))
+        instance = problems.synthetic_instance(config.dataset)
     else:
-        terms = {key: params.pop(key) for key in _DRO_TERMS.keys() & set(params)}
-        diag = {key: params.pop(key) for key in {"diag_samples"} & set(params)}
-        csv_path = params.pop("csv_path", None)
-        n_rows = params.pop("n_rows", 200)
-        n_features = params.pop("n_features", 5)
-        data_seed = params.pop("data_seed", 0)
-        if csv_path is not None:
-            from . import ingest  # imported here: a generated data set reads no file
-
-            # What is left are the loader's own keywords. An explicit n_rows always
-            # goes to subsample, which rejects one above the file's rows.
-            dro = ingest.load_credit_csv(csv_path, **params)
-            if n_rows < dro.n_rows or "n_rows" in config.problem_params:
-                dro = ingest.subsample(dro, n_rows, data_seed)
-        else:
-            dro = problems.generate_synthetic_credit(n_rows, n_features, data_seed)
-        # The terms go on after the subsample, which recomputes the default
-        # lambda2 for the new N: an explicit lambda2 is kept.
-        instance = problems.dro_instance(replace(dro, **terms), **diag)
+        diag = {key: params[key] for key in {"diag_samples"} & set(params)}
+        instance = problems.dro_instance(config.dataset, **diag)
     return replace(instance, **start)
 
 
@@ -277,6 +289,7 @@ def _run_seed(config: RunConfig, out_dir: str, seed: int) -> dict:
 
 def run(config: RunConfig, workers: int = 1) -> int:
     """Execute one run per seed; returns a process exit status."""
+    config.dataset  # built once here: each seed and pool worker gets it with the config
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     job = partial(_run_seed, config, str(out_dir))

@@ -95,7 +95,7 @@ def load_credit_csv(
 
     if not rows:
         raise IngestionError(f"{path}: no usable rows (dropped {len(dropped)})")
-    if dropped:  # one report per load; Python shows it once per calling line
+    if dropped:  # one report per load, and a run loads its file once (cli.RunConfig.dataset)
         warnings.warn(f"{path}: dropped {len(dropped)} of {len(rows) + len(dropped)} rows with "
                       f"a missing value, the first on line {dropped[0]}", stacklevel=2)
     feats = np.asarray(rows)

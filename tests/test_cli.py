@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import pickle
 import platform
 import warnings
 from dataclasses import replace
@@ -401,22 +402,18 @@ class TestRun:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_recorded_without_aborting_siblings(self, tmp_path, workers):
-        config = self.config_whose_data_goes(tmp_path, tmp_path / "err", seeds=(1, 2))
+        config = self.config_whose_seeds_raise(tmp_path / "err", seeds=(1, 2))
         assert run(config, workers=workers) == 1
         summary = json.loads((tmp_path / "err" / "summary.json").read_text())
         assert all("error" in entry for entry in summary["runs"])
         assert len(summary["runs"]) == 2
 
-    def config_whose_data_goes(self, tmp_path, out, seeds):
-        """A dro config that parses, after which its data file goes, so that
-        each seed's run raises."""
-        doc = dict(
-            tiny_tr_doc(out, seeds=seeds, max_iters=2), problem="dro",
-            problem_params={"csv_path": str(self.write_rows(tmp_path, 30))},
-        )
-        config = parse_run_config(doc)
-        (tmp_path / "credit.csv").unlink()
-        return config
+    def config_whose_seeds_raise(self, out, seeds):
+        """A config that parses and whose every seed's run raises: no regression
+        set meets a condition target this close to 1 (a PoisednessError)."""
+        doc = tiny_tr_doc(out, seeds=seeds, max_iters=2)
+        doc["solver_params"]["lambda_max"] = 1.000001
+        return parse_run_config(doc)
 
     def test_summary_key_sets_match_readme(self, tmp_path):
         spd = {
@@ -431,7 +428,7 @@ class TestRun:
             "diverged": parse_run_config(
                 dict(spd, output_dir=str(tmp_path / "diverged"), max_iters=50)
             ),
-            "error": self.config_whose_data_goes(tmp_path, tmp_path / "error", seeds=(1,)),
+            "error": self.config_whose_seeds_raise(tmp_path / "error", seeds=(1,)),
         }
         entries = {}
         for name, config in configs.items():
@@ -679,9 +676,9 @@ class TestRun:
         assert draw.tobytes() == loaded.features.tobytes()
 
     def test_dropped_rows_reported_once_per_run(self, tmp_path):
-        # The parse and each seed load the file. The loader logged a line per
-        # dropped row at each load; its one warning per load comes from one
-        # line of cli, so the default filter shows it once.
+        # The parse and each seed loaded the file, and the loader logged a line
+        # per dropped row at each load. The seeds reuse the data set the parse
+        # built, so its one load warns once.
         path = self.write_rows(tmp_path, 30)
         lines = path.read_text().splitlines()
         lines[4], lines[9] = "1,,0.5", "0,0.1,"
@@ -698,6 +695,26 @@ class TestRun:
         assert [(w.category, str(w.message)) for w in caught] == [
             (UserWarning, f"{path}: dropped 2 of 30 rows with a missing value, the first on line 5")
         ]
+
+    def test_run_loads_its_file_once(self, tmp_path, monkeypatch):
+        # The parse and each seed loaded the file, 4 loads for 3 seeds. The data
+        # set is built once and goes with the config, also through a pickle.
+        load, paths = ingest.load_credit_csv, []
+
+        def counted(path, **kwargs):
+            paths.append(path)
+            return load(path, **kwargs)
+
+        monkeypatch.setattr(ingest, "load_credit_csv", counted)
+        doc = dict(
+            tiny_tr_doc(tmp_path / "out", seeds=(1, 2, 3), max_iters=2), problem="dro",
+            problem_params={"csv_path": str(self.write_rows(tmp_path, 30))},
+        )
+        config = parse_run_config(doc)
+        assert run(config) == 0 and len(paths) == 1
+        shipped = pickle.loads(pickle.dumps(config))
+        assert cli.build_instance(shipped).problem.m == 30 and len(paths) == 1
+        assert shipped.dataset.features.tobytes() == config.dataset.features.tobytes()
 
     def test_dro_run_from_csv(self, tmp_path):
         lines = ["SeriousDlqin2yrs,f1,f2,f3"]
@@ -883,6 +900,18 @@ class TestSummarize:
         rows = self.parse(capsys.readouterr().out)
         assert [int(row["k"]) for row in rows] == [0, 1, 2, 3]
         assert {row["metric"] for row in rows} == {"grad_norm_surrogate"}
+
+    def test_iteration_without_a_finite_metric_is_skipped(self, tmp_path, capsys):
+        # At k = 1 no run has a finite value, and at k = 3 one run has.
+        out = tmp_path / "gaps"
+        out.mkdir()
+        (out / "a.csv").write_text("k,grad_norm_est\n0,1.5\n1,nan\n2,0.5\n3,1.0\n")
+        (out / "b.csv").write_text("k,grad_norm_est\n0,2.5\n1,inf\n2,0.25\n3,nan\n")
+        summarize([str(out)])
+        rows = self.parse(capsys.readouterr().out)
+        assert [(row["k"], row["n_runs"], row["median"]) for row in rows] == [
+            ("0", "2", "2"), ("2", "2", "0.375"), ("3", "1", "1")
+        ]
 
     def test_csv_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
         # It ended in a UnicodeDecodeError traceback with exit status 1.
@@ -1132,6 +1161,16 @@ class TestCompare:
         assert status == 1 and "decisions: accepted differ" in out
         assert table["accepted"] == (math.inf, "1")
 
+    def test_cell_that_is_no_number_differs_by_inf(self, runs, tmp_path, capsys):
+        def edit(rows):
+            rows[2]["rho"] = "abc"
+            return rows
+
+        status, out, table = self.compare(runs, self.copy(runs, tmp_path, edit), capsys)
+        assert status == 1 and out.rstrip().endswith("differ")
+        assert "decisions: identical" in out and "first differing k: 2" in out
+        assert table["rho"] == (math.inf, "2") and table["delta"] == (0.0, "-")
+
     def test_row_count_and_summary_changes(self, runs, tmp_path, capsys):
         other = self.copy(runs, tmp_path, lambda rows: rows[:-1])
         summary = json.loads((other / "summary.json").read_text())
@@ -1218,10 +1257,12 @@ class TestFreshProcess:
         summary = fresh_cli("summarize", dirs[0]).stdout
         assert summary.startswith("dir,metric,k,n_runs,q25,median,q75\n")
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_csv_run_warns_once(self, tmp_path, workers):
-        # The parse and each seed load the file, in the main process or a pool
-        # worker; 6 of its 60 rows have an empty cell.
+    @pytest.mark.parametrize("pool", ["1", "2", "spawn", "forkserver"])
+    def test_csv_run_warns_once(self, tmp_path, pool):
+        # A run loads the file once, and its pool workers get the data set with
+        # the config: serially, with two workers started the platform's way, and
+        # with two started by spawn or forkserver, under which each worker loaded
+        # the file again and warned. 6 of its 60 rows have an empty cell.
         lines = ["SeriousDlqin2yrs,f1,f2"] + [
             f"{i % 2},,{i}" if i % 9 == 0 else f"{i % 2},{i},{i * i % 11}" for i in range(1, 61)
         ]
@@ -1231,7 +1272,11 @@ class TestFreshProcess:
             tiny_tr_doc(tmp_path / "out", seeds=(1, 2), max_iters=5), problem="dro",
             problem_params={"csv_path": str(data)},
         )
-        done = fresh_cli("run", str(write_config(tmp_path, doc)), "--workers", workers)
+        workers, start_method = (pool, None) if pool.isdigit() else ("2", pool)
+        done = fresh_cli(
+            "run", str(write_config(tmp_path, doc)), "--workers", workers,
+            start_method=start_method,
+        )
         assert done.returncode == 0
         warning = f"{data}: dropped 6 of 60 rows with a missing value, the first on line 10"
         assert done.stderr.count("UserWarning") == 1 and warning in done.stderr

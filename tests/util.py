@@ -34,10 +34,15 @@ def fresh_python(code: str, *args: str) -> str:
     return _fresh("-c", code, *args, check=True).stdout
 
 
-def fresh_cli(*args: str) -> subprocess.CompletedProcess:
+def fresh_cli(*args: str, start_method: Optional[str] = None) -> subprocess.CompletedProcess:
     """``python -m ddtr.cli *args`` in a fresh interpreter, as a shell runs it:
-    through the module's own entry point."""
-    return _fresh("-m", "ddtr.cli", *args, check=False)
+    through the module's own entry point. With a ``start_method``, the
+    interpreter sets it as multiprocessing's and then calls ``cli.main``."""
+    if start_method is None:
+        return _fresh("-m", "ddtr.cli", *args, check=False)
+    code = ("import multiprocessing, sys; from ddtr import cli; "
+            "multiprocessing.set_start_method(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+    return _fresh("-c", code, start_method, *args, check=False)
 
 
 def quadratic_problem(weights, domain) -> ProblemSpec:
