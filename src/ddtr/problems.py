@@ -199,7 +199,7 @@ def expit(z):
     return np.divide(1.0, out, out=out)
 
 
-SOFTPLUS_BLOCK = 1 << 12  # most elements of one max(z, 0) temporary in softplus (32 KB)
+BLOCK = 1 << 12  # most elements of a temporary in softplus and the noisy sampler (32 KB)
 
 
 def softplus(z):
@@ -207,14 +207,14 @@ def softplus(z):
     2 ulp of numpy's ``logaddexp(0, z)``, which evaluates the same identity one
     element at a time through the scalar libm; here numpy's vectorized exp and
     log1p run in place on the result, and ``max(z, 0)`` is added to it in
-    blocks of rows of at most ``SOFTPLUS_BLOCK`` elements (or one row), so a
+    blocks of rows of at most ``BLOCK`` elements (or one row), so a
     large array needs no temporary of its own size. Returns a new array; ``z``
     is not changed."""
     out = np.abs(z)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    rows = max(1, SOFTPLUS_BLOCK * len(out) // max(out.size, 1))  # block // row size
+    rows = max(1, BLOCK * len(out) // max(out.size, 1))  # block // row size
     for start in range(0, len(out), rows):
         out[start : start + rows] += np.maximum(z[start : start + rows], 0.0)
     return out
@@ -323,16 +323,22 @@ def dro_instance(dro: DROProblem, diag_samples: int = 5000) -> Instance:
     noiseless = dro.noise_sigma == 0
 
     def sampler(x, count, rng):
-        draws = np.repeat(dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :], N, axis=1)
-        draws += base  # in place, not broadcast: that sum loops over rows of length n
-        if not noiseless:
-            noise = rng.standard_normal((count, N, n))
-            noise *= dro.noise_sigma
-            draws = np.add(noise, draws, out=noise)  # draws + sigma * noise, in one array
-        if draws.shape[0] < count:
-            # Noiseless draws at one x: copies of one row, as a read-only view
-            # with stride 0 on the first axis.
-            draws = np.broadcast_to(draws, (count, N, n))
+        shift = dro.shift_scale * np.sin(np.atleast_2d(x))[:, None, :]  # a row per point
+        if noiseless:
+            draws = np.repeat(shift, N, axis=1)
+            draws += base  # in place, not broadcast: that sum loops over rows of length n
+            if draws.shape[0] < count:
+                # Draws at one x: copies of one row, as a read-only view with
+                # stride 0 on the first axis.
+                draws = np.broadcast_to(draws, (count, N, n))
+            return draws.reshape(count, d)
+        draws = rng.standard_normal((count, N, n))
+        draws *= dro.noise_sigma
+        # sigma * noise + (shift + base), in one array: the shifted rows are
+        # added a block of points at a time, so no temporary has its size.
+        step = max(1, BLOCK // d) if len(shift) > 1 else count
+        for start in range(0, count, step):
+            draws[start : start + step] += shift[start : start + step] + base
         return draws.reshape(count, d)
 
     oracle = DistributionOracle(d=d, sampler=sampler)

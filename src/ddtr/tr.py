@@ -193,8 +193,8 @@ def iterate(
     """Run one full trust-region iteration; return the next state and the iteration's record."""
     llr_rng, vk_rng, vh_rng, diag_rng = rng.spawn(4)
     x, delta, k = state.x, state.delta, state.k
-    # Diagnostics first: they draw from diag_rng alone, and the arrays they
-    # free are then reused for the regression set's, not trimmed and refaulted.
+    # Ground truth at the iterate. Whatever it draws comes from diag_rng, which
+    # no other phase uses, so logging it leaves the run's decisions unchanged.
     oracle_phi = math.nan
     oracle_grad = math.nan
     if diagnostics is not None:
