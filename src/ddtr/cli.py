@@ -89,7 +89,8 @@ _START_KEYS = {"x0_center": Union[float, list[float]], "x0_radius": float}
 _DRO_TERMS = _types(problems.DROProblem, "features", "labels")
 _DRO_SOURCE_KEYS = {
     "csv_path": str, "label_column": str, "feature_columns": list[str], "n_rows": int,
-    "n_features": int, "data_seed": int, "diag_samples": int,
+    "n_features": int, "data_seed": int,
+    "diag_samples": int,  # accepted and ignored: the dro diagnostic is exact
 }
 _TOP_TYPES = _types(RunConfig)
 TOP_KEYS = _TOP_TYPES.keys()
@@ -198,8 +199,7 @@ def build_instance(config: RunConfig) -> problems.Instance:
     if config.problem == "synthetic":
         instance = problems.synthetic_instance(config.dataset)
     else:
-        diag = {key: params[key] for key in {"diag_samples"} & set(params)}
-        instance = problems.dro_instance(config.dataset, **diag)
+        instance = problems.dro_instance(config.dataset)
     return replace(instance, **start)
 
 

@@ -274,8 +274,9 @@ class OracleDiagnostics:
 
     ``value_and_grad_norm(x, rng)`` returns the primal value and its gradient
     norm at ``x``; ``evaluate`` calls it with the caller's generator and spawns
-    none.  ``sample_count`` is 0 for closed-form oracles, otherwise the
-    Monte-Carlo sample size it uses.  ddtr never calls ``value`` or
+    none.  ``sample_count`` is the draws one call takes, 0 for an exact
+    diagnostic: both shipped ones are exact and ignore ``rng``, the synthetic
+    closed form and the dro quadrature.  ddtr never calls ``value`` or
     ``grad_norm``: they exist only because the benchmark's tracer
     (``perfbench/tracing.py``) replaces them by name.
     """

@@ -138,7 +138,7 @@ def test_criterion_3_baseline_divergence():
 
 def test_criterion_4_dro_decrease():
     dro = generate_synthetic_credit(200, 5, 0)
-    inst = dro_instance(dro, diag_samples=5000)
+    inst = dro_instance(dro)
     assert inst.diagnostics.sample_count == 0  # exact without noise
     outcomes = []
     for seed in (1, 2, 3):

@@ -245,7 +245,7 @@ class TestParseRunConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("noise_sigma", -1.0), ("diag_samples", 0), ("n_rows", 1), ("n_rows", 0),
+            ("noise_sigma", -1.0), ("n_rows", 1), ("n_rows", 0),
             ("n_rows", -1), ("n_features", 0), ("lambda2", 0.0), ("data_seed", -1),
             ("shift_scale", math.nan), ("shift_scale", math.inf), ("shift_scale", -math.inf),
             ("alpha", -0.25),
@@ -471,6 +471,17 @@ class TestRun:
         with open(tmp_path / "dro" / "dro_tr_seed1.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+
+    def test_noisy_dro_run_logs_exact_diagnostics(self, tmp_path):
+        # diag_samples is accepted and ignored: the diagnostic draws nothing.
+        doc = dict(
+            tiny_tr_doc(tmp_path / "dro", seeds=(1,)), problem="dro",
+            problem_params={"n_rows": 12, "n_features": 2, "noise_sigma": 0.5, "diag_samples": 50},
+        )
+        assert run(parse_run_config(doc)) == 0
+        (entry,) = json.loads((tmp_path / "dro" / "summary.json").read_text())["runs"]
+        assert entry["oracle_samples"] == 0
+        assert math.isfinite(entry["final_oracle_phi"] + entry["final_oracle_grad_norm"])
 
     @pytest.mark.parametrize("solver", ["tr", "spd-constant"])
     def test_final_diagnostic_has_its_own_stream(self, tmp_path, monkeypatch, solver):

@@ -315,7 +315,7 @@ class TestSampleAt:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
     def test_dro_matches_per_row_draws(self, noise_sigma):
         dro = replace(generate_synthetic_credit(12, 3, seed=5), noise_sigma=noise_sigma)
-        oracle = dro_instance(dro, diag_samples=10).oracle
+        oracle = dro_instance(dro).oracle
         points = make_rng(2).uniform(-4.0, 4.0, size=(300, 3))
         got = oracle.sample(points, 300, make_rng(3))
         assert got.shape == (300, 36)
@@ -367,6 +367,19 @@ def test_import_loads_no_third_party_module_but_numpy():
         "print(sorted(new - set(sys.stdlib_module_names) - {'ddtr', 'numpy'}))"
     )
     assert fresh_python(code).strip() == "[]"
+
+
+def test_dro_diagnostic_loads_no_numpy_polynomial():
+    # import numpy does not load numpy.polynomial; building a dro instance and
+    # evaluating its diagnostic, noiseless or noisy, must not load it either.
+    code = (
+        "import sys, numpy as np; from ddtr import problems; "
+        "dro = problems.generate_synthetic_credit(20, 3, 0); "
+        "[problems.dro_instance(problems.DROProblem(dro.features, dro.labels, noise_sigma=s))"
+        ".diagnostics.evaluate(np.ones(3), None) for s in (0.0, 0.5)]; "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    assert fresh_python(code).strip() == "False"
 
 
 def test_import_loads_no_process_pool_or_logging(tmp_path):

@@ -91,7 +91,7 @@ def test_input_check_rejects(build, error, match):
 def poised_cases():
     """Sets at the benchmark sizes, and a minimal 2-d one built after redraws."""
     synthetic = synthetic_instance().oracle
-    dro = dro_instance(generate_synthetic_credit(200, 5, 0), diag_samples=10).oracle
+    dro = dro_instance(generate_synthetic_credit(200, 5, 0)).oracle
     redrawn = DistributionOracle(d=1, sampler=coordinate_sum)
     return [
         generate_poised_set(synthetic, np.array([1.5]), 0.3, 300, 100.0, make_rng(seed))

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from ddtr.cli import build_instance, parse_run_config
 from ddtr.core import (
     Box,
     ConfigurationError,
@@ -25,6 +26,7 @@ from ddtr.problems import (
     dro_instance,
     expit,
     generate_synthetic_credit,
+    normal_nodes,
     softplus,
     synthetic_instance,
     synthetic_primal,
@@ -34,8 +36,11 @@ from util import (
     directional_fd,
     dro_inner_exact_check,
     dro_mc_reference,
+    dro_nodes_reference,
+    dro_one_row_reference,
     dro_reference_evaluators,
     quadratic_problem,
+    trapezoid_nodes,
 )
 
 NOISY_DRO = replace(generate_synthetic_credit(40, 3, 7), noise_sigma=0.5)
@@ -125,12 +130,12 @@ class TestSyntheticInstance:
                 lambda x, rng: (synthetic_primal(x[0])[0], abs(synthetic_primal(x[0])[1])),
             ),
             (
-                lambda: dro_instance(generate_synthetic_credit(40, 3, 7), 50),
+                lambda: dro_instance(generate_synthetic_credit(40, 3, 7)),
                 lambda x, rng: dro_mc_reference(generate_synthetic_credit(40, 3, 7), x, rng, 1),
             ),
             (
-                lambda: dro_instance(NOISY_DRO, 50),
-                lambda x, rng: dro_mc_reference(NOISY_DRO, x, rng, 50),
+                lambda: dro_instance(NOISY_DRO),
+                lambda x, rng: dro_nodes_reference(NOISY_DRO, x, *trapezoid_nodes(0.01, 12.0)),
             ),
         ],
         ids=["synthetic", "dro", "dro-noisy"],
@@ -232,7 +237,7 @@ class TestDROProblem:
         assert draws.std(axis=0).mean() == pytest.approx(0.5, rel=0.15)
 
     def test_diagnostics_grad_matches_fd_of_value(self, small_dro):
-        inst = dro_instance(small_dro, diag_samples=50)
+        inst = dro_instance(small_dro)
         x = np.array([0.6, -0.2, 1.1])
         value = inst.diagnostics.value_and_grad_norm
         grad_norm = value(x, make_rng(5))[1]
@@ -286,7 +291,7 @@ class TestDROProblem:
 def test_nan_parameter_rejected(small_dro, build, key):
     # NaN passes a `< 0` or `<= 0` check: a NaN-noise synthetic problem would
     # fail only at its first draw, and a dro sampler would draw noiseless rows
-    # while its diagnostic reported diag_samples draws.
+    # while its diagnostic integrated over a NaN noise scale.
     with pytest.raises(ConfigurationError, match=key):
         build(small_dro)
 
@@ -297,8 +302,8 @@ def counted_sample():
     )
 
 
-def mc_diagnostics(dro):
-    return dro_instance(dro, diag_samples=200).diagnostics
+def diagnostics(dro):
+    return dro_instance(dro).diagnostics
 
 
 class TestDRODiagnosticsRepeatedX:
@@ -308,46 +313,32 @@ class TestDRODiagnosticsRepeatedX:
     X = np.array([0.6, -0.2, 1.1])
     OTHER = np.array([0.5, 0.3, -0.4])
 
-    def test_repeat_draws_one_row_and_is_bitwise_equal(self, small_dro):
-        diag = mc_diagnostics(small_dro)
-        with counted_sample() as sample:
-            first = diag.value_and_grad_norm(self.X, make_rng(1))
-            second = diag.value_and_grad_norm(self.X.copy(), make_rng(2))
-        assert [call.args[2] for call in sample.call_args_list] == [1, 1]
-        assert first == second
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_repeat_is_bitwise_equal(self, small_dro, sigma):
+        diag = diagnostics(replace(small_dro, noise_sigma=sigma))
+        first = diag.value_and_grad_norm(self.X, make_rng(1))
+        assert diag.value_and_grad_norm(self.X.copy(), make_rng(2)) == first
 
     def test_return_to_earlier_point_matches_fresh_instance(self, small_dro):
-        diag = mc_diagnostics(small_dro)
+        diag = diagnostics(small_dro)
         diag.value_and_grad_norm(self.X, make_rng(1))
         diag.value_and_grad_norm(self.OTHER, make_rng(1))
         again = diag.value_and_grad_norm(self.X, make_rng(1))
-        assert again == mc_diagnostics(small_dro).value_and_grad_norm(self.X, make_rng(1))
+        assert again == diagnostics(small_dro).value_and_grad_norm(self.X, make_rng(1))
 
     def test_mutated_input_is_not_served_stale(self, small_dro):
-        diag = mc_diagnostics(small_dro)
+        diag = diagnostics(small_dro)
         x = self.X.copy()
         diag.value_and_grad_norm(x, make_rng(1))
         x[:] = self.OTHER
         got = diag.value_and_grad_norm(x, make_rng(1))
-        assert got == mc_diagnostics(small_dro).value_and_grad_norm(self.OTHER, make_rng(1))
-
-    def test_noisy_instance_samples_every_call(self, small_dro):
-        noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
-        diag = mc_diagnostics(noisy)
-        with counted_sample() as sample:
-            first = diag.value_and_grad_norm(self.X, make_rng(1))
-            second = diag.value_and_grad_norm(self.X, make_rng(2))
-            assert sample.call_count == 2
-            assert diag.value_and_grad_norm(self.X, make_rng(1)) == first
-            assert sample.call_count == 3
-        assert first[0] != second[0] and first[1] != second[1]
+        assert got == diagnostics(small_dro).value_and_grad_norm(self.OTHER, make_rng(1))
 
 
 class TestDRODiagnosticsOneRow:
-    """Without noise the draws are copies of one row, and the diagnostic is
-    exact on that row: bitwise the diagnostic over one drawn row, whatever
-    ``diag_samples`` is, and the reference estimator over one row or over
-    ``diag_samples`` copies up to rounding."""
+    """Without noise the diagnostic's one node is the drawn row: bitwise the
+    binding over one drawn row, whatever ``diag_samples`` a config gives, and
+    the reference estimator over one row or over copies of it up to rounding."""
 
     @staticmethod
     def points():
@@ -356,40 +347,111 @@ class TestDRODiagnosticsOneRow:
 
     @pytest.mark.parametrize("diag_samples", [1, 7, 5000])
     def test_bitwise_equal_to_one_drawn_row(self, small_dro, diag_samples):
-        diag = dro_instance(small_dro, diag_samples=diag_samples).diagnostics
-        one_row = dro_instance(small_dro, diag_samples=1).diagnostics
+        params = {"n_rows": 40, "n_features": 3, "data_seed": 7, "diag_samples": diag_samples}
+        doc = {"problem": "dro", "solver": "tr", "seeds": [1], "problem_params": params}
+        diag = build_instance(parse_run_config(doc)).diagnostics
         for i, x in enumerate(self.points()):
             got = diag.value_and_grad_norm(x, make_rng(i))
-            assert got == one_row.value_and_grad_norm(x, make_rng(i))
+            assert got == dro_one_row_reference(small_dro, x)
             want = dro_mc_reference(small_dro, x, make_rng(i), 1)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("diag_samples", [1, 7, 5000])
-    def test_close_to_drawn_rows(self, small_dro, diag_samples):
-        diag = dro_instance(small_dro, diag_samples=diag_samples).diagnostics
+    @pytest.mark.parametrize("draws", [1, 7, 5000])
+    def test_close_to_drawn_rows(self, small_dro, draws):
+        diag = diagnostics(small_dro)
         for i, x in enumerate(self.points()):
             got = diag.value_and_grad_norm(x, make_rng(i))
-            want = dro_mc_reference(small_dro, x, make_rng(i), diag_samples)
+            want = dro_mc_reference(small_dro, x, make_rng(i), draws)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_noiseless_draws_one_row(self, small_dro):
-        diag = dro_instance(small_dro, diag_samples=5000).diagnostics
-        with counted_sample() as sample:
-            diag.value_and_grad_norm(np.array([0.6, -0.2, 1.1]), make_rng(1))
-        assert [call.args[2] for call in sample.call_args_list] == [1]
-        assert diag.sample_count == 0
-
-    def test_noisy_draws_diag_samples_rows(self, small_dro):
-        noisy = DROProblem(features=small_dro.features, labels=small_dro.labels, noise_sigma=0.5)
-        diag = dro_instance(noisy, diag_samples=300).diagnostics
-        with counted_sample() as sample:
-            diag.value_and_grad_norm(np.array([0.6, -0.2, 1.1]), make_rng(1))
-        assert [call.args[2] for call in sample.call_args_list] == [300]
 
     @pytest.mark.parametrize("diag_samples", [0, -5, 2.5, "abc", True, None])
     def test_invalid_diag_samples_rejected(self, small_dro, diag_samples):
-        with pytest.raises(ConfigurationError, match="diag_samples"):
+        # The instance takes no diag_samples at all: its diagnostic draws nothing.
+        with pytest.raises(TypeError, match="diag_samples"):
             dro_instance(small_dro, diag_samples=diag_samples)
+
+
+class TestDRODiagnosticsExact:
+    """With noise the diagnostic takes each margin's mean over its normal law
+    at the nodes of ``normal_nodes``: to rounding what a finer and wider rule
+    gives, and what the 200-node Gauss-Hermite rule gives where that rule
+    converges; within 4 standard errors of the Monte-Carlo estimate. It draws
+    nothing and ignores its generator."""
+
+    @staticmethod
+    def points(n):
+        # Three around the dro start ball's center (2, ..., 2), three nearer 0.
+        rng = make_rng(12)
+        return [2.0 + 0.3 * rng.normal(size=n) for _ in range(3)] + [
+            rng.normal(size=n) for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("shape", [(40, 3, 7), (200, 5, 0)], ids=["40x3", "200x5"])
+    def test_equals_a_finer_wider_rule(self, shape, sigma):
+        dro = replace(generate_synthetic_credit(*shape), noise_sigma=sigma)
+        diag = diagnostics(dro)
+        for x in self.points(dro.n_features):
+            step = 0.1 / max(1.0, sigma * np.linalg.norm(x))  # a quarter of the rule's
+            want = dro_nodes_reference(dro, x, *trapezoid_nodes(step, 12.0))
+            np.testing.assert_allclose(diag.value_and_grad_norm(x, None), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5])
+    def test_equals_gauss_hermite_where_it_converges(self, sigma):
+        # At sigma = 2 the 200-node rule itself is off by about 5e-10 here.
+        from numpy.polynomial.hermite_e import hermegauss
+
+        z, weights = hermegauss(200)
+        dro = replace(generate_synthetic_credit(200, 5, 0), noise_sigma=sigma)
+        diag = diagnostics(dro)
+        for x in self.points(5):
+            want = dro_nodes_reference(dro, x, z, weights / weights.sum())
+            np.testing.assert_allclose(diag.value_and_grad_norm(x, None), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_within_4_se_of_monte_carlo(self, small_dro, sigma):
+        # 100,000 draws as 20 estimates of 5,000: an estimate's bias, of order
+        # 1 / 5000, is far below the spread of their mean.
+        dro = replace(small_dro, noise_sigma=sigma)
+        diag = diagnostics(dro)
+        for i, x in enumerate(self.points(3)[::2]):
+            rng = make_rng([13, i])
+            estimates = np.array([dro_mc_reference(dro, x, rng, 5000) for _ in range(20)])
+            se = estimates.std(axis=0, ddof=1) / math.sqrt(len(estimates))
+            gap = np.abs(diag.value_and_grad_norm(x, None) - estimates.mean(axis=0))
+            assert np.all(gap <= 4.0 * se), (i, gap / se)
+
+    def test_grad_matches_fd_of_value(self):
+        # The noise's share of the gradient, Stein's term, comes from grad1
+        # over the node rows.
+        value = diagnostics(replace(NOISY_DRO, noise_sigma=2.0)).value_and_grad_norm
+        x = np.array([0.6, -0.2, 1.1])
+        fd = [
+            (value(x + e, None)[0] - value(x - e, None)[0]) / 2e-6 for e in 1e-6 * np.eye(3)
+        ]
+        assert value(x, None)[1] == pytest.approx(np.linalg.norm(fd), rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_draws_nothing(self, small_dro, sigma):
+        diag = diagnostics(replace(small_dro, noise_sigma=sigma))
+        rng = make_rng(1)
+        with counted_sample() as sample:
+            diag.value_and_grad_norm(np.array([0.6, -0.2, 1.1]), rng)
+        assert sample.call_count == 0 and diag.sample_count == 0
+        assert rng.random() == make_rng(1).random()  # its generator is where it was
+
+    def test_noise_leaves_the_origin_alone(self, small_dro):
+        # Every margin is 0 at x = 0 whatever the noise: one node, no 0 / 0.
+        x = np.zeros(3)
+        noisy = diagnostics(NOISY_DRO).value_and_grad_norm(x, None)
+        assert noisy == diagnostics(small_dro).value_and_grad_norm(x, None)
+
+    def test_nodes(self):
+        for scale in (0.0, 0.3, 1.0, 9.0, 44.0, 1e300, math.inf):
+            z, weights = normal_nodes(scale)
+            assert np.array_equal(z, -z[::-1]) and weights.sum() == pytest.approx(1.0, rel=1e-15)
+            assert len(z) == 1 if scale == 0 else len(z) <= 2001
+        assert len(normal_nodes(math.inf)[0]) == 2001
 
 
 EVALUATORS = ("loss", "grad1", "grad2", "grad3")
@@ -587,7 +649,7 @@ class TestBenchmarkWrappedFields:
 
     @pytest.mark.parametrize(
         "build",
-        [synthetic_instance, lambda: dro_instance(generate_synthetic_credit(40, 3, 7), 50)],
+        [synthetic_instance, lambda: dro_instance(generate_synthetic_credit(40, 3, 7))],
         ids=["synthetic", "dro"],
     )
     def test_wrapped_instance_runs_identically(self, build):
@@ -649,7 +711,7 @@ class TestDROSampler:
         # N = 200 rows of n = 5 features at 300 points, as the regression set
         # of the dro-tr benchmark draws them.
         dro = replace(generate_synthetic_credit(200, 5, 0), noise_sigma=sigma)
-        oracle = dro_instance(dro, diag_samples=10).oracle
+        oracle = dro_instance(dro).oracle
         points = make_rng(4).uniform(-4.0, 4.0, size=(300, 5))
         draws = oracle.sample(points, 300, make_rng(5))
         # The poisedness redraw writes into a batch of as many draws as points.

@@ -15,7 +15,10 @@ Recorded on x86_64 with numpy 2.4 and one BLAS thread:
 * synthetic, ``configs/synthetic_tr.json`` at 300 iterations, seeds 1-40:
   |Phi'| < 0.5 / 0.1 / 0.02 reached by 40 / 25 / 10 runs, floors 39 / 19 / 5;
 * DRO, ``configs/dro_tr.json`` at 30 iterations, seeds 1-10: a gradient norm
-  below 0.1 times row 0's reached by 10 runs, floor 9.
+  below 0.1 times row 0's reached by 10 runs, floor 9;
+* noisy DRO, the same with ``noise_sigma`` 0.5, whose exact diagnostic is
+  the ground truth: below 0.1 / 0.001 times row 0's reached by 10 / 7 runs,
+  floors 9 / 5.
 
 The ablation that freezes the learned map (``llr.fit`` returns ``b1 = 0``)
 is gated from above, by ``floor(c + 2 SE)``: on synthetic, seeds 1-20, it
@@ -47,8 +50,9 @@ def ceiling(count: int, runs: int) -> int:
     return math.floor(count + 2.0 * math.sqrt(runs * p * (1.0 - p)))
 
 
-def oracle_grad_norms(name: str, max_iters: int, seed: int) -> list[float]:
+def oracle_grad_norms(name: str, max_iters: int, seed: int, **problem_params) -> list[float]:
     doc = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    doc["problem_params"] = {**doc.get("problem_params", {}), **problem_params}
     config = parse_run_config({**doc, "max_iters": max_iters, "seeds": [seed]})
     inst = build_instance(config)
     x0, _ = inst.draw_start(make_rng(seed))
@@ -59,7 +63,7 @@ def oracle_grad_norms(name: str, max_iters: int, seed: int) -> list[float]:
 
 def test_floors_as_recorded():
     assert [floor(c, 40) for c in (40, 25, 10)] == [39, 19, 5]
-    assert floor(10, 10) == 9
+    assert floor(10, 10) == 9 and floor(7, 10) == 5
     assert ceiling(0, 20) == 1
 
 
@@ -100,3 +104,15 @@ def test_dro_reach():
         norms = oracle_grad_norms("dro_tr.json", 30, seed)
         reached += min(norms) < 0.1 * norms[0]
     assert reached >= floor(10, len(seeds))
+
+
+def test_noisy_dro_reach():
+    # Recorded reach at 0.1 / 0.001 of row 0's gradient norm: 10 / 7 of 10.
+    recorded = {1e-1: 10, 1e-3: 7}
+    seeds = range(1, 11)
+    ratios = []
+    for seed in seeds:
+        norms = oracle_grad_norms("dro_tr.json", 30, seed, noise_sigma=0.5)
+        ratios.append(min(norms) / norms[0])
+    for tol, count in recorded.items():
+        assert sum(r < tol for r in ratios) >= floor(count, len(seeds)), (tol, ratios)

@@ -13,7 +13,7 @@ import numpy as np
 
 import ddtr
 from ddtr.baselines import RIDGE, OnlineAffineModel
-from ddtr.core import Box, DistributionOracle, ProblemSpec
+from ddtr.core import Box, DistributionOracle, ProblemSpec, Simplex
 from ddtr.llr import LLRModel
 from ddtr.problems import DROProblem, dro_instance, expit, softplus
 from ddtr.tr import surrogate_value_and_xgrad
@@ -189,29 +189,60 @@ def dro_inner_exact_check(
     return total / k_rows + f - g
 
 
-def dro_mc_reference(dro: DROProblem, x, rng, diag_samples: int = 5000) -> tuple[float, float]:
-    """The DRO diagnostic estimator over ``diag_samples`` drawn rows, with no
-    shortcut for noiseless draws: the primal value and gradient norm of the
-    sample average, its inner maximum solved by one simplex projection.
-    """
-    inst = dro_instance(dro, diag_samples=diag_samples)
-    problem, oracle = inst.problem, inst.oracle
-    N, n = dro.n_rows, dro.n_features
+def dro_rows_reference(dro: DROProblem, x, rows, weights) -> tuple[float, float]:
+    """The primal value and gradient norm of the DRO objective's weighted mean
+    over ``rows``, an ``(S, N, n)`` array of draws of the shifted features with
+    a weight each, its inner maximum solved by one simplex projection; a
+    straight-line form with no shortcut for repeated rows."""
+    N = dro.n_rows
     b, lam1, lam2, alpha = dro.labels, dro.lambda1, dro.lambda2, dro.alpha
     q = alpha * x**2
     f_value = lam1 * float(np.sum(q / (1.0 + q)))
     f_grad = lam1 * 2.0 * alpha * x / (1.0 + alpha * x**2) ** 2
-    a = oracle.sample(x, diag_samples, rng).reshape(-1, N, n)
-    margins = -b[None, :] * (a @ x)
-    mean_losses = np.mean(softplus(margins), axis=0)  # (N,)
-    y_star = problem.inner_domain.project(1.0 / N + mean_losses / (lam2 * N**3))
+    margins = -b[None, :] * (rows @ x)
+    mean_losses = weights @ softplus(margins)  # (N,)
+    y_star = Simplex(N).project(1.0 / N + mean_losses / (lam2 * N**3))
     reg = 0.5 * lam2 * float(np.sum((N * y_star - 1.0) ** 2))
     value = float(mean_losses @ y_star / N + f_value - reg)
     coef = (-b * y_star)[None, :] * expit(margins) / N  # (S, N)
-    g1 = np.mean(np.einsum("sN,sNn->sn", coef, a), axis=0) + f_grad
-    g3_rows = np.mean(coef, axis=0)[:, None] * x[None, :]  # (N, n)
+    g1 = np.einsum("s,sN,sNn->n", weights, coef, rows) + f_grad
+    g3_rows = (weights @ coef)[:, None] * x[None, :]  # (N, n)
     chain = dro.shift_scale * np.cos(x) * np.sum(g3_rows, axis=0)
     return value, float(np.linalg.norm(g1 + chain))
+
+
+def dro_mc_reference(dro: DROProblem, x, rng, draws: int = 5000) -> tuple[float, float]:
+    """The Monte-Carlo estimate of the DRO diagnostic over ``draws`` rows drawn
+    from the oracle, equally weighted."""
+    rows = dro_instance(dro).oracle.sample(x, draws, rng).reshape(draws, dro.n_rows, -1)
+    return dro_rows_reference(dro, x, rows, np.full(draws, 1.0 / draws))
+
+
+def trapezoid_nodes(step: float, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoidal rule for a standard normal law: nodes ``step`` apart on
+    ``[-half_width, half_width]``, weights that sum to 1."""
+    z = np.arange(-math.floor(half_width / step), math.floor(half_width / step) + 1) * step
+    weights = np.exp(-0.5 * z**2)
+    return z, weights / weights.sum()
+
+
+def dro_nodes_reference(dro: DROProblem, x, z, weights) -> tuple[float, float]:
+    """The DRO diagnostic by a quadrature rule for the noise along x, whose
+    nodes ``z`` are in units of sigma; noise orthogonal to x moves no margin."""
+    shifted = dro.features + dro.shift_scale * np.sin(x)
+    rows = shifted + (dro.noise_sigma * z)[:, None, None] * (x / (np.linalg.norm(x) or 1.0))
+    return dro_rows_reference(dro, x, rows, weights)
+
+
+def dro_one_row_reference(dro: DROProblem, x) -> tuple[float, float]:
+    """The noiseless DRO diagnostic as the binding over one drawn row, through
+    the binding's own calls: the value and gradient norm bit for bit."""
+    inst = dro_instance(dro)
+    N, n = dro.n_rows, dro.n_features
+    bound = inst.problem.bind(x, inst.oracle.sample(x, 1, ddtr.make_rng(0)))
+    y_star = inst.problem.inner_domain.project(1.0 / N + bound.m_loss / (dro.lambda2 * N**2))
+    chain = dro.shift_scale * np.cos(x) * bound.grad3(y_star).reshape(N, n).sum(0)
+    return float(bound.loss(y_star)), float(np.linalg.norm(bound.grad1(y_star) + chain))
 
 
 def fitted_map(model: LLRModel, x) -> np.ndarray:
