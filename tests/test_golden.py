@@ -130,7 +130,7 @@ GOLDEN = {
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,
-        "dd9227a0365a657ff33ad80f078e6dfbf6faf0c34f455aa6a339b5696337e5c6",
+        "2e4cc586a37f3fec51b587ce137fedc61012f84a088b6c399d477a0e9ee2ce5e",
         "1c220e925fad82da3eff5727d5855a35244f52852fe48316fffa468f4cb160fa",
     ),
     "dro_spd": (
@@ -145,7 +145,7 @@ GOLDEN = {
     ),
     "dro_asgda_noisy": (
         DRO_ASGDA_NOISY,
-        "2919cbd2b431c6fd4372a46dc89491a4402f01cba268d9273e1d1a1cc6908ba8",
+        "ab8c77ef9b47152fd605f637a2e7fdb97373086dbb8433634de8a125497c40f7",
         "2757fbec78f0fcbddd297332858667cbb94f88e2a928492d14e58cad54386dd2",
     ),
     "bench_synthetic_tr": (
