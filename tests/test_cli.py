@@ -786,9 +786,9 @@ def _second_run_faults(setup: str, config: dict) -> int:
 
 
 # The 5-iteration golden dro_tr case with noisy draws: the sampler then
-# allocates fresh draws on every call, 4 MB for each diagnostic.
+# allocates fresh draws on every call.
 DRO_TR_NOISY = dict(
-    DRO_TR, problem_params={**DRO_TR["problem_params"], "noise_sigma": 0.5, "diag_samples": 500}
+    DRO_TR, problem_params={**DRO_TR["problem_params"], "noise_sigma": 0.5}
 )
 
 
@@ -811,7 +811,7 @@ def test_library_dro_run_reuses_heap_pages():
 @glibc_heap
 def test_noisy_asgda_run_reuses_heap_pages(tmp_path):
     # A noisy asgda run through run_one: a 500-row batch each step and a
-    # 500-draw diagnostic. The sampler builds its noisy draws in one array;
+    # diagnostic at each step. The sampler builds its noisy draws in one array;
     # with draws + sigma * noise, three arrays of that size, the heap is
     # trimmed and refaulted on every step.
     config = dict(
