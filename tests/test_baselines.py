@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,3 +330,28 @@ class TestRunBaseline:
         )
         assert all(np.isfinite(r.oracle_phi) for r in history)
         assert state.termination == "max_iters" and len(history) == 5
+
+    def test_divergence_on_the_last_allowed_step_reads_diverged(self):
+        # From x0 = 10, spd-constant diverges at its seventh step: with a
+        # budget of seven the divergence still names the end, and the step
+        # that diverged keeps its row, with no diagnostics.
+        inst = synthetic_instance()
+        config = BaselineConfig(method="spd-constant", batch=500, max_iters=5000, seed=1)
+        _, full = run_baseline(
+            np.array([10.0]), None, inst.problem, inst.oracle, config, inst.diagnostics
+        )
+        assert len(full) == 7
+        state, history = run_baseline(
+            np.array([10.0]), None, inst.problem, inst.oracle, replace(config, max_iters=7),
+            inst.diagnostics,
+        )
+        assert state.termination == "diverged" and len(history) == 7
+        assert math.isnan(history[-1].oracle_phi) and math.isnan(history[-1].oracle_grad_norm)
+        assert all(math.isfinite(r.oracle_phi) for r in history[:-1])
+
+    @pytest.mark.parametrize("method", ["spd-constant", "asgda"])
+    def test_zero_iterations(self, method):
+        inst = synthetic_instance()
+        config = BaselineConfig(method=method, max_iters=0, seed=1)
+        state, history = run_baseline(np.array([1.0]), None, inst.problem, inst.oracle, config)
+        assert state.termination == "max_iters" and history == [] and state.k == 0

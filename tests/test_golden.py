@@ -2,7 +2,8 @@
 
 Each case runs one seed through ``cli.run_one`` and compares two SHA-256
 digests with values committed here: of the CSV it writes, and of its
-trajectory, the same CSV with the ``oracle_*`` columns dropped.  The
+trajectory, the same CSV with the ``oracle_*`` columns dropped.  It also
+checks the ``termination`` and ``iterations`` of the run's summary entry.  The
 diagnostics draw from their own generators and feed nothing back, so a
 change to them alone moves only the first.  A change that moves a digest on
 purpose updates the value and says why in CHANGES.md.  The digests were
@@ -107,56 +108,67 @@ GOLDEN = {
         SYNTHETIC_TR,
         "1809e0304f9191e6de14c35cc0508404e5d22186057ccac2d11f7ff2289fc00a",
         "ce8286eaebffa4384db18ef4284057d6395988079d9ef094f7542d73c4eb355a",
+        ("max_iters", 20),
     ),
     "dro_tr": (
         DRO_TR,
         "e3f7a8dc3dd89a267a03b8940d755599fe927e6e7a31dbb67a176b75d384a52a",
         "aee5352bd20650642b89c00034dbbbd372be2f0fd7c9950119c8562fcb3c1400",
+        ("max_iters", 5),
     ),
     "synthetic_spd": (
         SYNTHETIC_SPD,
         "845ac2666757a3004af4810e7504b894773640820fd0946afd5ce20d9aa8e7f8",
         "cd75ac594dcc38b7b2aa53db5c3de7237d8d8ee2311741be5fa9557a85591818",
+        ("max_iters", 50),
     ),
     "synthetic_asgda": (
         SYNTHETIC_ASGDA,
         "019ed448709d7fc6e04fc78f7e7630dcb3a147e3a0bae07ec6b74cf049901396",
         "8653e80e414ca3228d6b1e2d068e1b986e83364d88ebafc504e40b61a597fad3",
+        ("max_iters", 50),
     ),
     "synthetic_spd_dynamic": (
         SYNTHETIC_SPD_DYNAMIC,
         "8a109fb1fdf6a2963ab4173db0eade1ca452650a67bae613e7dcea717bef7f7e",
         "9f8ffc6072e24af541cf41d07ca36978ccead52eaa9ab1a27d50dadb25355e50",
+        ("max_iters", 50),
     ),
     "dro_tr_noisy": (
         DRO_TR_NOISY,
         "2e4cc586a37f3fec51b587ce137fedc61012f84a088b6c399d477a0e9ee2ce5e",
         "1c220e925fad82da3eff5727d5855a35244f52852fe48316fffa468f4cb160fa",
+        ("max_iters", 8),
     ),
     "dro_spd": (
         DRO_SPD,
         "22afcd6c8eae68a40cf252cb52deeb644f2e79a6777a45398b594718da2bd751",
         "736e3c2c8429790832405d396f139b045704523ef93ea315a3c65cfc34cef764",
+        ("max_iters", 8),
     ),
     "dro_asgda": (
         DRO_ASGDA,
         "b86869c3b7b1f6d20d874388e908459b721300959b3187235d05adf54ce23d3a",
         "1167606bfde8a3ad2496e8ca1409935622445f11df918d4fd189d6ed452b1711",
+        ("max_iters", 8),
     ),
     "dro_asgda_noisy": (
         DRO_ASGDA_NOISY,
         "ab8c77ef9b47152fd605f637a2e7fdb97373086dbb8433634de8a125497c40f7",
         "2757fbec78f0fcbddd297332858667cbb94f88e2a928492d14e58cad54386dd2",
+        ("max_iters", 8),
     ),
     "bench_synthetic_tr": (
         BENCH_SYNTHETIC_TR,
         "fb459233e22f1afa999ff51de2707735626359e012382e964c3e57275b39a106",
         "a963e05321f5ed780ee70ba295d17ec1d5e57a5187a01c817bc46a26fc9f475a",
+        ("radius_floor", 52),
     ),
     "bench_dro_tr": (
         BENCH_DRO_TR,
         "1ce04a4f70a4840158adc35f26d479bbeeddc495e3ffa7f8b065dd1302b63b37",
         "1b987802292363831c1dcefcc667ed1ee49197289f3b0ff7cc0da320527832cc",
+        ("max_iters", 25),
     ),
 }
 
@@ -170,10 +182,11 @@ def trajectory(data: bytes) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("doc, digest, trajectory_digest", GOLDEN.values(), ids=GOLDEN.keys())
-def test_csv_digest(tmp_path, doc, digest, trajectory_digest):
+@pytest.mark.parametrize("doc, digest, trajectory_digest, end", GOLDEN.values(), ids=GOLDEN.keys())
+def test_csv_digest(tmp_path, doc, digest, trajectory_digest, end):
     config = parse_run_config({**doc, "output_dir": str(tmp_path)})
     entry = run_one(config, config.seeds[0], str(tmp_path))
+    assert (entry["termination"], entry["iterations"]) == end
     data = (tmp_path / entry["csv"]).read_bytes()
     assert hashlib.sha256(trajectory(data)).hexdigest() == trajectory_digest
     assert hashlib.sha256(data).hexdigest() == digest

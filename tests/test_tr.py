@@ -439,6 +439,25 @@ class TestSolve:
         assert history[-1].delta_next < self.floor(config, history[-1].x_after)
         assert state.delta == history[-1].delta_next
 
+    def test_budget_is_checked_before_the_floor(self):
+        # The run above floors after its last iteration; with exactly that
+        # many allowed, the budget ends it first.
+        inst = synthetic_instance()
+        config = small_config(max_iters=300, seed=3)
+        _, floored = solve(np.array([9.8]), inst.problem, inst.oracle, config)
+        state, history = solve(
+            np.array([9.8]), inst.problem, inst.oracle, replace(config, max_iters=len(floored))
+        )
+        assert state.termination == "max_iters" and len(history) == len(floored) == 69
+        assert state.delta < self.floor(config, state.x)
+
+    def test_zero_iterations_below_the_floor_read_max_iters(self):
+        inst = synthetic_instance()
+        config = small_config(max_iters=0, delta_min=10.0)
+        state, history = solve(np.array([2.0]), inst.problem, inst.oracle, config)
+        assert state.delta < self.floor(config, state.x)
+        assert state.termination == "max_iters" and history == []
+
     def test_zero_floor_runs_every_iteration(self):
         inst = synthetic_instance()
         config = small_config(max_iters=300, seed=3)
