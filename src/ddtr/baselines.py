@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .core import (
     OracleDiagnostics,
     ProblemSpec,
     as_vector,
-    make_rng,
+    drive,
     norm,
 )
 
@@ -104,7 +104,7 @@ class BaselineState:
     y: np.ndarray
     k: int
     model: Optional[OnlineAffineModel]
-    # Why ``run_baseline`` stopped: "diverged" or "max_iters".
+    # Why the run stopped: "diverged", set by the step that diverged, or "max_iters".
     termination: Optional[str] = None
 
 
@@ -136,7 +136,8 @@ def _descend_ascend(
     # it is, so the divergence check ends the run.
     if np.all(np.isfinite(y)):
         y = problem.inner_domain.project(y)
-    return replace(state, x=x, y=y, k=state.k + 1, **changes)
+    ended = "diverged" if _diverged(x, y) else None
+    return replace(state, x=x, y=y, k=state.k + 1, termination=ended, **changes)
 
 
 def spd_step(
@@ -179,14 +180,15 @@ def run_baseline(
     oracle: DistributionOracle,
     config: BaselineConfig,
     diagnostics: Optional[OracleDiagnostics] = None,
+    on_record: Optional[Callable[[BaselineRecord], object]] = None,
 ) -> tuple[BaselineState, list[BaselineRecord]]:
     """Iterate the chosen baseline until divergence or the iteration budget;
-    return the final state, whose ``termination`` says which, plus the history.
+    return the final state, whose ``termination`` says which, and the records,
+    unless each went to ``on_record``.
 
     Divergence (iterate norm above the threshold, or a non-finite value) stops
-    the run; it is not an exception.
+    the run after that step's record; it is not an exception.
     """
-    rng = make_rng(config.seed)
     x0 = as_vector(x0, problem.n, "x0")
     y0 = problem.inner_domain.center() if y0 is None else as_vector(y0, problem.m, "y0")
     y0 = problem.inner_domain.project(y0)
@@ -195,27 +197,17 @@ def run_baseline(
     history = []
     step = asgda_step if config.method == "asgda" else spd_step
 
-    for _ in range(config.max_iters):
+    def record_step(state: BaselineState, rng: np.random.Generator):
         step_rng, diag_rng = rng.spawn(2)
-        prev_x = state.x
         eta = config.stepsize(state.k)
-        state = step(state, problem, oracle, config, step_rng)
-        diverged = _diverged(state.x, state.y)
-        grad_norm = norm((state.x - prev_x) / eta)
-        oracle_phi = math.nan
-        oracle_grad = math.nan
-        if diagnostics is not None and not diverged:
-            oracle_phi, oracle_grad = diagnostics.evaluate(prev_x, diag_rng)
-        history.append(
-            BaselineRecord(
-                k=state.k - 1,
-                stepsize=eta,
-                grad_norm_est=grad_norm,
-                oracle_phi=oracle_phi,
-                oracle_grad_norm=oracle_grad,
-                x_after=state.x,
-            )
-        )
-        if diverged:
-            return replace(state, termination="diverged"), history
-    return replace(state, termination="max_iters"), history
+        after = step(state, problem, oracle, config, step_rng)
+        grad_norm = norm((after.x - state.x) / eta)
+        oracle_phi = oracle_grad = math.nan
+        if diagnostics is not None and after.termination is None:
+            oracle_phi, oracle_grad = diagnostics.evaluate(state.x, diag_rng)
+        return after, BaselineRecord(state.k, eta, grad_norm, oracle_phi, oracle_grad, after.x)
+
+    def stop(state: BaselineState) -> Optional[str]:
+        return state.termination or ("max_iters" if state.k >= config.max_iters else None)
+
+    return drive(state, record_step, stop, config.seed, on_record or history.append), history

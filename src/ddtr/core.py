@@ -24,7 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -69,6 +69,15 @@ class SchemaError(ValueError):
 def make_rng(seed: Union[int, Sequence[int]]) -> np.random.Generator:
     """Counter-based Philox generator seeded by an integer or a sequence of integers."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def drive(state, step: Callable, stop: Callable, seed, on_record: Callable):
+    """Step until ``stop(state)`` names the termination; each record goes to ``on_record``."""
+    rng = make_rng(seed)
+    while (termination := stop(state)) is None:
+        state, record = step(state, rng)
+        on_record(record)
+    return replace(state, termination=termination)
 
 
 def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
     OracleDiagnostics,
     ProblemSpec,
     as_vector,
-    make_rng,
+    drive,
     norm,
 )
 from .inner import maximize_over_scenarios
@@ -270,18 +270,22 @@ def solve(
     oracle: DistributionOracle,
     config: TRConfig,
     diagnostics: Optional[OracleDiagnostics] = None,
+    on_record: Optional[Callable[[IterationRecord], object]] = None,
 ) -> tuple[TRState, list[IterationRecord]]:
     """Iterate until the radius falls below its floor or to 0, or for
-    ``config.max_iters`` iterations; return the final state, whose
-    ``termination`` says which, plus the history."""
-    rng = make_rng(config.seed)
+    ``config.max_iters`` iterations; return the final state, whose ``termination``
+    says which, and the records, unless each went to ``on_record``."""
     x0 = as_vector(x0, problem.n, "x0")
     state = TRState(x=x0, delta=config.delta0, k=0, y_warm=problem.inner_domain.center())
     history = []
-    for _ in range(config.max_iters):
-        floor = config.delta_min * max(1.0, norm(state.x))
-        if state.delta < floor or state.delta == 0.0:  # 0 also with delta_min = 0
-            return replace(state, termination="radius_floor"), history
-        state, record = iterate(state, problem, oracle, config, rng, diagnostics)
-        history.append(record)
-    return replace(state, termination="max_iters"), history
+
+    def stop(state: TRState) -> Optional[str]:
+        if state.k >= config.max_iters:  # first: a last step may take delta below the floor
+            return "max_iters"
+        if state.delta < config.delta_min * max(1.0, norm(state.x)) or state.delta == 0.0:
+            return "radius_floor"  # 0 also with delta_min = 0
+
+    return drive(
+        state, lambda state, rng: iterate(state, problem, oracle, config, rng, diagnostics),
+        stop, config.seed, on_record or history.append,
+    ), history
