@@ -24,7 +24,7 @@ from ddtr.core import (
 )
 from ddtr.problems import dro_instance, generate_synthetic_credit, synthetic_instance
 
-from util import affine_fit, in_domain, quadratic_problem
+from util import affine_fit, in_domain, quadratic_problem, record_bytes
 
 
 def affine_oracle(slope, intercept, sigma=0.0):
@@ -348,6 +348,18 @@ class TestRunBaseline:
         assert state.termination == "diverged" and len(history) == 7
         assert math.isnan(history[-1].oracle_phi) and math.isnan(history[-1].oracle_grad_norm)
         assert all(math.isfinite(r.oracle_phi) for r in history[:-1])
+
+    @pytest.mark.parametrize("method", ["spd-constant", "asgda"])
+    def test_on_record_gets_the_records_of_a_plain_run(self, method):
+        # From x0 = 10 both methods diverge: the streamed records end with that row.
+        inst = synthetic_instance()
+        config = BaselineConfig(method=method, batch=500, max_iters=5000, seed=1)
+        args = (np.array([10.0]), None, inst.problem, inst.oracle, config, inst.diagnostics)
+        state, history = run_baseline(*args)
+        streamed = []
+        streamed_state, rest = run_baseline(*args, streamed.append)
+        assert rest == [] and streamed_state.termination == state.termination == "diverged"
+        assert [record_bytes(r) for r in streamed] == [record_bytes(r) for r in history]
 
     @pytest.mark.parametrize("method", ["spd-constant", "asgda"])
     def test_zero_iterations(self, method):

@@ -17,7 +17,17 @@ import io
 
 import pytest
 
-from ddtr.cli import parse_run_config, run_one
+from ddtr import baselines, tr
+from ddtr.cli import (
+    COLUMNS,
+    _fmt,
+    build_baseline_config,
+    build_instance,
+    build_tr_config,
+    parse_run_config,
+    run_one,
+)
+from ddtr.core import make_rng
 
 SYNTHETIC_TR = {
     "problem": "synthetic",
@@ -190,3 +200,33 @@ def test_csv_digest(tmp_path, doc, digest, trajectory_digest, end):
     data = (tmp_path / entry["csv"]).read_bytes()
     assert hashlib.sha256(trajectory(data)).hexdigest() == trajectory_digest
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["synthetic_tr", "synthetic_asgda"])
+def test_records_streamed_row_by_row_give_the_golden_csv(tmp_path, name):
+    # Each record is written as the solver hands it to on_record, not after the run.
+    doc, digest = GOLDEN[name][:2]
+    config = parse_run_config({**doc, "output_dir": str(tmp_path)})
+    seed = config.seeds[0]
+    instance = build_instance(config)
+    x0, y0 = instance.draw_start(make_rng(seed))
+    columns = COLUMNS[config.solver]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(columns)
+
+    def write(record):
+        writer.writerow([_fmt(getattr(record, column)) for column in columns])
+
+    if config.solver == "tr":
+        _, rest = tr.solve(
+            x0, instance.problem, instance.oracle, build_tr_config(config, seed),
+            instance.diagnostics, write,
+        )
+    else:
+        _, rest = baselines.run_baseline(
+            x0, y0, instance.problem, instance.oracle, build_baseline_config(config, seed),
+            instance.diagnostics, write,
+        )
+    assert rest == []
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest

@@ -32,7 +32,14 @@ from ddtr.tr import (
     solve,
 )
 
-from util import affine_map_problem, directional_fd, llr_model, scalar_oracle, surrogate_at
+from util import (
+    affine_map_problem,
+    directional_fd,
+    llr_model,
+    record_bytes,
+    scalar_oracle,
+    surrogate_at,
+)
 
 
 def small_config(**kw):
@@ -424,6 +431,17 @@ class TestSolve:
             assert a.x_after.tobytes() == b.x_after.tobytes()
             assert a.rho == b.rho or (math.isnan(a.rho) and math.isnan(b.rho))
             assert a.delta == b.delta and a.v_k == b.v_k or (math.isnan(a.v_k) and math.isnan(b.v_k))
+
+    def test_on_record_gets_the_records_of_a_plain_run(self):
+        inst = synthetic_instance()
+        config = small_config(max_iters=300, seed=3)
+        state, history = solve(np.array([9.8]), inst.problem, inst.oracle, config, inst.diagnostics)
+        streamed = []
+        streamed_state, rest = solve(
+            np.array([9.8]), inst.problem, inst.oracle, config, inst.diagnostics, streamed.append
+        )
+        assert rest == [] and streamed_state.termination == state.termination == "radius_floor"
+        assert [record_bytes(r) for r in streamed] == [record_bytes(r) for r in history]
 
     @staticmethod
     def floor(config, x):

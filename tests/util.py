@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -136,6 +137,11 @@ def scalar_oracle(fn, sigma=0.0) -> DistributionOracle:
         return means + sigma * rng.standard_normal((count, 1))
 
     return DistributionOracle(d=1, sampler=sampler)
+
+
+def record_bytes(record) -> tuple:
+    """A run record's fields as bytes: equal records compare equal, NaNs included."""
+    return tuple(np.asarray(getattr(record, f.name)).tobytes() for f in fields(record))
 
 
 def in_domain(domain, y) -> bool:
