@@ -243,7 +243,9 @@ def _write_csv(path: Path, columns: list[str], records) -> None:
 
 
 def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
-    """Execute a single seeded run and write its CSV; returns a summary entry."""
+    """Execute a single seeded run and write its CSV; returns a summary entry.
+    A solver that raises leaves the rows it recorded (a header alone if none)
+    in place of any earlier run's CSV, and the error goes on to the caller."""
     instance = build_instance(config)
     diagnostics = instance.diagnostics if config.log_oracle_diagnostics else None
     start_rng = make_rng(seed)
@@ -251,15 +253,21 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     csv_path = Path(out_dir) / f"{config.problem}_{config.solver}_seed{seed}.csv"
     t0 = time.perf_counter()
     entry = {"seed": seed, "csv": csv_path.name, "x0": [float(v) for v in x0]}
-    if config.solver == "tr":
-        state, history = tr.solve(
-            x0, instance.problem, instance.oracle, build_tr_config(config, seed), diagnostics
-        )
-    else:
-        state, history = baselines.run_baseline(
-            x0, y0, instance.problem, instance.oracle,
-            build_baseline_config(config, seed), diagnostics,
-        )
+    history = []
+    try:
+        if config.solver == "tr":
+            state, _ = tr.solve(
+                x0, instance.problem, instance.oracle, build_tr_config(config, seed), diagnostics,
+                history.append,
+            )
+        else:
+            state, _ = baselines.run_baseline(
+                x0, y0, instance.problem, instance.oracle,
+                build_baseline_config(config, seed), diagnostics, history.append,
+            )
+    except Exception:  # a KeyboardInterrupt or other BaseException writes nothing
+        _write_csv(csv_path, COLUMNS[config.solver], history)
+        raise
     _write_csv(csv_path, COLUMNS[config.solver], history)
     entry.update(
         final_x=[float(v) for v in state.x],
@@ -306,7 +314,10 @@ def run(config: RunConfig, workers: int = 1) -> int:
     summary = {"config": asdict(config), "runs": entries}
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
-    return 1 if any("error" in e for e in entries) else 0
+    failed = [e for e in entries if "error" in e]
+    for entry in failed:
+        print(f"error: seed {entry['seed']}: {entry['error']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

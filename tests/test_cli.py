@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddtr import cli, ingest
+from ddtr import baselines, cli, ingest, tr
 from ddtr.cli import main, parse_run_config, run
 from ddtr.core import ConfigurationError, SchemaError, make_rng
 from ddtr.report import summarize
@@ -407,6 +407,47 @@ class TestRun:
         summary = json.loads((tmp_path / "err" / "summary.json").read_text())
         assert all("error" in entry for entry in summary["runs"])
         assert len(summary["runs"]) == 2
+
+    @pytest.mark.parametrize("solver, module, step", [
+        ("tr", tr, "iterate"),
+        ("spd-constant", baselines, "spd_step"),
+        ("asgda", baselines, "asgda_step"),
+    ], ids=["tr", "spd-constant", "asgda"])
+    def test_failed_seed_keeps_its_rows_and_no_stale_csv(
+        self, tmp_path, monkeypatch, solver, module, step
+    ):
+        # A run of six rows per seed, then a rerun into the same directory whose
+        # step raises at k = 3: each seed's CSV holds rows 0-2 of the first run.
+        out = tmp_path / "out"
+        doc = dict(tiny_tr_doc(out, seeds=(1, 2), max_iters=6), solver=solver)
+        if solver != "tr":
+            doc.update(solver_params={}, problem_params={"x0_center": [2.0]})
+        assert run(parse_run_config(doc)) == 0
+        first = {p.name: p.read_text().splitlines() for p in out.glob("*.csv")}
+        assert sorted(len(lines) for lines in first.values()) == [7, 7]
+        real = getattr(module, step)
+
+        def failing(state, *args):
+            if state.k == 3:
+                raise RuntimeError("step 3 fails")
+            return real(state, *args)
+
+        monkeypatch.setattr(module, step, failing)
+        assert run(parse_run_config(doc)) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert [sorted(e) for e in summary["runs"]] == [sorted(ERROR_KEYS)] * 2
+        assert {p.name: p.read_text().splitlines() for p in out.glob("*.csv")} == {
+            name: lines[:4] for name, lines in first.items()
+        }
+        assert main(["summarize", str(out)]) == 0
+
+    def test_seed_that_fails_before_any_row_writes_the_header(self, tmp_path):
+        config = self.config_whose_seeds_raise(tmp_path / "err", seeds=(1,))
+        (tmp_path / "err").mkdir()
+        stale = tmp_path / "err" / "synthetic_tr_seed1.csv"
+        stale.write_text("stale\n")
+        assert run(config) == 1
+        assert stale.read_text().splitlines() == [",".join(TR_HEADER)]
 
     def config_whose_seeds_raise(self, out, seeds):
         """A config that parses and whose every seed's run raises: no regression
@@ -1078,6 +1119,16 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_failed_seeds_are_named_on_stderr(self, tmp_path, capsys):
+        # Every seed of this config raises a PoisednessError in its first iteration.
+        doc = tiny_tr_doc(tmp_path / "err", seeds=(1, 2), max_iters=2)
+        doc["solver_params"]["lambda_max"] = 1.000001
+        assert main(["run", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for seed, line in zip((1, 2), err):
+            assert line.startswith(f"error: seed {seed}: PoisednessError: ")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2
