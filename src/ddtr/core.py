@@ -287,7 +287,11 @@ class OracleDiagnostics:
     diagnostic: both shipped ones are exact and ignore ``rng``, the synthetic
     closed form and the dro quadrature.  ddtr never calls ``value`` or
     ``grad_norm``: they exist only because the benchmark's tracer
-    (``perfbench/tracing.py``) replaces them by name.
+    (``perfbench/tracing.py``) replaces them by name.  The tracer also
+    patches ``tr.solve``, ``baselines.run_baseline`` and the steps
+    ``tr.iterate``, ``spd_step`` and ``asgda_step``, so these keep their
+    names although ``drive`` runs every loop, and a run looks its step up
+    when it starts.
     """
 
     value_and_grad_norm: Callable[[np.ndarray, np.random.Generator], tuple[float, float]]

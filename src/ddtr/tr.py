@@ -7,8 +7,10 @@ surrogate sufficient-descent inequality to hold, estimate the primal value at
 the old and trial points with fresh oracle samples, and accept or reject on
 the actual-to-predicted reduction ratio together with a gradient-versus-radius
 test.  Accepted steps grow the radius (capped), rejected ones shrink it.
-A run ends after ``max_iters`` iterations, or earlier once the radius falls
-below the relative floor ``delta_min * max(1, ||x||)`` or underflows to 0.
+``solve`` runs the iterations on ``core.drive``, the run loop it shares with
+the baselines: a run ends after ``max_iters`` iterations, or earlier once the
+radius falls below the relative floor ``delta_min * max(1, ||x||)`` or
+underflows to 0.
 """
 
 from __future__ import annotations

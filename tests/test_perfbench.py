@@ -2,7 +2,10 @@
 
 It patches module attributes (``tr.estimate_value``, ``baselines.spd_step``,
 ...) and reads instance and record fields by name, so a rename in ``src/``
-breaks it without failing any other test. Each workload's configs run here
+breaks it without failing any other test. Among them are the two run
+entry points, ``tr.solve`` and ``baselines.run_baseline``, which stay thin
+callers of ``core.drive``, and the steps it runs, ``tr.iterate``,
+``spd_step`` and ``asgda_step``. Each workload's configs run here
 through ``run.run_pass`` once untraced and once traced, as a benchmark run
 does, and must give the same CSVs with no failure or defect. The traced
 pass must also see every layer the workload exercises, and one driver step
