@@ -291,7 +291,7 @@ class OracleDiagnostics:
     patches ``tr.solve``, ``baselines.run_baseline`` and the steps
     ``tr.iterate``, ``spd_step`` and ``asgda_step``, so these keep their
     names although ``drive`` runs every loop, and a run looks its step up
-    when it starts.
+    in its module rather than binding it at import.
     """
 
     value_and_grad_norm: Callable[[np.ndarray, np.random.Generator], tuple[float, float]]
