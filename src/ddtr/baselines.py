@@ -82,13 +82,14 @@ class OnlineAffineModel:
     def empty(n: int, d: int) -> "OnlineAffineModel":
         return OnlineAffineModel(zz=np.zeros((n + 1, n + 1)), zw=np.zeros((n + 1, d)))
 
-    def update(self, x: np.ndarray, draws: np.ndarray, forget: float) -> "OnlineAffineModel":
+    def update(
+        self, x: np.ndarray, draws: np.ndarray, forget: float, weight: int = 1
+    ) -> "OnlineAffineModel":
+        """Discount the statistics and add the draws at x, each ``weight`` times."""
         z = np.append(x, 1.0)
-        count = draws.shape[0]
-        # A stride-0 batch (see core.DistributionOracle) repeats one row.
-        total = count * draws[0] if draws.strides[0] == 0 else draws.sum(axis=0)
+        total = weight * draws.sum(axis=0)
         return OnlineAffineModel(
-            zz=forget * self.zz + count * np.outer(z, z),
+            zz=forget * self.zz + (weight * draws.shape[0]) * np.outer(z, z),
             zw=forget * self.zw + z[:, None] * total[None, :],
         )
 
@@ -150,7 +151,8 @@ def spd_step(
     """One stochastic primal-dual step; the x-gradient ignores the sampling
     distribution's dependence on x."""
     eta = config.stepsize(state.k)
-    evaluation = problem.bind(state.x, oracle.sample(state.x, config.batch, rng))
+    rows = 1 if oracle.deterministic else config.batch
+    evaluation = problem.bind(state.x, oracle.sample(state.x, rows, rng))
     gx, gy = evaluation.grad1(state.y), evaluation.grad2(state.y)
     return _descend_ascend(state, problem, gx, gy, eta, eta)
 
@@ -164,12 +166,13 @@ def asgda_step(
 ) -> BaselineState:
     """One adaptive descent-ascent step: chain-rule-corrected x-gradient under
     the current global affine estimate of the map, then a model update."""
-    draws = oracle.sample(state.x, config.batch, rng)
+    rows = 1 if oracle.deterministic else config.batch
+    draws = oracle.sample(state.x, rows, rng)
     evaluation = problem.bind(state.x, draws)
     gx = evaluation.grad1(state.y) + state.model.chain(evaluation.grad3(state.y))
     return _descend_ascend(
         state, problem, gx, evaluation.grad2(state.y), config.stepsize(state.k), config.eta_y,
-        model=state.model.update(state.x, draws, config.forget),
+        model=state.model.update(state.x, draws, config.forget, config.batch // rows),
     )
 
 

@@ -253,14 +253,15 @@ class DistributionOracle:
     taken in row order.  Either way it must return a finite array of shape
     ``(count, d)``; ``sample`` raises on any other.  Draws with an identical
     generator state are bit-identical; callers never share one generator
-    across threads.  The draws at one point may be read-only with rows that
-    share memory, such as a view with stride 0 that repeats one row; callers
-    must not write into it.  A binding may evaluate such a batch once (the
-    ``dro`` one does).
+    across threads.  ``deterministic`` declares D(x) a point mass, every draw
+    at one x the same row; not merely draws that can coincide by chance.  The
+    solvers then draw one row where they would draw a batch, and asgda
+    weighs it as the batch.
     """
 
     d: int
     sampler: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
+    deterministic: bool = False
 
     def sample(self, x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
         if count < 1:
@@ -270,9 +271,8 @@ class DistributionOracle:
             raise ContractViolationError(
                 f"oracle returned shape {draws.shape}, expected ({count}, {self.d})"
             )
-        # A NaN or inf draw would poison every fit and mean it enters. Rows
-        # that share memory (stride 0) are checked once.
-        if not np.isfinite(draws[:1] if draws.strides[0] == 0 else draws).all():
+        # A NaN or inf draw would poison every fit and mean it enters.
+        if not np.isfinite(draws).all():
             raise ContractViolationError("oracle returned a non-finite draw")
         return draws
 

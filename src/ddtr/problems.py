@@ -125,7 +125,7 @@ def synthetic_instance(params: SyntheticProblem = SyntheticProblem()) -> Instanc
         cubes = np.float_power(np.atleast_2d(x)[:, :1], 3)
         return cubes + sigma * rng.standard_normal((count, 1))
 
-    oracle = DistributionOracle(d=1, sampler=sampler)
+    oracle = DistributionOracle(d=1, sampler=sampler, deterministic=sigma == 0)
 
     def closed_form(x, rng):  # exact: ignores rng and draws nothing
         value, derivative = synthetic_primal(float(x[0]), h)
@@ -271,10 +271,6 @@ def dro_instance(dro: DROProblem) -> Instance:
         ``logaddexp(0, margins)``), of expit(margins) and of expit(margins) * a,
         each over N.
 
-        Noiseless draws at one x are copies of one row, passed as a view with
-        stride 0 (see ``sampler``). They are evaluated on that row, whose
-        means are the row's own.
-
         A fitted model (``llr.LLRModel``) is evaluated on its three fields,
         row s at x being omega_s + b1^T (x - p_s) as its ``rows(x)`` builds
         it: the margins gain (x - P) @ (B1 x) and m_siga gains sig^T (x - P)
@@ -285,7 +281,7 @@ def dro_instance(dro: DROProblem) -> Instance:
         def __init__(self, x, w):
             self.x, self.affine = x, None  # (x - P, B1) of a model
             if isinstance(w, np.ndarray):
-                self.a = (w[:1] if w.strides[0] == 0 else w).reshape(-1, N, n)  # S = 1 for copies
+                self.a = w.reshape(-1, N, n)
             else:
                 self.a = w.responses.reshape(-1, N, n)  # (S, N, n), the omegas
                 self.affine = x - w.points, w.b1.reshape(n, N, n)
@@ -346,13 +342,11 @@ def dro_instance(dro: DROProblem) -> Instance:
             step = max(1, BLOCK // d) if len(shift) > 1 else count
             for start in range(0, count, step):
                 draws[start : start + step] += shift[start : start + step] + base
-        if draws.shape[0] < count:
-            # Noiseless draws at one x: copies of one row, as a read-only view
-            # with stride 0 on the first axis.
-            draws = np.broadcast_to(draws, (count, N, n))
+        if draws.shape[0] < count:  # noiseless draws at one x: copies of one row
+            draws = np.repeat(draws, count, axis=0)
         return draws.reshape(count, d)
 
-    oracle = DistributionOracle(d=d, sampler=sampler)
+    oracle = DistributionOracle(d=d, sampler=sampler, deterministic=noiseless)
 
     def evaluate(x, rng):
         # Primal value and gradient norm, exact; rng is unused. Noise moves a

@@ -165,7 +165,8 @@ def estimate_value(
 ) -> float:
     """Sample-average estimate of the primal value at x: the average loss of
     ``count`` fresh draws at their maximizer in y, found from ``y_warm`` to
-    tolerance ``inner_eps``."""
+    tolerance ``inner_eps``. ``iterate`` asks a deterministic oracle for one
+    draw, which is all of D(x): its estimate is exact to that tolerance."""
     x = as_vector(x, problem.n, "x")
     draws = oracle.sample(x, count, rng)
     report = maximize_over_scenarios(problem, x, draws, y_warm, inner_eps)
@@ -236,7 +237,7 @@ def iterate(
         # estimate could give a ratio, so none is drawn.
         descent_ok = pred >= descent_rhs
         if descent_ok and abs(pred) >= PRED_FLOOR:
-            n_value = config.value_schedule.count(delta)
+            n_value = 1 if oracle.deterministic else config.value_schedule.count(delta)
             v_k = estimate_value(problem, oracle, x, n_value, eps, y_old, vk_rng)
             v_half = estimate_value(problem, oracle, x_trial, n_value, eps, y_trial, vh_rng)
             rho = (v_k - v_half) / pred

@@ -192,17 +192,18 @@ class TestASGDA:
             expected = theta[:n] @ v
             assert np.linalg.norm(model.chain(v) - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_stride_zero_batch_adds_count_times_its_row(self):
+    def test_one_row_at_weight_500_adds_as_500_copies(self):
+        # The update asgda makes on a point-mass oracle: one row for a batch of 500.
         rng = make_rng(4)
         n, d = 5, 1000
         x, row = rng.normal(size=n), rng.normal(size=d)
         z = np.append(x, 1.0)
         empty = OnlineAffineModel.empty(n, d)
-        strided = empty.update(x, np.broadcast_to(row, (500, d)), forget=0.99)
-        assert np.array_equal(strided.zw, np.outer(z, 500 * row))
+        weighted = empty.update(x, row[None, :], forget=0.99, weight=500)
+        assert np.array_equal(weighted.zw, np.outer(z, 500 * row))
         tiled = empty.update(x, np.tile(row, (500, 1)), forget=0.99)
-        assert np.array_equal(strided.zz, tiled.zz)
-        assert np.linalg.norm(strided.zw - tiled.zw) <= 1e-13 * np.linalg.norm(tiled.zw)
+        assert np.array_equal(weighted.zz, tiled.zz)
+        assert np.linalg.norm(weighted.zw - tiled.zw) <= 1e-13 * np.linalg.norm(tiled.zw)
 
     def test_step_matches_deterministic_gda_once_model_exact(self):
         # After the model converges on a noiseless affine map, one asgda step

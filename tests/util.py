@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -137,6 +137,18 @@ def scalar_oracle(fn, sigma=0.0) -> DistributionOracle:
         return means + sigma * rng.standard_normal((count, 1))
 
     return DistributionOracle(d=1, sampler=sampler)
+
+
+def counting(oracle: DistributionOracle) -> tuple[DistributionOracle, list[int]]:
+    """The oracle with a sampler that appends the ``count`` of each request to
+    the returned list, in call order, and draws as the oracle does."""
+    counts = []
+
+    def sampler(x, count, rng):
+        counts.append(count)
+        return oracle.sampler(x, count, rng)
+
+    return replace(oracle, sampler=sampler), counts
 
 
 def record_bytes(record) -> tuple:
