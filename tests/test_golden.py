@@ -122,8 +122,8 @@ GOLDEN = {
     ),
     "dro_tr": (
         DRO_TR,
-        "e3f7a8dc3dd89a267a03b8940d755599fe927e6e7a31dbb67a176b75d384a52a",
-        "aee5352bd20650642b89c00034dbbbd372be2f0fd7c9950119c8562fcb3c1400",
+        "41bec06185ee0f9ddbea5b62283a95f8a45a79cb4cd90ca99ec257479dd56a9a",
+        "2a998164f31347f559c9f2cc10233e97216420d09ccd852235877483500b1d5a",
         ("max_iters", 5),
     ),
     "synthetic_spd": (
@@ -176,8 +176,8 @@ GOLDEN = {
     ),
     "bench_dro_tr": (
         BENCH_DRO_TR,
-        "1ce04a4f70a4840158adc35f26d479bbeeddc495e3ffa7f8b065dd1302b63b37",
-        "1b987802292363831c1dcefcc667ed1ee49197289f3b0ff7cc0da320527832cc",
+        "4230ac48d9c0c80fb12d81063847b6fb00be39ea607ef69515518d2fa1ce2b57",
+        "b3e93fb0c8ce068957942e73ac7cee08b0a3b91a30da31948b3a8ad80170384f",
         ("max_iters", 25),
     ),
 }
