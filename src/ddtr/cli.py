@@ -248,6 +248,14 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     in place of any earlier run's CSV, and the error goes on to the caller."""
     instance = build_instance(config)
     diagnostics = instance.diagnostics if config.log_oracle_diagnostics else None
+    drawn = []  # the count of each oracle request, poisedness redraws included
+    sampler = instance.oracle.sampler
+
+    def counted(x, count, rng):
+        drawn.append(count)
+        return sampler(x, count, rng)
+
+    oracle = replace(instance.oracle, sampler=counted)
     start_rng = make_rng(seed)
     x0, y0 = instance.draw_start(start_rng)
     csv_path = Path(out_dir) / f"{config.problem}_{config.solver}_seed{seed}.csv"
@@ -257,12 +265,12 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
     try:
         if config.solver == "tr":
             state, _ = tr.solve(
-                x0, instance.problem, instance.oracle, build_tr_config(config, seed), diagnostics,
+                x0, instance.problem, oracle, build_tr_config(config, seed), diagnostics,
                 history.append,
             )
         else:
             state, _ = baselines.run_baseline(
-                x0, y0, instance.problem, instance.oracle,
+                x0, y0, instance.problem, oracle,
                 build_baseline_config(config, seed), diagnostics, history.append,
             )
     except Exception:  # a KeyboardInterrupt or other BaseException writes nothing
@@ -273,6 +281,7 @@ def run_one(config: RunConfig, seed: int, out_dir: str) -> dict:
         final_x=[float(v) for v in state.x],
         iterations=len(history),
         termination=state.termination,
+        oracle_draws=sum(drawn),
     )
     if instance.diagnostics is not None:
         if state.termination != "diverged":

@@ -18,7 +18,7 @@ from ddtr.core import ConfigurationError, SchemaError, make_rng
 from ddtr.report import summarize
 
 from test_golden import DRO_TR
-from util import fresh_cli, fresh_python
+from util import counting, fresh_cli, fresh_python
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -63,8 +63,8 @@ BASELINE_KEYS = {
 # run, the diagnostics at a final x that did not diverge, and those of a seed
 # whose run raised.
 RUN_KEYS = [
-    "seed", "csv", "x0", "final_x", "iterations", "termination", "oracle_samples",
-    "wall_time_s",
+    "seed", "csv", "x0", "final_x", "iterations", "termination", "oracle_draws",
+    "oracle_samples", "wall_time_s",
 ]
 FINAL_ORACLE_KEYS = ["final_oracle_phi", "final_oracle_grad_norm"]
 ERROR_KEYS = ["seed", "error"]
@@ -861,6 +861,67 @@ def test_noisy_asgda_run_reuses_heap_pages(tmp_path):
     )
     setup = "run = lambda: cli.run_one(config, 1, config.output_dir)"
     assert _second_run_faults(setup, config) < 1000
+
+
+class TestOracleDraws:
+    """A summary entry's ``oracle_draws`` is the rows its run drew."""
+
+    DRO = {"n_rows": 12, "n_features": 2, "data_seed": 3}
+
+    @staticmethod
+    def run_counted(monkeypatch, tmp_path, doc):
+        """The run's summary entry, its CSV rows and the counts its oracle was asked for."""
+        requests = []
+        build_instance = cli.build_instance
+
+        def counted_instance(config):
+            instance = build_instance(config)
+            oracle, counts = counting(instance.oracle)
+            requests.append(counts)
+            return replace(instance, oracle=oracle)
+
+        config = parse_run_config({**doc, "seeds": [1], "output_dir": str(tmp_path)})
+        monkeypatch.setattr(cli, "build_instance", counted_instance)
+        entry = cli.run_one(config, 1, str(tmp_path))
+        with open(tmp_path / entry["csv"], encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        (counts,) = requests
+        return entry, rows, counts
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_tr_draws_are_the_regression_sets_and_value_estimates(
+        self, monkeypatch, tmp_path, sigma
+    ):
+        doc = {
+            "problem": "dro", "solver": "tr", "max_iters": 6,
+            "problem_params": {**self.DRO, "noise_sigma": sigma},
+            "solver_params": {"llr_count": 20, "value_count": 30},
+        }
+        entry, rows, counts = self.run_counted(monkeypatch, tmp_path, doc)
+        per_row = [(int(row["n_llr"]), int(row["n_value"])) for row in rows]
+        # No poisedness redraw: each iteration asks for its set, then 0 or 2 estimates.
+        assert counts == [
+            c for n_llr, n_value in per_row for c in [n_llr] + [n_value] * (2 * (n_value > 0))
+        ]
+        assert any(n_value for _, n_value in per_row)
+        assert entry["oracle_draws"] == sum(n_llr + 2 * n_value for n_llr, n_value in per_row)
+
+    @pytest.mark.parametrize("solver", ["spd-constant", "asgda"])
+    @pytest.mark.parametrize("problem, params, per_step", [
+        ("dro", {**DRO, "noise_sigma": 0.0}, 1),
+        ("dro", {**DRO, "noise_sigma": 0.5}, 40),
+        ("synthetic", {"noise_sigma": 1.0, "x0_center": [2.0]}, 40),
+    ])
+    def test_baseline_draws_are_steps_times_rows_per_step(
+        self, monkeypatch, tmp_path, solver, problem, params, per_step
+    ):
+        doc = {
+            "problem": problem, "solver": solver, "max_iters": 5, "problem_params": params,
+            "solver_params": {"batch": 40},
+        }
+        entry, rows, counts = self.run_counted(monkeypatch, tmp_path, doc)
+        assert entry["iterations"] == len(rows) == 5
+        assert counts == [per_step] * 5 and entry["oracle_draws"] == 5 * per_step
 
 
 class TestSummarize:
