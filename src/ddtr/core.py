@@ -256,7 +256,7 @@ class DistributionOracle:
     across threads.  ``deterministic`` declares D(x) a point mass, every draw
     at one x the same row; not merely draws that can coincide by chance.  The
     solvers then draw one row where they would draw a batch, and asgda
-    weighs it as the batch.
+    weights it by the batch size.
     """
 
     d: int
